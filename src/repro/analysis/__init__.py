@@ -11,7 +11,6 @@ from repro.analysis.batch import (
     render_fleet,
     run_seed,
     run_seed_fleet,
-    run_seed_fleet_pool,
 )
 from repro.analysis.chaos import (
     CHAOS_SCHEMA,
@@ -33,7 +32,6 @@ __all__ = [
     "render_fleet",
     "run_seed",
     "run_seed_fleet",
-    "run_seed_fleet_pool",
     "run_chaos_scenario",
     "run_chaos_sweep",
     "validate_chaos",

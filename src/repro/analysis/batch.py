@@ -1,14 +1,12 @@
-"""Fleet-scale batched seed sweeps.
+"""Seed fleets: one scenario run over many seeds in one process.
 
-Monte-Carlo confidence runs pump the *same* scenario through thousands
-of seeds.  Spawning a process per seed (the :mod:`repro.analysis.parallel`
-pattern) pays interpreter start-up, import and pickling costs per seed,
-which dwarfs the actual simulation once the vec engine has collapsed
-the busy path.  :func:`run_seed_fleet` instead packs the whole fleet
-into one batched program, seed-major: every seed's simulation runs to
-completion in one process, with the SoA backend's compiled ticks doing
-the heavy lifting.  :func:`run_seed_fleet_pool` is the process-pool
-comparator (one worker task per seed) used by the busy-path benchmark.
+Monte-Carlo confidence runs pump the *same* scenario through many
+seeds.  :func:`run_seed_fleet` runs them seed-major in this process
+(seed *i* runs to completion before seed *i+1* starts) and ledgers the
+per-seed and fleet-level records that ``repro sweep --seeds``,
+``repro diff`` and ``repro regress`` read.  It is a plain loop: no
+batching across seeds, and the chosen engine only changes how fast each
+seed runs.
 
 Each seed is an independent, fully deterministic simulation — results
 depend only on ``(arch, seed, workload)``, never on engine choice or
@@ -21,7 +19,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -174,10 +171,9 @@ def run_seed_fleet(
     ledger: bool = True,
     **workload: Any,
 ) -> FleetResult:
-    """The batched fleet: every seed simulated in this process,
-    seed-major (seed *i* runs to completion before seed *i+1* starts),
-    with the chosen engine — ``"vec"`` by default, where the compiled
-    ticks amortize the fleet's busy path.
+    """The fleet: every seed simulated in this process, seed-major
+    (seed *i* runs to completion before seed *i+1* starts), with the
+    chosen engine — ``"vec"`` by default.
 
     Ledgering (opt out with ``ledger=False`` or ``REPRO_LEDGER=0``):
     fleets up to :data:`PER_SEED_LEDGER_MAX` seeds persist one fully
@@ -231,32 +227,6 @@ def run_seed_fleet(
             seed_run_ids=fleet.seed_run_ids or None,
             wall_seconds=fleet.wall_seconds)
         fleet.run_id = RunLedger().store(record)
-    return fleet
-
-
-def _pool_worker(packed: Tuple[str, int, Optional[str], Dict[str, Any]]
-                 ) -> SeedResult:
-    arch_key, seed, engine, workload = packed
-    return run_seed(arch_key, seed, engine=engine, **workload)
-
-
-def run_seed_fleet_pool(
-    arch_key: str,
-    seeds: Sequence[int],
-    engine: Optional[str] = None,
-    max_workers: Optional[int] = None,
-    **workload: Any,
-) -> FleetResult:
-    """Process-pool comparator: one worker task per seed.  Exists so the
-    busy-path benchmark can measure what the batched fleet saves; the
-    per-seed results are identical to :func:`run_seed_fleet`."""
-    fleet = FleetResult(arch=arch_key, engine=engine)
-    packed = [(arch_key, seed, engine, dict(workload)) for seed in seeds]
-    t0 = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        fleet.results = list(pool.map(_pool_worker, packed,
-                                      chunksize=max(1, len(seeds) // 64)))
-    fleet.wall_seconds = time.perf_counter() - t0
     return fleet
 
 

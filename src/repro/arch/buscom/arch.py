@@ -32,7 +32,6 @@ from repro.core.parameters import PAPER_TABLE_1, DesignParameters
 from repro.fabric.area import AreaModel
 from repro.fabric.timing import ClockModel
 from repro.sim import Component, Simulator
-from repro.sim.vec.kernels import BatchKernel
 
 
 @dataclass
@@ -64,11 +63,6 @@ class BusCom(CommArchitecture, Component):
 
     KEY = "buscom"
 
-    #: no containers to swap — the batch kernel replays whole TDMA
-    #: slot bodies arithmetically between boundaries (QL006)
-    VEC_FIELDS = ()
-    VEC_SHARED = ("_last_ticked", "_delivered_bytes", "_queues", "_bulk")
-
     def __init__(self, sim: Simulator, cfg: BusComConfig,
                  table: Optional[SlotTable] = None,
                  area_model: Optional[AreaModel] = None,
@@ -90,7 +84,6 @@ class BusCom(CommArchitecture, Component):
         # last cycle this component ticked; cycles slept through are
         # replayed arithmetically by _account_idle on wake
         self._last_ticked = sim.cycle - 1
-        self._init_vec(sim)
 
     # ==================================================================
     # CommArchitecture interface
@@ -254,20 +247,11 @@ class BusCom(CommArchitecture, Component):
     # ==================================================================
     # per-cycle behaviour
     # ==================================================================
-    def _make_vec_kernel(self):
-        return _BusComVecKernel(self)
-
     def tick(self, sim: Simulator):
-        if self.vec is not None:
-            return self.vec.tick(sim)
         now = sim.cycle
         if self._last_ticked < now - 1:
             self._account_idle(now - 1)
         self._last_ticked = now
-        return self._tick_cycle(sim, now)
-
-    def _tick_cycle(self, sim: Simulator, now: int):
-        """One cycle of TDMA behaviour (shared by both backends)."""
         if sim.telemetering:
             tel = sim.telemetry
             for module, q in self._queues.items():
@@ -482,89 +466,11 @@ class BusCom(CommArchitecture, Component):
         """Fraction of cycles each bus spent carrying a frame."""
         # catch up on any cycles currently being slept through so the
         # denominator matches the wall clock
-        if self.vec is not None:
-            self.vec.catch_up(self.sim.cycle - 1)
-        else:
-            self._account_idle(self.sim.cycle - 1)
+        self._account_idle(self.sim.cycle - 1)
         return [
             b.busy_cycles / b.total_cycles if b.total_cycles else 0.0
             for b in self._buses
         ]
-
-
-class _BusComVecKernel(BatchKernel):
-    """Compiled tick for BUS-COM TDMA frame slots.
-
-    Between slot boundaries nothing consults the queues or the table —
-    each skipped cycle only counts time, runs the slot countdowns, and
-    samples the (constant) number of frame-carrying buses.  So even
-    while busy, the kernel sleeps to the earliest next slot start or
-    frame landing across all buses and replays the stretch
-    arithmetically on wake.  Boundary and landing cycles always run a
-    real tick, so slot grants, budget accounting and deliveries stay
-    the object code.
-
-    Per-bus carrying flags are stashed at sleep time: ``fail_bus`` may
-    void a frame at event phase mid-stretch, but the object path would
-    still have counted the bus busy on every cycle before the failure
-    tick.
-    """
-
-    def __init__(self, arch: "BusCom") -> None:
-        super().__init__(arch)
-        #: per-bus frame-carrying flags at sleep time (None = idle sleep)
-        self._stretch: Optional[List[bool]] = None
-
-    def catch_up(self, through: int) -> None:
-        """Replay slept-through cycles up to and including ``through``."""
-        arch = self.arch
-        gap = through - arch._last_ticked
-        if gap <= 0:
-            return
-        flags = self._stretch
-        if flags is None:
-            # idle stretch: the object path's replay already matches
-            arch._account_idle(through)
-            return
-        carrying = 0
-        for bus, busy in zip(arch._buses, flags):
-            bus.total_cycles += gap
-            if busy:
-                bus.busy_cycles += gap
-                carrying += 1
-            bus.slot_remaining -= gap
-            if bus.slot_remaining == 0:
-                bus.slot_idx = (bus.slot_idx + 1) % arch.table.slots_per_bus
-        if carrying:
-            self.backfill_constant(
-                arch._parallelism_hist, gap, float(carrying))
-        arch._last_ticked = through
-
-    def flush(self, now: int) -> None:
-        self.catch_up(now - 1)
-
-    def tick(self, sim: Simulator):
-        arch = self.arch
-        now = sim.cycle
-        self.catch_up(now - 1)
-        arch._last_ticked = now
-        self._stretch = None
-        hint = arch._tick_cycle(sim, now)
-        if hint is None and not sim.telemetering:
-            # busy, but deterministic until the next slot boundary or
-            # frame landing — sleep there and replay the stretch
-            nxt = None
-            for bus in arch._buses:
-                boundary = now + 1 + bus.slot_remaining
-                if nxt is None or boundary < nxt:
-                    nxt = boundary
-                if bus.frame_msg is not None and bus.frame_done_at < nxt:
-                    nxt = bus.frame_done_at
-            if nxt is not None and nxt > now + 1:
-                self._stretch = [b.frame_msg is not None
-                                 for b in arch._buses]
-                return nxt
-        return hint
 
 
 def build_buscom(

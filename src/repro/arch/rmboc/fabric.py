@@ -30,22 +30,12 @@ from repro.fabric.area import AreaModel
 from repro.fabric.timing import ClockModel
 from repro.sim import SLEEP, Component, Simulator
 from repro.sim.backoff import bounded_backoff
-from repro.sim.vec.kernels import BatchKernel
-from repro.sim.vec.store import CountdownSet
 
 
 class RMBoC(CommArchitecture, Component):
     """The RMBoC interconnect for ``cfg.num_modules`` slots."""
 
     KEY = "rmboc"
-
-    #: SoA-swapped container: in-flight word streams (QL006)
-    VEC_FIELDS = ("_transfers",)
-    #: state the object-code planes mutate that the kernel shares as-is
-    VEC_SHARED = (
-        "_ctrl", "_lanes", "_channels", "_chan_by_pair", "_queues",
-        "_retry_at", "_fault_attempts", "_idle_since",
-    )
 
     def __init__(self, sim: Simulator, cfg: RMBoCConfig,
                  area_model: Optional[AreaModel] = None,
@@ -83,7 +73,6 @@ class RMBoC(CommArchitecture, Component):
         self._channel_cap = cfg.channels_per_module
         # per-fabric cids keep traces of identical runs identical
         self._cid_seq = itertools.count()
-        self._init_vec(sim)
 
     # ==================================================================
     # CommArchitecture interface
@@ -257,12 +246,7 @@ class RMBoC(CommArchitecture, Component):
     # ==================================================================
     # per-cycle behaviour
     # ==================================================================
-    def _make_vec_kernel(self):
-        return _RMBoCVecKernel(self)
-
     def tick(self, sim: Simulator):
-        if self.vec is not None:
-            return self.vec.tick(sim)
         now = sim.cycle
         self._tick_data(now)
         self._tick_control(now)
@@ -625,111 +609,6 @@ class RMBoC(CommArchitecture, Component):
                 continue
             if now - idle_since >= self.cfg.channel_linger:
                 self._start_destroy(ch, now)
-
-
-class _RMBoCVecKernel(BatchKernel):
-    """Compiled tick for the RMBoC data plane.
-
-    ``_transfers`` becomes a :class:`CountdownSet` keyed on
-    ``words_left``: a whole quiescent-control stretch (no control
-    message due, no NI decision able to change) advances every word
-    stream with one array subtraction, and the skipped per-cycle
-    parallelism samples are back-filled as a constant run.  Control
-    plane and network interfaces stay the exact object code — they
-    only run at wake cycles, where both backends execute identically.
-
-    Sleep legality: the kernel only stretches past ``now + 1`` when
-    every way the skipped ticks could differ from pure streaming has a
-    computable deadline (first word-stream completion, earliest control
-    message, earliest retry-backoff expiry, earliest idle-linger
-    deadline) or arrives through an explicit ``wake()`` (submits,
-    establishes, unfreeze, fault repair).  A queued message whose
-    destination is not attached keeps the kernel on the per-cycle path:
-    ``attach`` does not wake, so no deadline exists for it.  The
-    streaming count is stashed at sleep time — ``fail_crosspoint`` may
-    tear transfers down at event phase mid-stretch, but the object path
-    would still have sampled every pre-fault cycle.
-    """
-
-    def __init__(self, arch: "RMBoC") -> None:
-        super().__init__(arch)
-        arch._transfers = CountdownSet("rmboc.transfers", "words_left",
-                                       arch._transfers)
-        self._last = self.sim.cycle
-        self._streaming = 0
-
-    def _catch_up(self, through: int) -> None:
-        gap = through - self._last
-        if gap <= 0:
-            return
-        if self._streaming:
-            self.backfill_constant(self.arch._parallelism_hist, gap,
-                                   float(self._streaming))
-            self.arch._transfers.decrement(gap)
-        self._last = through
-
-    def flush(self, now: int) -> None:
-        self._catch_up(now - 1)
-
-    def tick(self, sim: Simulator):
-        arch = self.arch
-        now = sim.cycle
-        self._catch_up(now - 1)
-        self._last = now
-        self._streaming = 0
-        # data plane — CountdownSet form of _tick_data
-        transfers = arch._transfers
-        active = len(transfers)
-        if active:
-            transfers.decrement(1)
-            finished = transfers.take_finished()
-        else:
-            finished = ()
-        arch._note_parallelism(active)
-        for tr in finished:
-            arch._finish_transfer(tr, now)
-        # control plane and NIs: object code, wake cycles only
-        arch._tick_control(now)
-        arch._tick_ni(now)
-        hint = arch._quiescence(now)
-        if sim.telemetering or hint is not None:
-            # telemetry samples per executed cycle, or the fabric is
-            # already quiescent — the object hint is authoritative
-            return hint
-        candidates = []
-        remaining = len(transfers)
-        if remaining:
-            candidates.append(now + transfers.min_count())
-        if arch._ctrl:
-            candidates.append(min(cm.ready_at for cm in arch._ctrl))
-        queued = any(arch._queues.values())
-        if queued:
-            candidates.extend(
-                t for t in arch._retry_at.values() if t > now
-            )
-        if arch._idle_since:
-            candidates.append(
-                min(arch._idle_since.values()) + arch.cfg.channel_linger
-            )
-        nxt = min(candidates) if candidates else None
-        if nxt is not None and nxt <= now + 1:
-            # next deadline is immediate: stay hot.  Checked before the
-            # queued-destination scan — on a saturated fabric (retries
-            # every few cycles) that scan is the per-tick cost, and its
-            # outcome would be the same ``None``.
-            return None
-        if queued:
-            for q in arch._queues.values():
-                for msg in q:
-                    if msg.dst not in arch._module_xp:
-                        return None  # attach does not wake: stay hot
-        if nxt is None:
-            # nothing has a deadline (and no stream in flight): progress
-            # can only come from an explicit wake — establish event,
-            # submit, repair, unfreeze
-            return SLEEP
-        self._streaming = remaining
-        return nxt
 
 
 def build_rmboc(

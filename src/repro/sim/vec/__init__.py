@@ -1,18 +1,20 @@
 """Struct-of-arrays (SoA) backend for the synchronous kernel.
 
 ``repro.sim.vec`` holds the vectorized counterpart of the object
-kernel: contiguous numpy arrays with integer handles for the hot
-structures (wires, pulse wires, FIFOs, link/router occupancy intervals,
-timed event queues, word countdowns), a :class:`VecSimulator` that
+kernel: list-compatible numpy stores for link/router occupancy
+intervals and timed event queues, a :class:`VecSimulator` that
 architectures detect to install their "compiled tick" batch kernels,
 and the engine-selection helpers behind ``repro sweep --engine=vec``.
+
+Only DyNoC, staticmesh and the shared-bus baseline install a kernel;
+each clears a 1.5x per-run bar on dense traffic.  RMBoC, BUS-COM and
+CoNoChi run their object ``tick`` inside the same cycle loop (hybrid
+execution).  See ``docs/kernel.md`` for the measurements.
 
 The backend is a pure optimization with the same golden-equivalence
 guarantee as the activity-driven fast path: a vec run is bit-identical
 to an object run in :meth:`~repro.sim.stats.StatsRegistry.snapshot`
 and in trace fingerprints (see ``tests/sim/test_vec_equivalence.py``).
-Components without a batch kernel fall back transparently to the
-object kernel inside the same cycle loop (hybrid execution).
 
 numpy is optional at import time: ``pip install repro[fast]`` pulls it
 in explicitly, and :data:`HAVE_NUMPY`/:func:`require_numpy` gate every
@@ -49,27 +51,16 @@ from repro.sim.vec.engine import (  # noqa: E402
     make_simulator,
 )
 from repro.sim.vec.kernels import BatchKernel  # noqa: E402
-from repro.sim.vec.store import (  # noqa: E402
-    CountdownSet,
-    EventQueue,
-    FifoBank,
-    IntervalSet,
-    PulseBank,
-    WireBank,
-)
+from repro.sim.vec.store import EventQueue, IntervalSet  # noqa: E402
 
 __all__ = [
     "BatchKernel",
-    "CountdownSet",
     "ENGINE_ENV",
     "ENGINES",
     "EventQueue",
-    "FifoBank",
     "HAVE_NUMPY",
     "IntervalSet",
-    "PulseBank",
     "VecSimulator",
-    "WireBank",
     "engine_default",
     "make_simulator",
     "require_numpy",

@@ -31,9 +31,18 @@ ENGINES: Tuple[str, ...] = ("object", "vec")
 
 
 def engine_default() -> str:
-    """The engine used when callers pass ``engine=None``."""
-    name = os.environ.get(ENGINE_ENV, "object").strip().lower()
-    return name if name in ENGINES else "object"
+    """The engine used when callers pass ``engine=None``: the value of
+    :data:`ENGINE_ENV`, or ``object`` when it is unset or empty."""
+    raw = os.environ.get(ENGINE_ENV, "")
+    name = raw.strip().lower()
+    if not name:
+        return "object"
+    if name not in ENGINES:
+        raise SimError(
+            f"unknown engine {raw!r} in {ENGINE_ENV}: expected one of "
+            f"{', '.join(ENGINES)}"
+        )
+    return name
 
 
 def resolve_engine(engine: Optional[str]) -> str:

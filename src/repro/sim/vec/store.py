@@ -1,33 +1,20 @@
-"""Struct-of-arrays state stores: contiguous arrays, integer handles.
+"""Struct-of-arrays state stores for the batch kernels.
 
-Every structure here is the SoA counterpart of a hot object-kernel
-structure, designed so the *same* model code drives both backends:
+:class:`IntervalSet` and :class:`EventQueue` are *list-compatible*
+(``append``/``remove``/iteration/truthiness match the plain-list usage
+in the architecture models), so a batch kernel can swap them in without
+touching the object-path helper code, then run their bulk operations
+(due extraction, interval occupancy counting) vectorized.  DyNoC's
+kernel, which staticmesh inherits, is their only user.
 
-* :class:`WireBank` / :class:`PulseBank` / :class:`FifoBank` pack many
-  wires/FIFOs into contiguous numpy arrays addressed by integer handle,
-  with the exact commit semantics of :class:`repro.sim.channel.Wire`,
-  :class:`~repro.sim.channel.PulseWire` and
-  :class:`~repro.sim.channel.FIFO` (staged writes, double-drive errors,
-  one-cycle visibility, pulse self-clear) and per-handle ``Ref`` shims
-  satisfying the :class:`~repro.sim.component.Channel` protocol for
-  ``Component.watch``.
-* :class:`IntervalSet`, :class:`EventQueue` and :class:`CountdownSet`
-  are *list-compatible* (``append``/``remove``/iteration/truthiness
-  match the plain-list usage in the architecture models) so a batch
-  kernel can swap them in without touching the object-path helper code,
-  then run their bulk operations (due extraction, interval occupancy
-  counting, batched countdowns) vectorized.
-
-All structures require numpy (:func:`repro.sim.vec.require_numpy`);
-they are only constructed when a :class:`~repro.sim.vec.VecSimulator`
-actually vectorizes.
+Both require numpy (:func:`repro.sim.vec.require_numpy`); they are only
+constructed when a :class:`~repro.sim.vec.VecSimulator` actually
+vectorizes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
-
-from repro.sim.engine import SimError, Simulator
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 try:
     import numpy as np
@@ -45,278 +32,6 @@ def _grown(arr, needed: int):
     return out
 
 
-# ======================================================================
-# channel banks
-# ======================================================================
-class _BankRef:
-    """Per-handle shim satisfying the Channel protocol (watch/unwatch)."""
-
-    __slots__ = ("bank", "handle")
-
-    def __init__(self, bank: "_Bank", handle: int):
-        self.bank = bank
-        self.handle = handle
-
-    def subscribe(self, component) -> None:
-        self.bank.subscribe(self.handle, component)
-
-    def unsubscribe(self, component) -> None:
-        self.bank.unsubscribe(self.handle, component)
-
-
-class WireRef(_BankRef):
-    """Single-wire view of a :class:`WireBank` handle."""
-
-    def drive(self, value: int) -> None:
-        self.bank.drive(self.handle, value)
-
-    @property
-    def value(self) -> int:
-        return self.bank.value(self.handle)
-
-    def driven(self) -> bool:
-        return self.bank.driven(self.handle)
-
-
-class FifoRef(_BankRef):
-    """Single-FIFO view of a :class:`FifoBank` handle."""
-
-    def push(self, item: int) -> None:
-        self.bank.push(self.handle, item)
-
-    def pop(self) -> int:
-        return self.bank.pop(self.handle)
-
-    def peek(self) -> Optional[int]:
-        return self.bank.peek(self.handle)
-
-    def can_push(self, n: int = 1) -> bool:
-        return self.bank.can_push(self.handle, n)
-
-    def __len__(self) -> int:
-        return self.bank.occupancy(self.handle)
-
-
-class _Bank:
-    """Shared machinery: one sequential element covering all handles,
-    dirty-set participation, and per-handle subscriber wake-ups."""
-
-    _dirty_flag = False
-
-    def __init__(self, sim: Simulator, name: str, n: int):
-        if n < 1:
-            raise SimError(f"bank {name!r}: need n >= 1 handles, got {n}")
-        self.name = name
-        self.n = n
-        self._sim = sim
-        self._waiters: Dict[int, List[Any]] = {}
-        sim.register_sequential(self)
-
-    def _check(self, handle: int) -> None:
-        if not 0 <= handle < self.n:
-            raise SimError(
-                f"bank {self.name!r}: handle {handle} outside 0..{self.n - 1}"
-            )
-
-    def subscribe(self, handle: int, component) -> None:
-        self._check(handle)
-        waiters = self._waiters.setdefault(handle, [])
-        if component not in waiters:
-            waiters.append(component)
-
-    def unsubscribe(self, handle: int, component) -> None:
-        waiters = self._waiters.get(handle)
-        if waiters and component in waiters:
-            waiters.remove(component)
-
-    def _mark_dirty(self) -> None:
-        if not self._dirty_flag:
-            self._dirty_flag = True
-            self._sim._dirty.append(self)
-
-    def _staged(self, handle: int) -> None:
-        self._mark_dirty()
-        waiters = self._waiters.get(handle)
-        if waiters:
-            visible_at = self._sim.cycle + 1
-            for component in waiters:
-                self._sim.wake_at(component, visible_at)
-
-
-class WireBank(_Bank):
-    """``n`` registered wires as one contiguous int64 array.
-
-    Semantics match :class:`repro.sim.channel.Wire` per handle: reads
-    return last-committed values, a staged drive becomes visible next
-    cycle, and double-driving one handle in one cycle raises.
-    """
-
-    def __init__(self, sim: Simulator, name: str, n: int, init: int = 0):
-        super().__init__(sim, name, n)
-        self._values = np.full(n, init, dtype=np.int64)
-        self._staged_vals = np.zeros(n, dtype=np.int64)
-        self._staged_mask = np.zeros(n, dtype=bool)
-
-    def ref(self, handle: int) -> WireRef:
-        self._check(handle)
-        return WireRef(self, handle)
-
-    def value(self, handle: int) -> int:
-        self._check(handle)
-        return int(self._values[handle])
-
-    @property
-    def values(self) -> "np.ndarray":
-        """The committed values (read-only view)."""
-        view = self._values[: self.n]
-        view.flags.writeable = False
-        return view
-
-    def driven(self, handle: int) -> bool:
-        self._check(handle)
-        return bool(self._staged_mask[handle])
-
-    def drive(self, handle: int, value: int) -> None:
-        self._check(handle)
-        if self._staged_mask[handle]:
-            raise SimError(
-                f"bank {self.name!r}: handle {handle} driven twice in one cycle"
-            )
-        self._staged_vals[handle] = value
-        self._staged_mask[handle] = True
-        self._staged(handle)
-
-    def drive_many(self, handles: Sequence[int], values: Sequence[int]) -> None:
-        """Stage a batch of drives in one array operation."""
-        idx = np.asarray(handles, dtype=np.int64)
-        if idx.size == 0:
-            return
-        if idx.min() < 0 or idx.max() >= self.n:
-            raise SimError(f"bank {self.name!r}: handle outside 0..{self.n - 1}")
-        if self._staged_mask[idx].any() or len(np.unique(idx)) != idx.size:
-            raise SimError(
-                f"bank {self.name!r}: batch double-drives a handle")
-        self._staged_vals[idx] = np.asarray(values, dtype=np.int64)
-        self._staged_mask[idx] = True
-        self._mark_dirty()
-        for handle in idx.tolist():
-            waiters = self._waiters.get(handle)
-            if waiters:
-                visible_at = self._sim.cycle + 1
-                for component in waiters:
-                    self._sim.wake_at(component, visible_at)
-
-    def _commit(self) -> bool:
-        m = self._staged_mask
-        if m.any():
-            self._values[m] = self._staged_vals[m]
-            m[:] = False
-        return False
-
-
-class PulseBank(WireBank):
-    """``n`` pulse wires: each handle self-clears to ``default`` one
-    cycle after being driven (see :class:`repro.sim.channel.PulseWire`)."""
-
-    def __init__(self, sim: Simulator, name: str, n: int, default: int = 0):
-        super().__init__(sim, name, n, init=default)
-        self._default = default
-        self._active = np.zeros(n, dtype=bool)
-
-    def _commit(self) -> bool:
-        m = self._staged_mask
-        clear = self._active & ~m
-        if clear.any():
-            self._values[clear] = self._default
-        if m.any():
-            self._values[m] = self._staged_vals[m]
-        # handles set this commit must self-clear next commit
-        self._active, m = m.copy(), None
-        self._staged_mask[:] = False
-        return bool(self._active.any())
-
-
-class FifoBank(_Bank):
-    """``n`` bounded int FIFOs as one ``(n, capacity)`` ring array.
-
-    Pushes are staged (visible next cycle), pops act on the committed
-    queue — the :class:`repro.sim.channel.FIFO` discipline per handle.
-    """
-
-    def __init__(self, sim: Simulator, name: str, n: int, capacity: int):
-        super().__init__(sim, name, n)
-        if capacity < 1:
-            raise SimError(
-                f"bank {name!r}: capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._ring = np.zeros((n, capacity), dtype=np.int64)
-        self._head = np.zeros(n, dtype=np.int64)
-        self._count = np.zeros(n, dtype=np.int64)
-        self._staged_items = np.zeros((n, capacity), dtype=np.int64)
-        self._staged_count = np.zeros(n, dtype=np.int64)
-
-    def ref(self, handle: int) -> FifoRef:
-        self._check(handle)
-        return FifoRef(self, handle)
-
-    def can_push(self, handle: int, n: int = 1) -> bool:
-        self._check(handle)
-        if n < 1:
-            raise SimError(
-                f"bank {self.name!r}: can_push(n) needs n >= 1, got {n}")
-        return int(self._count[handle] + self._staged_count[handle]) + n \
-            <= self.capacity
-
-    def push(self, handle: int, item: int) -> None:
-        if not self.can_push(handle):
-            raise SimError(
-                f"bank {self.name!r}: handle {handle} overflow "
-                f"(capacity {self.capacity})")
-        self._staged_items[handle, self._staged_count[handle]] = item
-        self._staged_count[handle] += 1
-        self._staged(handle)
-
-    def occupancy(self, handle: int) -> int:
-        self._check(handle)
-        return int(self._count[handle])
-
-    @property
-    def occupancies(self) -> "np.ndarray":
-        """Committed depth of every FIFO (read-only view)."""
-        view = self._count[: self.n]
-        view.flags.writeable = False
-        return view
-
-    def peek(self, handle: int) -> Optional[int]:
-        self._check(handle)
-        if self._count[handle] == 0:
-            return None
-        return int(self._ring[handle, self._head[handle]])
-
-    def pop(self, handle: int) -> int:
-        self._check(handle)
-        if self._count[handle] == 0:
-            raise SimError(f"bank {self.name!r}: handle {handle} underflow")
-        value = int(self._ring[handle, self._head[handle]])
-        self._head[handle] = (self._head[handle] + 1) % self.capacity
-        self._count[handle] -= 1
-        return value
-
-    def _commit(self) -> bool:
-        staged = np.flatnonzero(self._staged_count)
-        for handle in staged.tolist():
-            k = int(self._staged_count[handle])
-            pos = (self._head[handle] + self._count[handle]
-                   + np.arange(k)) % self.capacity
-            self._ring[handle, pos] = self._staged_items[handle, :k]
-            self._count[handle] += k
-            self._staged_count[handle] = 0
-        return False
-
-
-# ======================================================================
-# timed structures for batch kernels
-# ======================================================================
 class IntervalSet:
     """Link/router occupancy intervals ``(start, end, id)`` as SoA arrays.
 
@@ -504,116 +219,3 @@ class EventQueue:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EventQueue({self.name!r}, n={self._n})"
-
-
-class CountdownSet:
-    """Items with a per-item countdown (e.g. words left on a lane).
-
-    The authoritative counts live in one int64 array so a whole skipped
-    stretch decrements in one subtraction; the wrapped items' own
-    counter attribute is kept in sync so object-path helper code that
-    reads it (and the hybrid fallback) sees consistent state.
-    """
-
-    __slots__ = ("name", "attr", "_counts", "_items", "_n")
-
-    def __init__(self, name: str, attr: str, items: Sequence[Any] = ()):
-        self.name = name
-        self.attr = attr
-        self._counts = np.empty(_MIN_CAP, dtype=np.int64)
-        self._items: List[Any] = []
-        self._n = 0
-        for item in items:
-            self.append(item)
-
-    def append(self, item: Any) -> None:
-        n = self._n
-        if n == len(self._counts):
-            self._counts = _grown(self._counts, n + 1)
-        self._counts[n] = getattr(item, self.attr)
-        self._items.append(item)
-        self._n = n + 1
-
-    def remove(self, item: Any) -> None:
-        idx = self._items.index(item)
-        del self._items[idx]
-        n = self._n
-        self._counts[idx:n - 1] = self._counts[idx + 1:n]
-        self._n = n - 1
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __bool__(self) -> bool:
-        return self._n > 0
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._items)
-
-    #: below this population, plain-Python loops over the (always in
-    #: sync) item attributes beat numpy's per-call overhead — the
-    #: per-cycle hot path of a busy-but-small fabric
-    _SMALL = 32
-
-    def decrement(self, by: int = 1) -> None:
-        """Run every countdown down ``by`` cycles (none may cross zero
-        except by exactly reaching it — the caller's hint guarantees
-        no finish lies strictly inside a replayed stretch)."""
-        n = self._n
-        if n == 0 or by == 0:
-            return
-        attr = self.attr
-        counts = self._counts
-        if n <= self._SMALL:
-            for i, item in enumerate(self._items):
-                c = getattr(item, attr) - by
-                setattr(item, attr, c)
-                counts[i] = c
-            return
-        counts[:n] -= by
-        for i, item in enumerate(self._items):
-            setattr(item, attr, int(counts[i]))
-
-    def take_finished(self) -> List[Any]:
-        """Remove and return items whose countdown reached zero, in
-        insertion order."""
-        n = self._n
-        if n == 0:
-            return []
-        items = self._items
-        if n <= self._SMALL:
-            attr = self.attr
-            done = [it for it in items if getattr(it, attr) <= 0]
-            if not done:
-                return []
-            counts = self._counts
-            keep = [i for i, it in enumerate(items)
-                    if getattr(it, attr) > 0]
-            for j, i in enumerate(keep):
-                counts[j] = counts[i]
-            self._items = [items[i] for i in keep]
-            self._n = len(keep)
-            return done
-        counts = self._counts[:n]
-        mask = counts <= 0
-        if not mask.any():
-            return []
-        done = [items[i] for i in np.flatnonzero(mask).tolist()]
-        keep = np.flatnonzero(~mask)
-        m = keep.size
-        self._counts[:m] = counts[keep]
-        self._items = [items[i] for i in keep.tolist()]
-        self._n = m
-        return done
-
-    def min_count(self) -> Optional[int]:
-        n = self._n
-        if n == 0:
-            return None
-        if n <= self._SMALL:
-            attr = self.attr
-            return min(getattr(it, attr) for it in self._items)
-        return int(self._counts[:n].min())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CountdownSet({self.name!r}, n={self._n})"

@@ -1,8 +1,7 @@
-"""Fleet-scale batched sweeps: seed-major batching is pure packaging.
+"""Seed fleets: running seeds seed-major in one process is pure packaging.
 
 Per-seed results depend only on ``(arch, seed, workload)`` — never on
-the engine, never on how seeds are grouped into fleets, never on
-whether a process pool or the batched loop ran them.
+the engine and never on how seeds are grouped into fleets.
 """
 
 import pytest
@@ -12,7 +11,6 @@ from repro.analysis.batch import (
     render_fleet,
     run_seed,
     run_seed_fleet,
-    run_seed_fleet_pool,
 )
 
 #: small-but-nontrivial workload so the whole module stays fast
@@ -45,15 +43,6 @@ def test_fleet_grouping_irrelevant():
     assert ([r.key() for r in whole.results]
             == [r.key() for r in first.results]
             + [r.key() for r in second.results])
-
-
-def test_pool_matches_batched_fleet():
-    seeds = range(3)
-    batched = run_seed_fleet("buscom", seeds, engine="vec", **WORKLOAD)
-    pooled = run_seed_fleet_pool("buscom", seeds, engine="vec",
-                                 max_workers=1, **WORKLOAD)
-    assert ([r.key() for r in batched.results]
-            == [r.key() for r in pooled.results])
 
 
 def test_results_are_nontrivial():

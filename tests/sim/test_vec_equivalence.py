@@ -3,9 +3,10 @@
 The SoA backend is a pure optimization — for every architecture,
 workload, telemetry setting and fault script, a ``VecSimulator`` run
 must produce exactly the same statistics, telemetry and traces as the
-plain object kernel.  Components without a batch kernel (CoNoChi) must
-fall back transparently inside the same hybrid cycle loop, and a
-numpy-less install must degrade to the object path rather than fail.
+plain object kernel.  Components without a batch kernel (RMBoC,
+BUS-COM, CoNoChi) must fall back transparently inside the same hybrid
+cycle loop, and a numpy-less install must degrade to the object path
+rather than fail.
 """
 
 import json
@@ -15,13 +16,14 @@ import pytest
 
 from repro.arch import build_architecture
 from repro.obs.flows import FlowTelemetry
-from repro.sim import Tracer
+from repro.sim import SimError, Tracer
 from repro.sim.vec import make_simulator
 
 #: architectures with a compiled-tick batch kernel installed
-VEC_ARCHS = ("dynoc", "staticmesh", "sharedbus", "buscom", "rmboc")
-#: the hybrid-fallback architecture: object tick inside VecSimulator
-ALL_ARCHS = VEC_ARCHS + ("conochi",)
+VEC_ARCHS = ("dynoc", "staticmesh", "sharedbus")
+#: hybrid-fallback architectures: object tick inside VecSimulator
+HYBRID_ARCHS = ("rmboc", "buscom", "conochi")
+ALL_ARCHS = VEC_ARCHS + HYBRID_ARCHS
 
 
 def _fingerprint(sim):
@@ -82,7 +84,7 @@ def _drive(key, engine, telemetry=False, faults=False, tracing=False,
     arch = build_architecture(key, sim=sim, seed=seed)
     if engine == "vec" and key in VEC_ARCHS:
         assert sim.vec_kernels, f"{key}: no batch kernel installed"
-    if engine == "vec" and key == "conochi":
+    if engine == "vec" and key in HYBRID_ARCHS:
         assert not sim.vec_kernels  # hybrid fallback: object tick only
     mods = list(arch.modules)
     rng = random.Random(seed)
@@ -123,9 +125,9 @@ def test_engines_bit_identical_with_tracing(key):
 
 
 def test_rmboc_reconfiguration_mid_run_equivalent():
-    """Detach/attach during traffic: queued messages to an unattached
-    destination pin the kernel to per-cycle mode (attach does not
-    wake), which must not perturb equivalence."""
+    """Detach/attach during traffic, with messages queued for the
+    unattached destination (attach does not wake the fabric), runs the
+    same under the hybrid vec engine as under the object engine."""
 
     def drive(engine):
         sim = make_simulator(name=f"rmboc-{engine}", engine=engine)
@@ -161,6 +163,37 @@ def test_rmboc_reconfiguration_mid_run_equivalent():
     assert drive("object") == drive("vec")
 
 
+def test_buscom_utilization_read_mid_sleep_equivalent():
+    """``bus_utilization`` read at event phase while BUS-COM sleeps
+    between slot starts replays the slept cycles first, so every read
+    matches a run that ticked every cycle, under both engines."""
+
+    def drive(engine, fast_path):
+        sim = make_simulator(name=f"buscom-{engine}", engine=engine,
+                             fast_path=fast_path)
+        arch = build_architecture("buscom", sim=sim, seed=5)
+        for t, (src, dst, payload) in enumerate(
+                [("m0", "m1", 64), ("m2", "m3", 256), ("m1", "m0", 16)]):
+            sim.at(1 + 5 * t, lambda _s, s=src, d=dst, p=payload:
+                   arch.ports[s].send(d, p))
+        reads, slept = [], []
+
+        def read(s):
+            slept.append(arch._last_ticked < s.cycle - 1)
+            reads.append(arch.bus_utilization())
+
+        for at in range(400, 1_400, 7):
+            sim.at(at, read)
+        sim.run(1_500)
+        return reads, any(slept)
+
+    reference, _ = drive("object", fast_path=False)
+    for engine in ("object", "vec"):
+        reads, slept = drive(engine, fast_path=True)
+        assert slept, "no read landed inside a sleep stretch"
+        assert reads == reference
+
+
 def test_vec_simulator_without_numpy_degrades(monkeypatch):
     """The documented pure-Python fallback: no numpy means
     ``vectorized`` stays False and no kernels install, but the run
@@ -187,6 +220,27 @@ def test_env_var_selects_vec_engine(monkeypatch):
     monkeypatch.setenv(ENGINE_ENV, "object")
     arch = build_architecture("sharedbus")
     assert not isinstance(arch.sim, VecSimulator)
+
+
+def test_unset_or_empty_env_var_means_object_engine(monkeypatch):
+    from repro.sim.vec import ENGINE_ENV, engine_default
+
+    monkeypatch.delenv(ENGINE_ENV, raising=False)
+    assert engine_default() == "object"
+    for value in ("", "  "):
+        monkeypatch.setenv(ENGINE_ENV, value)
+        assert engine_default() == "object"
+
+
+def test_misspelled_env_var_engine_raises(monkeypatch):
+    from repro.sim.vec import ENGINE_ENV
+
+    monkeypatch.setenv(ENGINE_ENV, "vce")
+    with pytest.raises(SimError) as info:
+        build_architecture("sharedbus")
+    message = str(info.value)
+    assert ENGINE_ENV in message and "'vce'" in message
+    assert "object" in message and "vec" in message
 
 
 def test_explicit_engine_conflicts_with_sim():

@@ -1,155 +1,11 @@
-"""SoA state stores: the banks must honour the channel commit
-discipline (staged writes, one-cycle visibility, double-drive errors,
-pulse self-clear) per handle, and the timed structures must stay
-list-compatible while their bulk operations match the sequential
-semantics they replace."""
+"""SoA timed structures: they must stay list-compatible while their
+bulk operations match the sequential semantics they replace."""
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.sim import SLEEP, Component, SimError, Simulator
-from repro.sim.vec.store import (
-    CountdownSet,
-    EventQueue,
-    FifoBank,
-    IntervalSet,
-    PulseBank,
-    WireBank,
-)
-
-
-# ----------------------------------------------------------------------
-# WireBank
-# ----------------------------------------------------------------------
-class TestWireBank:
-    def test_staged_drive_visible_next_cycle(self):
-        sim = Simulator(name="wires")
-        bank = WireBank(sim, "w", 4, init=7)
-        assert [bank.value(h) for h in range(4)] == [7, 7, 7, 7]
-        bank.drive(2, 99)
-        assert bank.value(2) == 7          # not yet committed
-        assert bank.driven(2)
-        sim.run(1)
-        assert bank.value(2) == 99
-        assert not bank.driven(2)
-
-    def test_double_drive_raises(self):
-        sim = Simulator(name="wires")
-        bank = WireBank(sim, "w", 2)
-        bank.drive(0, 1)
-        with pytest.raises(SimError):
-            bank.drive(0, 2)
-
-    def test_drive_many_batches_and_rejects_duplicates(self):
-        sim = Simulator(name="wires")
-        bank = WireBank(sim, "w", 8)
-        bank.drive_many([1, 3, 5], [10, 30, 50])
-        sim.run(1)
-        assert bank.values.tolist() == [0, 10, 0, 30, 0, 50, 0, 0]
-        with pytest.raises(SimError):
-            bank.drive_many([2, 2], [1, 1])
-
-    def test_handle_bounds_checked(self):
-        sim = Simulator(name="wires")
-        bank = WireBank(sim, "w", 2)
-        with pytest.raises(SimError):
-            bank.value(2)
-        with pytest.raises(SimError):
-            bank.drive(-1, 0)
-
-    def test_ref_wakes_watcher_when_value_lands(self):
-        sim = Simulator(name="wires")
-        bank = WireBank(sim, "w", 2)
-        seen = []
-
-        class Watcher(Component):
-            def __init__(self):
-                super().__init__("watcher")
-                self.watch(bank.ref(1))
-
-            def tick(self, _sim):
-                seen.append((_sim.cycle, bank.value(1)))
-                return SLEEP
-
-        sim.add(Watcher())
-        sim.at(5, lambda _s: bank.drive(1, 42))
-        sim.run(20)
-        # woken at drive visibility (cycle 6) with the committed value
-        assert (6, 42) in seen
-
-
-# ----------------------------------------------------------------------
-# PulseBank
-# ----------------------------------------------------------------------
-class TestPulseBank:
-    def test_pulse_self_clears_after_one_cycle(self):
-        sim = Simulator(name="pulses")
-        bank = PulseBank(sim, "p", 2, default=0)
-        bank.drive(0, 1)
-        sim.run(1)
-        assert bank.value(0) == 1          # visible for exactly one cycle
-        sim.run(1)
-        assert bank.value(0) == 0          # self-cleared to default
-
-    def test_back_to_back_pulses_stay_high(self):
-        sim = Simulator(name="pulses")
-        bank = PulseBank(sim, "p", 1, default=0)
-        sim.at(1, lambda _s: bank.drive(0, 1))
-        sim.at(2, lambda _s: bank.drive(0, 1))
-        values = []
-        sim.at(3, lambda _s: values.append(bank.value(0)))
-        sim.at(4, lambda _s: values.append(bank.value(0)))
-        sim.run(6)
-        assert values == [1, 0]
-
-
-# ----------------------------------------------------------------------
-# FifoBank
-# ----------------------------------------------------------------------
-class TestFifoBank:
-    def test_push_staged_pop_committed(self):
-        sim = Simulator(name="fifos")
-        bank = FifoBank(sim, "f", 2, capacity=4)
-        bank.push(0, 11)
-        assert bank.occupancy(0) == 0      # staged, not visible
-        assert bank.peek(0) is None
-        sim.run(1)
-        assert bank.occupancy(0) == 1
-        assert bank.peek(0) == 11
-        assert bank.pop(0) == 11
-        assert bank.occupancy(0) == 0
-
-    def test_fifo_order_and_ring_wraparound(self):
-        sim = Simulator(name="fifos")
-        bank = FifoBank(sim, "f", 1, capacity=3)
-        out = []
-        for round_base in (0, 10, 20):
-            for i in range(3):
-                bank.push(0, round_base + i)
-            sim.run(1)
-            out.extend(bank.pop(0) for _ in range(3))
-        assert out == [0, 1, 2, 10, 11, 12, 20, 21, 22]
-
-    def test_overflow_and_underflow_raise(self):
-        sim = Simulator(name="fifos")
-        bank = FifoBank(sim, "f", 1, capacity=2)
-        bank.push(0, 1)
-        bank.push(0, 2)
-        assert not bank.can_push(0)
-        with pytest.raises(SimError):
-            bank.push(0, 3)
-        with pytest.raises(SimError):
-            bank.pop(0)                    # still staged: committed empty
-
-    def test_occupancies_view(self):
-        sim = Simulator(name="fifos")
-        bank = FifoBank(sim, "f", 3, capacity=4)
-        bank.push(1, 5)
-        bank.push(1, 6)
-        bank.push(2, 7)
-        sim.run(1)
-        assert bank.occupancies.tolist() == [0, 2, 1]
+from repro.sim.vec.store import EventQueue, IntervalSet
 
 
 # ----------------------------------------------------------------------
@@ -223,57 +79,3 @@ class TestEventQueue:
         q.remove((4, "x"))
         assert list(q) == [(10, "y")]
         assert q.min_ready() == 10
-
-
-# ----------------------------------------------------------------------
-# CountdownSet
-# ----------------------------------------------------------------------
-class _Transfer:
-    def __init__(self, words_left):
-        self.words_left = words_left
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"T({self.words_left})"
-
-
-class TestCountdownSet:
-    def test_decrement_writes_back_to_items(self):
-        a, b = _Transfer(5), _Transfer(2)
-        s = CountdownSet("transfers", "words_left", [a, b])
-        s.decrement(2)
-        assert (a.words_left, b.words_left) == (3, 0)
-        assert s.min_count() == 0
-
-    def test_take_finished_in_insertion_order(self):
-        items = [_Transfer(1), _Transfer(3), _Transfer(1)]
-        s = CountdownSet("transfers", "words_left", items)
-        s.decrement(1)
-        done = s.take_finished()
-        assert done == [items[0], items[2]]
-        assert list(s) == [items[1]]
-        assert s.min_count() == 2
-
-    def test_batched_decrement_equals_per_cycle(self):
-        counts = [7, 3, 11, 3]
-        seq = CountdownSet("a", "words_left",
-                           [_Transfer(c) for c in counts])
-        bat = CountdownSet("b", "words_left",
-                           [_Transfer(c) for c in counts])
-        seq_done = []
-        for _ in range(3):
-            seq.decrement(1)
-            seq_done.extend(t.words_left for t in seq.take_finished())
-        bat.decrement(3)
-        bat_done = [t.words_left for t in bat.take_finished()]
-        assert seq_done == bat_done
-        assert [t.words_left for t in seq] == [t.words_left for t in bat]
-
-    def test_remove_and_append(self):
-        a, b = _Transfer(4), _Transfer(9)
-        s = CountdownSet("transfers", "words_left", [a])
-        s.append(b)
-        s.remove(a)
-        assert list(s) == [b] and len(s) == 1
-        assert s.min_count() == 9
-        s.remove(b)
-        assert not s and s.min_count() is None
