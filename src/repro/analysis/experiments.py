@@ -318,8 +318,7 @@ def e6_reconfiguration(width: int = 32) -> E6Result:
         record = manager.swap(mods[0], ModuleSpec("m0b"), region)
         sim.run_until(lambda s: record.done, max_cycles=2_000_000)
         # let bystander traffic drain
-        sim.run_until(lambda s: stream.all_delivered() or s.cycle > sim.cycle + 50_000,
-                      max_cycles=5_000_000)
+        sim.run_until(lambda s: stream.all_delivered(), max_cycles=5_000_000)
         during = [
             m.latency for m in stream.sent
             if m.delivered and record.detach_cycle

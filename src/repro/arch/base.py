@@ -78,6 +78,7 @@ class MessageLog:
 
     def __init__(self) -> None:
         self._messages: List[Message] = []
+        self._settled = 0  # every message before this index is settled
 
     def sent(self, msg: Message) -> None:
         self._messages.append(msg)
@@ -115,8 +116,18 @@ class MessageLog:
         return sum(m.payload_bytes for m in self._messages if m.delivered)
 
     def all_delivered(self) -> bool:
-        """Everything not lost to an injected fault has arrived."""
-        return all(m.delivered or m.dropped for m in self._messages)
+        """Everything not lost to an injected fault has arrived.
+
+        ``run_until`` predicates call this every simulated cycle, so it
+        resumes at the first message outstanding at the last call: the
+        log is append-only, and delivery and drop are final.
+        """
+        msgs = self._messages
+        i = self._settled
+        while i < len(msgs) and (msgs[i].delivered or msgs[i].dropped):
+            i += 1
+        self._settled = i
+        return i == len(msgs)
 
     def summary_by_pair(self) -> Dict[Tuple[str, str], Dict[str, float]]:
         """Per (src, dst) pair: message count, delivered payload bytes,

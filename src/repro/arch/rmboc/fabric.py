@@ -7,8 +7,12 @@ planes each cycle, in a fixed order that mirrors the hardware:
    (path latency 1, the headline property of Table 2);
 2. **control plane** — REQUEST/CANCEL/DESTROY messages whose per-cross-
    point processing delay has elapsed take their next hop;
-3. **network interfaces** — per-module queues start transfers on
-   established channels, issue new REQUESTs, and retire idle circuits.
+3. **network interfaces** — each module keeps one FIFO per destination.
+   Per destination, the oldest messages ride the pair's idle established
+   circuits, the next ones wait for circuits already being requested,
+   and later ones may send new REQUESTs within the module's channel
+   budget; these actions are taken across destinations in arrival
+   order.  Idle circuits are then retired.
 
 Lane accounting is exact: a lane (segment, bus) is held from the cycle a
 REQUEST reserves it until the CANCEL/DESTROY that releases it is
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.arch.base import CommArchitecture, Message
 from repro.arch.rmboc.config import RMBoCConfig
@@ -61,11 +65,14 @@ class RMBoC(CommArchitecture, Component):
         self._ctrl: List[CtrlMsg] = []
         self._transfers: List[Transfer] = []
         self._channels: Dict[int, Channel] = {}   # cid -> channel
-        # per-module NI state
-        self._queues: Dict[str, Deque[Message]] = {}
+        # per-module NI state: source -> destination -> FIFO.  A FIFO
+        # is dropped when it empties, so a module's dict is non-empty
+        # exactly while it has queued traffic.
+        self._queues: Dict[str, Dict[str, Deque[Message]]] = {}
         # RMBoC's bandwidth adaptation: a pair may hold a *variable
-        # number* of parallel circuits (Table 4 flexibility credit).
-        self._chan_by_pair: Dict[Tuple[str, str], List[Channel]] = {}
+        # number* of parallel circuits (Table 4 flexibility credit);
+        # source -> destination -> circuits in request order
+        self._chan_by_pair: Dict[str, Dict[str, List[Channel]]] = {}
         self._retry_at: Dict[Tuple[str, str], int] = {}
         self._idle_since: Dict[int, int] = {}     # cid -> cycle it went idle
         # runtime lane-allocation knob (defaults to the static config
@@ -87,21 +94,26 @@ class RMBoC(CommArchitecture, Component):
             raise ValueError(f"cross-point {xp} already hosts {self._xp_module[xp]!r}")
         self._xp_module[xp] = module
         self._module_xp[module] = xp
-        self._queues[module] = deque()
+        self._queues[module] = {}
 
     def _detach_impl(self, module: str) -> None:
+        queued = sum(len(q) for q in self._queues[module].values())
+        if queued:
+            raise RuntimeError(
+                f"detaching {module!r} with {queued} queued messages"
+            )
         xp = self._module_xp.pop(module)
         del self._xp_module[xp]
-        q = self._queues.pop(module)
-        if q:
-            raise RuntimeError(
-                f"detaching {module!r} with {len(q)} queued messages"
-            )
+        del self._queues[module]
 
     def _submit(self, msg: Message) -> None:
         if msg.src not in self._module_xp:
             raise KeyError(f"source module {msg.src!r} is not attached")
-        self._queues[msg.src].append(msg)
+        queues = self._queues[msg.src]
+        queue = queues.get(msg.dst)
+        if queue is None:
+            queue = queues[msg.dst] = deque()
+        queue.append(msg)
         self.wake()  # new traffic ends any quiescent stretch
 
     def idle(self) -> bool:
@@ -422,12 +434,12 @@ class RMBoC(CommArchitecture, Component):
             )
 
     def _drop_pair_entry(self, ch: Channel) -> None:
-        pair = (ch.src_module, ch.dst_module)
-        chans = self._chan_by_pair.get(pair)
+        by_dst = self._chan_by_pair.get(ch.src_module, {})
+        chans = by_dst.get(ch.dst_module)
         if chans and ch in chans:
             chans.remove(ch)
             if not chans:
-                del self._chan_by_pair[pair]
+                del by_dst[ch.dst_module]
 
     def _finish_cancel(self, ch: Channel, now: int) -> None:
         for seg in list(ch.lanes):
@@ -491,82 +503,89 @@ class RMBoC(CommArchitecture, Component):
 
     # -- network interfaces -------------------------------------------------
     def _tick_ni(self, now: int) -> None:
-        for module in list(self._queues):
-            self._ni_for(module, now)
-        self._retire_idle_channels(now)
+        busy = {tr.channel.cid for tr in self._transfers}
+        for module, queues in list(self._queues.items()):
+            if queues:
+                self._ni_for(module, queues, busy, now)
+        self._retire_idle_channels(now, busy)
 
-    def _module_channels(self, module: str) -> int:
-        return sum(
-            1
-            for (src, _), chans in self._chan_by_pair.items()
-            if src == module
-            for ch in chans
-            if ch.state in (ChannelState.REQUESTING,
-                            ChannelState.ESTABLISHED)
-        )
-
-    def _ni_for(self, module: str, now: int) -> None:
-        queue = self._queues[module]
-        if self.sim.telemetering and queue:
-            self.sim.telemetry.queue_depth(now, f"rmboc.ni.{module}",
-                                           len(queue))
-        if not queue:
-            return
+    def _ni_for(self, module: str, queues: Dict[str, Deque[Message]],
+                busy: Set[int], now: int) -> None:
+        if self.sim.telemetering:
+            self.sim.telemetry.queue_depth(
+                now, f"rmboc.ni.{module}", sum(map(len, queues.values())))
         xp = self._module_xp[module]
         if self._frozen[xp]:
             return  # slot under reconfiguration: hold traffic
         if self._dead_xps and xp in self._dead_xps:
             return  # local cross-point dead: NI cut off until repair
-        # Serve the head-of-line message; later messages to other
-        # destinations may also start if channel budget allows.
-        busy_channels = {tr.channel.cid for tr in self._transfers}
-        served: List[Message] = []
-        # channels already spoken for by an earlier queued message this
-        # cycle: a REQUESTING channel serves exactly one waiting message
-        claimed_requests: Dict[Tuple[str, str], int] = {}
-        for msg in list(queue):
-            pair = (module, msg.dst)
-            chans = self._chan_by_pair.get(pair, [])
-            free = next(
-                (ch for ch in chans
-                 if ch.state is ChannelState.ESTABLISHED
-                 and ch.cid not in busy_channels),
-                None,
-            )
-            if free is not None:
-                words = self.cfg.words(msg.payload_bytes)
-                self._transfers.append(Transfer(free, words, msg))
-                busy_channels.add(free.cid)
-                self._idle_since.pop(free.cid, None)
-                msg.accepted_cycle = now
-                if self.sim.journeying:
-                    # split the wait: NI queueing before the REQUEST,
-                    # circuit setup, then queueing for a free lane on
-                    # the established channel (cursor clipping makes
-                    # pre-existing circuits attribute zero setup)
-                    jr = self.sim.journey
-                    jr.stamp_to(msg.mid, "ni_queue", free.requested_cycle)
-                    jr.stamp_to(msg.mid, "setup_wait",
-                                free.established_cycle)
-                    jr.stamp_to(msg.mid, "ni_queue", now)
-                served.append(msg)
+        # One pass over the module's circuits gives, per queued
+        # destination, its idle established circuits and the number of
+        # circuits still REQUESTING, and in total the live (REQUESTING +
+        # ESTABLISHED) circuits that use up the channel budget.  (Local
+        # names: enum member lookups cost more than the rest of the loop.)
+        established = ChannelState.ESTABLISHED
+        requesting = ChannelState.REQUESTING
+        live = 0
+        circuits: Dict[str, Tuple[List[Channel], int]] = {}
+        for dst, chans in self._chan_by_pair.get(module, {}).items():
+            free: List[Channel] = []
+            pending = 0
+            for ch in chans:
+                state = ch.state
+                if state is established:
+                    live += 1
+                    if ch.cid not in busy:
+                        free.append(ch)
+                elif state is requesting:
+                    live += 1
+                    pending += 1
+            if dst in queues:
+                circuits[dst] = (free, pending)
+        budget = self._channel_cap - live
+        # Per destination FIFO: the first k messages ride the k idle
+        # circuits, the next w wait for the w circuits being requested,
+        # and each later one may open a circuit (retry backoff,
+        # attachment and budget permitting).
+        actions: List[Tuple[Message, Optional[Channel]]] = []
+        for dst, queue in list(queues.items()):
+            free, pending = circuits.get(dst, ((), 0))
+            if free:
+                for ch in free[:len(queue)]:
+                    actions.append((queue.popleft(), ch))
+                if not queue:
+                    del queues[dst]
+                    continue
+            if (budget > 0 and self._retry_at.get((module, dst), -1) <= now
+                    and dst in self._module_xp):
+                for msg in itertools.islice(queue, pending, pending + budget):
+                    actions.append((msg, None))
+        if not actions:
+            return
+        # Across destinations, act in arrival (mid) order: it fixes cid
+        # numbering, the control-message order and so lane allocation,
+        # and decides which destinations the budget goes to.
+        actions.sort(key=lambda action: action[0].mid)
+        for msg, ch in actions:
+            if ch is None:
+                if budget > 0:
+                    budget -= 1
+                    self._open_channel(module, msg.dst, now)
                 continue
-            requesting = sum(
-                1 for ch in chans if ch.state is ChannelState.REQUESTING
-            )
-            if claimed_requests.get(pair, 0) < requesting:
-                claimed_requests[pair] = claimed_requests.get(pair, 0) + 1
-                continue  # a circuit is already on its way for this message
-            if self._retry_at.get(pair, -1) > now:
-                continue
-            if self._module_channels(module) >= self._channel_cap:
-                continue
-            if msg.dst not in self._module_xp:
-                continue  # destination currently detached; wait
-            self._open_channel(module, msg.dst, now)
-            claimed_requests[pair] = claimed_requests.get(pair, 0) + 1
-        for msg in served:
-            queue.remove(msg)
+            words = self.cfg.words(msg.payload_bytes)
+            self._transfers.append(Transfer(ch, words, msg))
+            busy.add(ch.cid)
+            self._idle_since.pop(ch.cid, None)
+            msg.accepted_cycle = now
+            if self.sim.journeying:
+                # split the wait: NI queueing before the REQUEST,
+                # circuit setup, then queueing for a free lane on
+                # the established channel (cursor clipping makes
+                # pre-existing circuits attribute zero setup)
+                jr = self.sim.journey
+                jr.stamp_to(msg.mid, "ni_queue", ch.requested_cycle)
+                jr.stamp_to(msg.mid, "setup_wait", ch.established_cycle)
+                jr.stamp_to(msg.mid, "ni_queue", now)
 
     def _open_channel(self, src_module: str, dst_module: str, now: int) -> None:
         ch = Channel(src_xp=self._module_xp[src_module],
@@ -576,7 +595,8 @@ class RMBoC(CommArchitecture, Component):
                      dst_module=dst_module,
                      cid=next(self._cid_seq))
         self._channels[ch.cid] = ch
-        self._chan_by_pair.setdefault((src_module, dst_module), []).append(ch)
+        self._chan_by_pair.setdefault(src_module, {}).setdefault(
+            dst_module, []).append(ch)
         self._ctrl.append(
             CtrlMsg(CtrlKind.REQUEST, ch, ch.src_xp,
                     ready_at=now + self.cfg.xp_proc_cycles)
@@ -592,8 +612,7 @@ class RMBoC(CommArchitecture, Component):
             self.sim.span_begin("rmboc", "setup", key=ch.cid, cid=ch.cid,
                                 src=src_module, dst=dst_module)
 
-    def _retire_idle_channels(self, now: int) -> None:
-        busy = {tr.channel.cid for tr in self._transfers}
+    def _retire_idle_channels(self, now: int, busy: Set[int]) -> None:
         for cid, idle_since in list(self._idle_since.items()):
             ch = self._channels.get(cid)
             if ch is None or ch.state is not ChannelState.ESTABLISHED:
@@ -601,12 +620,8 @@ class RMBoC(CommArchitecture, Component):
                 continue
             if cid in busy:
                 continue
-            pair = (ch.src_module, ch.dst_module)
-            has_waiting = any(
-                m.dst == pair[1] for m in self._queues.get(pair[0], ())
-            )
-            if has_waiting:
-                continue
+            if ch.dst_module in self._queues.get(ch.src_module, ()):
+                continue  # traffic for this pair is waiting
             if now - idle_since >= self.cfg.channel_linger:
                 self._start_destroy(ch, now)
 

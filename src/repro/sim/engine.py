@@ -878,7 +878,10 @@ class Simulator:
 
         The predicate is evaluated at every cycle (it may depend on
         ``sim.cycle`` itself, as :meth:`drain` does), so the clock is
-        never jumped here; quiescent cycles still cost O(1) each.
+        never jumped here.  The kernel's own share of a quiescent step
+        is O(1); the predicate's share is whatever one call costs, so a
+        predicate must be amortised O(1) — see "Drain predicates" in
+        ``docs/performance.md``.
         """
         bound = self.max_cycles if max_cycles is None else self.cycle + max_cycles
         self._stopped = False

@@ -21,6 +21,7 @@ class TrafficGenerator(Component):
         self.start = start
         self.stop = stop
         self.sent: List[Message] = []
+        self._settled = 0  # sent[:_settled] are all delivered
 
     # ------------------------------------------------------------------
     def active(self, cycle: int) -> bool:
@@ -32,7 +33,18 @@ class TrafficGenerator(Component):
         return msg
 
     def all_delivered(self) -> bool:
-        return all(m.delivered for m in self.sent)
+        """Every injected message has arrived (a dropped one never does).
+
+        ``run_until`` predicates call this every simulated cycle, so it
+        resumes at the first message outstanding at the last call:
+        ``sent`` only grows, and delivery is final.
+        """
+        sent = self.sent
+        i = self._settled
+        while i < len(sent) and sent[i].delivered:
+            i += 1
+        self._settled = i
+        return i == len(sent)
 
     def latencies(self) -> List[int]:
         return [m.latency for m in self.sent if m.delivered]

@@ -157,3 +157,20 @@ class TestE7Load:
         links per module."""
         r = E.e7b_module_scaling(module_counts=(4, 8), horizon=2000)
         assert r.degradation("buscom") > r.degradation("dynoc")
+
+
+class TestE11Realtime:
+    """BUS-COM's design goal: TDMA slots guarantee the control loops'
+    deadlines under bursty interference; RMBoC's dedicated circuits
+    match it, and an arbitrated shared bus does not."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return E.e11_realtime_study()
+
+    def test_tdma_and_circuits_meet_deadlines(self, result):
+        assert result.met_ratio("buscom") >= 0.99
+        assert result.met_ratio("rmboc") >= 0.99
+
+    def test_shared_bus_misses_more_than_buscom(self, result):
+        assert result.met_ratio("sharedbus") < result.met_ratio("buscom")

@@ -141,6 +141,20 @@ class TestAttachDetach:
         with pytest.raises(RuntimeError):
             arch.detach("m0")
 
+    def test_refused_detach_leaves_module_attached(self):
+        """A detach refused for queued traffic must leave the fabric
+        untouched: the module keeps sending and its queue is kept."""
+        arch = build_rmboc()
+        arch.freeze_slot(0)
+        held = arch.ports["m0"].send("m1", 32)
+        with pytest.raises(RuntimeError):
+            arch.detach("m0")
+        arch.unfreeze_slot(0)
+        later = arch.ports["m0"].send("m2", 32)
+        arch.run_to_completion()
+        assert held.delivered and later.delivered
+        assert arch.xp_of("m0") == 0
+
     def test_detach_then_attach_new_module(self):
         arch = build_rmboc()
         arch.detach("m2")
