@@ -11,7 +11,7 @@ Run:  python examples/conochi_fault_tolerance.py
 """
 
 from repro import build_architecture
-from repro.arch.conochi.faults import FaultInjector
+from repro.faults import FaultKind, FaultSchedule, inject
 from repro.sim import Tracer
 from repro.traffic.generators import PeriodicStream
 
@@ -28,7 +28,11 @@ def main() -> None:
     arch = build_architecture("conochi", num_modules=7)  # 4+3 ladder
     sim = arch.sim
     sim.tracer = Tracer()
-    inj = FaultInjector(arch, detection_latency=150)
+    # switch (2,2) fails at cycle 3000 and is repaired 4000 cycles
+    # later; without retransmission every loss stays explicit
+    inj = inject(arch, FaultSchedule(seed=0).one_shot(
+        3_000, FaultKind.NODE_DOWN, (2, 2), duration=4_000),
+        detection_latency=150, retransmit=False)
     # m0@(1,2) -> m6@(4,2): the shortest route runs along the bottom
     # rail straight through the switch we will fail
     stream = PeriodicStream("s", arch.ports["m0"], "m6",
@@ -37,11 +41,9 @@ def main() -> None:
 
     print(arch.grid.render(), "\n")
     sim.run(3_000)
-    inj.fail_switch((2, 2))
     print(f"[cycle {sim.cycle}] switch (2,2) FAILED "
           f"(detection in {inj.detection_latency} cycles)")
     sim.run(4_000)
-    inj.repair_switch((2, 2))
     print(f"[cycle {sim.cycle}] switch (2,2) repaired")
     sim.run(5_000)
     sim.run_until(lambda s: all(m.delivered or m.dropped
@@ -55,7 +57,7 @@ def main() -> None:
         print(f"  {label:13s} delivered={done:3d} lost={lost:2d} "
               f"mean latency={lat:6.1f}")
 
-    drops = sim.tracer.query(source="conochi", kind="drop")
+    drops = sim.tracer.query(source="faults", kind="drop")
     print(f"\ntrace: {len(drops)} drop event(s); first few:")
     for ev in drops[:3]:
         print(" ", ev)

@@ -27,7 +27,6 @@ from repro.arch.base import set_new_arch_hook
 from repro.faults import FaultKind, FaultSchedule, inject
 from repro.faults.policies import make_policy
 from repro.sim import Simulator
-from repro.sim.vec import make_simulator
 
 #: schema tag of the document :func:`run_chaos_sweep` emits
 CHAOS_SCHEMA = "repro.chaos/1"
@@ -79,10 +78,9 @@ def _build_scenario_arch(key: str, sim: Simulator):
 
 
 def _execute_scenario(key: str, seed: int, telemetry: bool,
-                      engine: str, adaptive_rules_on: bool,
-                      with_loop: bool):
+                      adaptive_rules_on: bool, with_loop: bool):
     """One simulated chaos run; returns ``(sim, injector, loop)``."""
-    sim = make_simulator(name=f"chaos-{key}", engine=engine)
+    sim = Simulator(name=f"chaos-{key}")
     tel = None
     if telemetry:
         from repro.obs.alerts import AlertEngine
@@ -116,13 +114,10 @@ def _execute_scenario(key: str, seed: int, telemetry: bool,
 
 def run_chaos_scenario(key: str, seed: int = 7,
                        telemetry: bool = True,
-                       engine: str = None,
                        adaptive: bool = False) -> Dict[str, Any]:
     """One architecture through its canonical fault scenario.
 
-    ``engine`` picks the simulation backend (``"object"``/``"vec"``);
-    the emitted document is engine-independent.  With ``adaptive``
-    the run watches the controller rule set, wires a
+    With ``adaptive`` the run watches the controller rule set, wires a
     :class:`~repro.control.loop.ControlLoop` onto the alert stream,
     and the document additionally carries the ``repro.control/1``
     action log plus an SLO-burn comparison against a static twin run
@@ -132,7 +127,7 @@ def run_chaos_scenario(key: str, seed: int = 7,
         raise ValueError("adaptive chaos runs need telemetry: the "
                          "controller is driven by the alert stream")
     sim, target, injector, loop = _execute_scenario(
-        key, seed, telemetry, engine,
+        key, seed, telemetry,
         adaptive_rules_on=adaptive, with_loop=adaptive)
     metrics = injector.metrics()
     survived = (
@@ -155,7 +150,7 @@ def run_chaos_scenario(key: str, seed: int = 7,
         doc["control"] = loop.action_log(sim.cycle)
         burn = sim.telemetry.engine.total_burn(sim.cycle)
         static_sim, _, _, _ = _execute_scenario(
-            key, seed, telemetry, engine,
+            key, seed, telemetry,
             adaptive_rules_on=True, with_loop=False)
         static_sim.telemetry.evaluate_now()
         static_burn = static_sim.telemetry.engine.total_burn(
@@ -213,7 +208,6 @@ def _resilience_summary(scenarios: List[Dict[str, Any]]
 def run_chaos_sweep(experiment: str, seed: int = 7,
                     rounds: int = 1,
                     telemetry: bool = True,
-                    engine: str = None,
                     ledger: bool = True,
                     adaptive: bool = False) -> Dict[str, Any]:
     """The ``repro.chaos/1`` document: every architecture the
@@ -247,7 +241,6 @@ def run_chaos_sweep(experiment: str, seed: int = 7,
                 scenarios.append(
                     run_chaos_scenario(key, seed=seed + i,
                                        telemetry=telemetry,
-                                       engine=engine,
                                        adaptive=adaptive))
     doc = {
         "schema": CHAOS_SCHEMA,
@@ -273,7 +266,7 @@ def run_chaos_sweep(experiment: str, seed: int = 7,
             "chaos", experiment,
             config={"rounds": rounds, "telemetry": telemetry,
                     "adaptive": adaptive},
-            seed=seed, engine=engine, stats=doc,
+            seed=seed, stats=doc,
             sims=session.sims,
             resilience=_resilience_summary(scenarios),
             wall_seconds=_time.perf_counter() - t0)

@@ -8,12 +8,10 @@ list of :class:`Job`\\ s across a ``concurrent.futures``
 content hash of the job's configuration, so re-running a sweep after
 editing one experiment only recomputes that experiment.
 
-Cache entries key on (result-schema version, job config hash): the
-schema version (:data:`RESULT_SCHEMA`) is bumped only when the result
-dataclasses change shape, so releases that leave results untouched keep
-the cache warm — the simulator is deterministic, so a same-schema
-same-config entry is still correct.  (Earlier revisions keyed on the
-package version, invalidating the whole cache on any release.)
+Cache entries key on the job config and on :func:`source_digest`, a
+hash of every ``.py`` file of the package: any edit to a harness, a
+model or a result class misses the cache, while a version bump that
+changes no source keeps it warm.
 
 Entries live in the same 2-hex-prefix sharded content-addressed layout
 as the run ledger (``objects/<2-hex>/<name>-<hash>.pkl`` next to the
@@ -33,6 +31,7 @@ can be moved with the ``REPRO_CACHE_DIR`` environment variable.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -48,12 +47,28 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".repro-cache"
 #: cached pickles live under ``<root>/objects/<2-hex-prefix>/``
 OBJECTS_SUBDIR = "objects"
+#: the installed ``repro`` package directory
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: version of the cached *result schema* — bump when the experiment /
-#: ablation result dataclasses change shape (a stale-schema entry
-#: would unpickle into the wrong fields); package releases that leave
-#: results untouched do NOT invalidate the cache
-RESULT_SCHEMA = 1
+
+@functools.lru_cache(maxsize=None)
+def source_digest(root: str = PACKAGE_ROOT) -> str:
+    """SHA-256 over the relative path and bytes of every ``.py`` file
+    under ``root`` (default: the ``repro`` package), computed once per
+    process and root."""
+    digest = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            rel = os.path.relpath(path, root).replace(os.sep, "/")
+            digest.update(f"{rel}\0{len(data)}\0".encode("utf-8"))
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def registry() -> Dict[str, Callable[..., Any]]:
@@ -90,14 +105,13 @@ class Job:
 def config_hash(job: Job) -> str:
     """A stable content hash identifying a job's full configuration.
 
-    Keyed on (result-schema version, name, kwargs) — see
-    :data:`RESULT_SCHEMA` for why the package version is *not* part of
-    the key."""
+    Keyed on (name, kwargs, :func:`source_digest`), not on the package
+    version."""
     payload = json.dumps(
         {
             "name": job.name,
             "kwargs": job.kwargs,
-            "schema": RESULT_SCHEMA,
+            "sources": source_digest(),
         },
         sort_keys=True,
         default=repr,

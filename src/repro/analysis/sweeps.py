@@ -74,7 +74,8 @@ def run_sweep(grid: SweepGrid, max_cycles: int = 1_000_000,
     """Run the minimal scenario at every grid point.
 
     ``engine`` selects the simulation backend for every point
-    (``"object"``/``"vec"``; None defers to ``REPRO_SIM_ENGINE``).
+    (``"object"``/``"vec"``; None keeps each builder's own object
+    simulator).
     Results are engine-independent — the vec backend is bit-identical.
     """
     out: List[SweepPoint] = []

@@ -26,23 +26,19 @@ def build_architecture(
     attached hardware modules named ``m0`` .. ``m{n-1}``.
 
     ``engine`` selects the simulation backend (``"object"`` or
-    ``"vec"``; None defers to ``REPRO_SIM_ENGINE``, default object) —
-    see :func:`repro.sim.vec.make_simulator`.  Extra keyword arguments
-    are forwarded to the architecture's config (e.g. ``num_buses`` for
-    the bus systems, ``mesh`` for DyNoC, ``grid`` for CoNoChi).
+    ``"vec"``) — see :func:`repro.sim.vec.make_simulator`.  Without it
+    the architecture's builder makes its own default Simulator (and
+    its descriptive name).  Extra keyword arguments are forwarded to
+    the architecture's config (e.g. ``num_buses`` for the bus systems,
+    ``mesh`` for DyNoC, ``grid`` for CoNoChi).
     """
     key = name.lower().replace("-", "").replace("_", "")
-    if engine is not None and "sim" in kwargs:
-        raise ValueError("pass either engine= or sim=, not both")
-    if "sim" not in kwargs:
-        from repro.sim.vec.engine import make_simulator, resolve_engine
+    if engine is not None:
+        if "sim" in kwargs:
+            raise ValueError("pass either engine= or sim=, not both")
+        from repro.sim.vec.engine import make_simulator
 
-        resolved = resolve_engine(engine)
-        if engine is not None or resolved != "object":
-            # leave the builders' own default Simulator (and its
-            # descriptive name) untouched unless an engine was chosen
-            # explicitly or ambiently via REPRO_SIM_ENGINE
-            kwargs["sim"] = make_simulator(name=key, engine=resolved)
+        kwargs["sim"] = make_simulator(name=key, engine=engine)
     if key == "rmboc":
         from repro.arch.rmboc import build_rmboc
 

@@ -14,12 +14,10 @@ architecture the survey ranks best on structural parameters.
 from repro.arch.conochi.arch import CoNoChi, build_conochi
 from repro.arch.conochi.config import CoNoChiConfig
 from repro.arch.conochi.control import GlobalControl, compute_tables
-from repro.arch.conochi.faults import FaultInjector
 
 __all__ = [
     "CoNoChi",
     "CoNoChiConfig",
-    "FaultInjector",
     "GlobalControl",
     "build_conochi",
     "compute_tables",

@@ -110,8 +110,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                                    profile=args.profile,
                                    max_events=args.max_events,
                                    keep=args.keep,
-                                   journeys=args.journeys,
-                                   engine=args.engine)
+                                   journeys=args.journeys)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -146,8 +145,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
 
     try:
-        _, session = observe_named(args.which, trace=False, profile=True,
-                                   engine=args.engine)
+        _, session = observe_named(args.which, trace=False, profile=True)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -188,7 +186,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             max_rows=args.rows,
             clear=not args.no_clear,
             journeys=not args.no_journeys,
-            engine=args.engine,
         )
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
@@ -210,8 +207,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     )
 
     try:
-        doc = explain_experiment(args.which, engine=args.engine,
-                                 rate=args.rate, seed=args.seed,
+        doc = explain_experiment(args.which, rate=args.rate,
+                                 seed=args.seed,
                                  max_records=args.max_records)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
@@ -418,7 +415,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     try:
         doc = run_chaos_sweep(args.which, seed=args.seed,
                               rounds=1 if args.once else args.rounds,
-                              engine=args.engine,
                               adaptive=args.adaptive)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
@@ -439,7 +435,7 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
     from repro.control import render_adapt, run_adapt, validate_adapt
 
     try:
-        doc = run_adapt(args.which, seed=args.seed, engine=args.engine)
+        doc = run_adapt(args.which, seed=args.seed)
     except (KeyError, RuntimeError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -619,9 +615,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--journeys", action="store_true",
                    help="also record message journeys (adds journey "
                         "threads + flow arcs to the Perfetto export)")
-    p.add_argument("--engine", choices=["object", "vec"], default=None,
-                   help="simulation backend (default: REPRO_SIM_ENGINE "
-                        "or object; traces are bit-identical)")
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("profile",
@@ -634,9 +627,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="write a JSON stats/kernel/profile snapshot")
     p.add_argument("--top", type=int, default=10,
                    help="rows in the terminal summary")
-    p.add_argument("--engine", choices=["object", "vec"], default=None,
-                   help="simulation backend (default: REPRO_SIM_ENGINE "
-                        "or object)")
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("watch",
@@ -658,9 +648,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-journeys", action="store_true",
                    help="skip journey recording (drops the per-flow "
                         "slowest-segment column)")
-    p.add_argument("--engine", choices=["object", "vec"], default=None,
-                   help="simulation backend (default: REPRO_SIM_ENGINE "
-                        "or object; snapshots are bit-identical)")
     p.set_defaults(func=_cmd_watch)
 
     p = sub.add_parser("explain",
@@ -677,13 +664,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=1.0,
                    help="deterministic journey sampling rate in [0, 1]")
     p.add_argument("--seed", type=int, default=0,
-                   help="sampling seed (same seed samples the same "
-                        "messages on either engine)")
+                   help="sampling seed (the same seed samples the "
+                        "same messages)")
     p.add_argument("--max-records", type=int, default=100_000,
                    help="journey record cap per simulator (keep-first)")
-    p.add_argument("--engine", choices=["object", "vec"], default=None,
-                   help="simulation backend (default: REPRO_SIM_ENGINE "
-                        "or object; journey records are bit-identical)")
     p.set_defaults(func=_cmd_explain)
 
     p = sub.add_parser("scenario", help="run the minimal scenario")
@@ -703,8 +687,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--widths", nargs="+", type=int, default=[8, 16, 32])
     p.add_argument("--payloads", nargs="+", type=int, default=[64])
     p.add_argument("--engine", choices=["object", "vec"], default=None,
-                   help="simulation backend (default: REPRO_SIM_ENGINE "
-                        "or object; results are bit-identical)")
+                   help="simulation backend (default: object; results "
+                        "are bit-identical)")
     p.add_argument("--seeds", type=int, default=0, metavar="N",
                    help="fleet mode: run N seeded Monte-Carlo runs per "
                         "architecture in one batched process instead of "
@@ -790,9 +774,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="single round (CI smoke)")
     p.add_argument("--json", action="store_true",
                    help="emit the repro.chaos/1 document as JSON")
-    p.add_argument("--engine", choices=["object", "vec"], default=None,
-                   help="simulation backend (default: REPRO_SIM_ENGINE "
-                        "or object; the document is engine-independent)")
     p.add_argument("--adaptive", action="store_true",
                    help="attach the SLO control loop to every scenario "
                         "and embed its repro.control/1 action log plus "
@@ -810,9 +791,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="traffic-phase seed (default: 7)")
     p.add_argument("--json", action="store_true",
                    help="emit the repro.adapt/1 document as JSON")
-    p.add_argument("--engine", choices=["object", "vec"], default=None,
-                   help="simulation backend (default: REPRO_SIM_ENGINE "
-                        "or object; the document is engine-independent)")
     p.set_defaults(func=_cmd_adapt)
 
     p = sub.add_parser("runs",

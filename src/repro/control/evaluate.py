@@ -28,11 +28,11 @@ paper's point about static architectures.
 
 Every run is deterministic: traffic schedules are fixed functions of
 the seed, the controller is RNG-free, and the emitted ``repro.adapt/1``
-document is engine-independent (object vs vec).  It is *not*
-invariant under ``REPRO_SIM_FASTPATH=0`` — the always-tick reference
-scheduler gives the lazy alert evaluator more sampling points, which
-can shift episode edges (the improved/regression verdicts stay
-stable; see docs/adaptive.md).
+document reproduces bit for bit.  It is *not* invariant under
+``REPRO_SIM_FASTPATH=0`` — the always-tick reference scheduler gives
+the lazy alert evaluator more sampling points, which can shift episode
+edges (the improved/regression verdicts stay stable; see
+docs/adaptive.md).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from repro.control.loop import (CONTROL_SCHEMA, FINAL_STATUSES,
                                 ControlLoop)
 from repro.fabric.geometry import Rect
 from repro.sim import Simulator
-from repro.sim.vec import make_simulator
 
 __all__ = ["ADAPT_SCHEMA", "run_adaptive_pair", "run_adapt",
            "validate_control", "validate_adapt", "render_adapt"]
@@ -201,7 +200,6 @@ _SCENARIOS = {
 
 # ----------------------------------------------------------------------
 def _run_variant(key: str, seed: int, adaptive: bool,
-                 engine: Optional[str],
                  guard: Optional[GuardConfig]) -> Dict[str, Any]:
     """One scenario run; static and adaptive differ only in whether a
     ControlLoop subscribes to the (identical) alert stream."""
@@ -209,7 +207,7 @@ def _run_variant(key: str, seed: int, adaptive: bool,
     from repro.obs.flows import FlowTelemetry
 
     mode = "adaptive" if adaptive else "static"
-    sim = make_simulator(name=f"adapt-{key}-{mode}", engine=engine)
+    sim = Simulator(name=f"adapt-{key}-{mode}")
     tel = FlowTelemetry()
     tel.engine = AlertEngine(rules=adaptive_rules())
     tel.attach(sim)
@@ -257,7 +255,6 @@ def _improved(static: Dict[str, Any],
 
 
 def run_adaptive_pair(key: str, seed: int = 7,
-                      engine: Optional[str] = None,
                       guard: Optional[GuardConfig] = None
                       ) -> Dict[str, Any]:
     """One architecture's scenario, static then adaptive, plus deltas."""
@@ -265,8 +262,8 @@ def run_adaptive_pair(key: str, seed: int = 7,
         known = ", ".join(sorted(_SCENARIOS))
         raise KeyError(f"no adaptive scenario for {key!r} "
                        f"(known: {known})")
-    static = _run_variant(key, seed, False, engine, guard)
-    adaptive = _run_variant(key, seed, True, engine, guard)
+    static = _run_variant(key, seed, False, guard)
+    adaptive = _run_variant(key, seed, True, guard)
     return {
         "arch": key,
         "seed": seed,
@@ -286,7 +283,6 @@ def run_adaptive_pair(key: str, seed: int = 7,
 
 
 def run_adapt(experiment: str, seed: int = 7,
-              engine: Optional[str] = None,
               ledger: bool = True) -> Dict[str, Any]:
     """The ``repro.adapt/1`` document: adaptive-vs-static pairs for
     every architecture the experiment exercises.
@@ -312,8 +308,7 @@ def run_adapt(experiment: str, seed: int = 7,
     pairs: List[Dict[str, Any]] = []
     with session:
         for key in keys:
-            pairs.append(run_adaptive_pair(key, seed=seed,
-                                           engine=engine))
+            pairs.append(run_adaptive_pair(key, seed=seed))
     improved = [p["arch"] for p in pairs if p["improved"]]
     regressions = [p["arch"] for p in pairs
                    if p["deltas"]["messages_undelivered"] > 0
@@ -331,7 +326,7 @@ def run_adapt(experiment: str, seed: int = 7,
         record = build_run_record(
             "adapt", experiment,
             config={"architectures": keys},
-            seed=seed, engine=engine, stats=doc,
+            seed=seed, stats=doc,
             sims=session.sims,
             wall_seconds=_time.perf_counter() - t0)
         doc["run_id"] = RunLedger().store(record)

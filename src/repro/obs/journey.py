@@ -342,8 +342,7 @@ def flow_slowest_segments(recorder) -> Dict[Tuple[str, str], str]:
 # ----------------------------------------------------------------------
 # repro.journey/1 document
 # ----------------------------------------------------------------------
-def build_journey_document(session, experiment: str,
-                           engine: Optional[str] = None) -> Dict[str, Any]:
+def build_journey_document(session, experiment: str) -> Dict[str, Any]:
     """Assemble the stable ``repro.journey/1`` document from an
     :class:`~repro.obs.session.ObservationSession` whose simulators
     carry journey recorders."""
@@ -382,7 +381,6 @@ def build_journey_document(session, experiment: str,
     return {
         "schema": JOURNEY_SCHEMA,
         "experiment": experiment,
-        "engine": engine,
         "simulators": sims,
         "total_records": total_records,
         "total_flows": sum(len(s["flows"]) for s in sims),
@@ -391,8 +389,7 @@ def build_journey_document(session, experiment: str,
     }
 
 
-def explain_experiment(name: str, engine: Optional[str] = None,
-                       rate: float = 1.0, seed: int = 0,
+def explain_experiment(name: str, rate: float = 1.0, seed: int = 0,
                        max_records: int = 100_000) -> Dict[str, Any]:
     """Run a registered experiment with journeys enabled and return the
     ``repro.journey/1`` latency-attribution document."""
@@ -400,8 +397,8 @@ def explain_experiment(name: str, engine: Optional[str] = None,
 
     _, session = observe_named(
         name, trace=False, journeys=True, journey_rate=rate,
-        journey_seed=seed, journey_max_records=max_records, engine=engine)
-    return build_journey_document(session, name, engine=engine)
+        journey_seed=seed, journey_max_records=max_records)
+    return build_journey_document(session, name)
 
 
 def validate_journey(doc: Dict[str, Any]) -> int:
@@ -480,8 +477,7 @@ def validate_journey(doc: Dict[str, Any]) -> int:
 def render_explain(doc: Dict[str, Any], top: int = 10) -> str:
     """Human-readable latency attribution report for ``repro explain``."""
     lines: List[str] = []
-    lines.append(f"experiment {doc['experiment']}"
-                 + (f"  [engine={doc['engine']}]" if doc["engine"] else ""))
+    lines.append(f"experiment {doc['experiment']}")
     lines.append(f"{doc['total_records']} sampled journeys, "
                  f"{doc['total_flows']} flows, "
                  f"{doc['coverage']:.1%} of latency attributed")

@@ -101,9 +101,10 @@ def default_ledger_dir() -> str:
 def jsonable(obj: Any) -> Any:
     """Recursively convert to JSON-serializable plain data.
 
-    Mirrors :func:`repro.analysis.export.to_jsonable` without the
-    numpy dependency (the ledger must work on the dependency-free core
-    install); numpy scalars are handled structurally via ``item()``.
+    Mirrors :func:`repro.analysis.export.to_jsonable`, except that
+    numpy values are handled structurally via ``item()`` (arrays fall
+    back to ``str``).  Run ids hash this encoding, so it must not
+    change.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name))
@@ -669,7 +670,8 @@ def ledgered_call(fn: Callable[[], Any], *, kind: str, name: str,
     bit-identical to unobserved runs — so the result is exactly what
     ``fn()`` returns without the ledger.  When the ledger is disabled
     (``REPRO_LEDGER=0``) the call is a plain ``fn()`` with no
-    instrumentation at all and ``run_id`` is None.
+    instrumentation at all and ``run_id`` is None.  ``engine`` is only
+    recorded: ``fn`` chooses the engine of the simulators it builds.
     """
     if not ledger_enabled():
         return fn(), None
@@ -678,8 +680,7 @@ def ledgered_call(fn: Callable[[], Any], *, kind: str, name: str,
     session = ObservationSession(trace=False, telemetry=True,
                                  journeys=journeys,
                                  journey_rate=journey_rate,
-                                 journey_seed=seed or 0,
-                                 engine=engine)
+                                 journey_seed=seed or 0)
     t0 = time.perf_counter()
     with session:
         result = fn()

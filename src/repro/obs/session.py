@@ -19,14 +19,10 @@ exiting restores it.
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional
+from typing import List
 
 from repro.sim.engine import Simulator, set_new_sim_hook
 from repro.sim.trace import Tracer
-
-#: sentinel distinguishing "env var was unset" from "was empty string"
-_UNSET = object()
 
 
 class ObservationSession:
@@ -53,28 +49,13 @@ class ObservationSession:
     max_events / keep:
         Tracer capacity policy; the default keeps the *tail* so the end
         of long runs stays observable.
-    engine:
-        Simulation engine for every simulator the observed harness
-        builds: ``"object"``, ``"vec"``, or None (leave the ambient
-        default).  Implemented by setting
-        :data:`repro.sim.vec.engine.ENGINE_ENV` for the duration of the
-        session and restoring it on exit — the same channel
-        ``repro sweep --engine`` uses, so observed runs and swept runs
-        resolve the engine identically.
     """
 
     def __init__(self, trace: bool = True, profile: bool = False,
                  telemetry: bool = False, journeys: bool = False,
                  rules=None, max_events: int = 500_000, keep: str = "tail",
                  journey_rate: float = 1.0, journey_seed: int = 0,
-                 journey_max_records: int = 100_000,
-                 engine: Optional[str] = None):
-        if engine is not None:
-            from repro.sim.vec.engine import ENGINES
-
-            if engine not in ENGINES:
-                raise ValueError(
-                    f"unknown engine {engine!r}; known: {ENGINES}")
+                 journey_max_records: int = 100_000):
         self.trace = trace
         self.profile = profile
         self.telemetry = telemetry
@@ -85,12 +66,10 @@ class ObservationSession:
         self.journey_rate = journey_rate
         self.journey_seed = journey_seed
         self.journey_max_records = journey_max_records
-        self.engine = engine
         #: every simulator constructed while the session was active
         self.sims: List[Simulator] = []
         self._prev = None
         self._active = False
-        self._saved_engine_env = _UNSET
 
     # ------------------------------------------------------------------
     def _on_new_sim(self, sim: Simulator) -> None:
@@ -124,11 +103,6 @@ class ObservationSession:
         if self._active:
             raise RuntimeError("ObservationSession is not re-entrant")
         self._active = True
-        if self.engine is not None:
-            from repro.sim.vec.engine import ENGINE_ENV
-
-            self._saved_engine_env = os.environ.get(ENGINE_ENV, _UNSET)
-            os.environ[ENGINE_ENV] = self.engine
         self._prev = set_new_sim_hook(self._on_new_sim)
         return self
 
@@ -136,14 +110,6 @@ class ObservationSession:
         set_new_sim_hook(self._prev)
         self._prev = None
         self._active = False
-        if self.engine is not None:
-            from repro.sim.vec.engine import ENGINE_ENV
-
-            if self._saved_engine_env is _UNSET:
-                os.environ.pop(ENGINE_ENV, None)
-            else:
-                os.environ[ENGINE_ENV] = self._saved_engine_env
-            self._saved_engine_env = _UNSET
 
     # ------------------------------------------------------------------
     @property
@@ -179,7 +145,6 @@ def observe_named(name: str, trace: bool = True, profile: bool = False,
                   rules=None, max_events: int = 500_000, keep: str = "tail",
                   journey_rate: float = 1.0, journey_seed: int = 0,
                   journey_max_records: int = 100_000,
-                  engine: Optional[str] = None,
                   ) -> "tuple[object, ObservationSession]":
     """Run a registered experiment/ablation harness under observation.
 
@@ -201,8 +166,7 @@ def observe_named(name: str, trace: bool = True, profile: bool = False,
                                  max_events=max_events, keep=keep,
                                  journey_rate=journey_rate,
                                  journey_seed=journey_seed,
-                                 journey_max_records=journey_max_records,
-                                 engine=engine)
+                                 journey_max_records=journey_max_records)
     with session:
         result = harnesses[name]()
     if telemetry:

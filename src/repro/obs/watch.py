@@ -290,16 +290,13 @@ def watch_experiment(
     rules: Optional[List[Any]] = None,
     clear: bool = True,
     journeys: bool = True,
-    engine: Optional[str] = None,
 ) -> Tuple[Any, Dict[str, Any]]:
     """Run a registered harness under telemetry and stream snapshots.
 
     ``journeys`` additionally attaches journey recorders so flow rows
-    carry their ``slowest_segment``; ``engine`` pins the simulation
-    backend (``"object"`` / ``"vec"``) for the run, like ``repro sweep
-    --engine``.  Returns ``(result, final_snapshot)``.  Raises
-    :class:`KeyError` for an unknown experiment name (the CLI maps that
-    to exit code 2).
+    carry their ``slowest_segment``.  Returns ``(result,
+    final_snapshot)``.  Raises :class:`KeyError` for an unknown
+    experiment name (the CLI maps that to exit code 2).
     """
     from repro.analysis.parallel import registry
 
@@ -311,7 +308,7 @@ def watch_experiment(
         )
     out = stream if stream is not None else sys.stdout
     session = ObservationSession(trace=False, telemetry=True, rules=rules,
-                                 journeys=journeys, engine=engine)
+                                 journeys=journeys)
 
     if once:
         with session:

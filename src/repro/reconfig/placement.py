@@ -12,69 +12,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-less installs only
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.fabric.geometry import Rect
-
-
-class _Grid:
-    """Pure-Python stand-in for the boolean occupancy grids on
-    numpy-less installs: just enough of numpy's 2-D slicing surface
-    (region reads, region/cell assignment, ``any``/``sum``/``|``/``~``)
-    for the placer, at list-of-lists speed."""
-
-    __slots__ = ("rows", "cols", "cells")
-
-    def __init__(self, rows: int, cols: int, cells=None):
-        self.rows = rows
-        self.cols = cols
-        self.cells = cells or [[False] * cols for _ in range(rows)]
-
-    def _span(self, key):
-        ys, xs = key
-        if isinstance(ys, int):
-            ys = slice(ys, ys + 1)
-        if isinstance(xs, int):
-            xs = slice(xs, xs + 1)
-        return (range(*ys.indices(self.rows)),
-                range(*xs.indices(self.cols)))
-
-    def __getitem__(self, key) -> "_Grid":
-        ys, xs = self._span(key)
-        sub = [[self.cells[y][x] for x in xs] for y in ys]
-        return _Grid(len(sub), len(sub[0]) if sub else 0, sub)
-
-    def __setitem__(self, key, value) -> None:
-        ys, xs = self._span(key)
-        value = bool(value)
-        for y in ys:
-            row = self.cells[y]
-            for x in xs:
-                row[x] = value
-
-    def any(self) -> bool:
-        return any(any(row) for row in self.cells)
-
-    def sum(self) -> int:
-        return sum(sum(row) for row in self.cells)
-
-    def __or__(self, other: "_Grid") -> "_Grid":
-        return _Grid(self.rows, self.cols,
-                     [[a or b for a, b in zip(ra, rb)]
-                      for ra, rb in zip(self.cells, other.cells)])
-
-    def __invert__(self) -> "_Grid":
-        return _Grid(self.rows, self.cols,
-                     [[not v for v in row] for row in self.cells])
-
-
-def _bool_grid(rows: int, cols: int):
-    if np is None:
-        return _Grid(rows, cols)
-    return np.zeros((rows, cols), dtype=bool)
 
 
 class PlacementError(RuntimeError):
@@ -108,8 +48,8 @@ class FreeRectPlacer:
         self.rows = rows
         self.margin = margin
         self.gap = gap
-        self._occupied = _bool_grid(rows, cols)
-        self._blocked = _bool_grid(rows, cols)
+        self._occupied = np.zeros((rows, cols), dtype=bool)
+        self._blocked = np.zeros((rows, cols), dtype=bool)
         for (x, y) in forbidden:
             self._blocked[y, x] = True
         self._placements: Dict[str, Rect] = {}

@@ -34,21 +34,13 @@ from repro.sim.stats import (
     TimeSeries,
 )
 from repro.sim.trace import SpanEvent, TraceEvent, Tracer
-from repro.sim.vec import (
-    ENGINE_ENV,
-    ENGINES,
-    VecSimulator,
-    engine_default,
-    make_simulator,
-)
+from repro.sim.vec import ENGINES, VecSimulator, make_simulator
 
 __all__ = [
     "Channel",
     "Component",
     "ENGINES",
-    "ENGINE_ENV",
     "VecSimulator",
-    "engine_default",
     "make_simulator",
     "Counter",
     "CounterSnapshot",

@@ -11,10 +11,7 @@ from __future__ import annotations
 import zlib
 from typing import Dict, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-less installs only
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 
 def _stream_key(parts: Sequence[str]) -> int:
@@ -22,21 +19,13 @@ def _stream_key(parts: Sequence[str]) -> int:
     return zlib.crc32("/".join(parts).encode("utf-8"))
 
 
-def make_rng(seed: int, *stream: str) -> "np.random.Generator":
-    """Return a generator for ``seed`` specialized to a named stream.
-
-    The draws are PCG64 streams — there is no pure-Python stand-in
-    that reproduces them bit for bit, so stochastic experiments
-    require the ``[fast]`` extra rather than silently diverging.
-    """
-    if np is None:
-        raise ImportError(
-            "seeded rng streams need numpy: pip install repro[fast]"
-        )
+def make_rng(seed: int, *stream: str) -> np.random.Generator:
+    """Return a PCG64 generator for ``seed`` specialized to a named
+    stream."""
     ss = np.random.SeedSequence([seed & 0xFFFFFFFF, _stream_key(stream)])
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def spawn_rngs(seed: int, names: Sequence[str], *prefix: str) -> Dict[str, "np.random.Generator"]:
+def spawn_rngs(seed: int, names: Sequence[str], *prefix: str) -> Dict[str, np.random.Generator]:
     """Create one independent generator per name under a common prefix."""
     return {name: make_rng(seed, *prefix, name) for name in names}

@@ -10,10 +10,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-less installs only
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 #: log-bucket resolution: sub-buckets per power of two (relative error
 #: of a bucketed percentile is at most ~1/(2*_SUBBUCKETS) ≈ 6%)
@@ -59,22 +56,7 @@ def bucket_value(key: int) -> float:
     return mid if key > 0 else -mid
 
 
-def _percentile(samples: Iterable[float], q: float) -> float:
-    """Linear-interpolated percentile, the pure-Python stand-in for
-    ``np.percentile`` on numpy-less installs (same method, so results
-    agree up to float associativity)."""
-    data = sorted(float(v) for v in samples)
-    if not data:
-        return math.nan
-    rank = (len(data) - 1) * (q / 100.0)
-    lo = math.floor(rank)
-    hi = math.ceil(rank)
-    if lo == hi:
-        return data[lo]
-    return data[lo] + (data[hi] - data[lo]) * (rank - lo)
-
-
-def _log_bucket_array(values: "np.ndarray") -> "np.ndarray":
+def _log_bucket_array(values: np.ndarray) -> np.ndarray:
     """Vectorized :func:`log_bucket` over a float64 array.
 
     ``np.frexp`` decomposes IEEE doubles exactly like ``math.frexp``
@@ -158,10 +140,6 @@ class StreamingHistogram:
         near the exact-integer limit — falls back to the per-sample
         loop rather than risk a divergent float total.
         """
-        if np is None:
-            for v in values:
-                self.add(v)
-            return
         arr = np.asarray(values, dtype=np.float64).reshape(-1)
         n = int(arr.size)
         if n == 0:
@@ -240,8 +218,6 @@ class StreamingHistogram:
         if not self.count:
             return math.nan
         if not self._buckets:
-            if np is None:
-                return _percentile(self._head, q)
             return float(np.percentile(self._head, q))
         pairs = sorted(
             [(v, 1) for v in self._head]
@@ -353,9 +329,6 @@ class Histogram:
         if self._stream is not None:
             self._stream.add_batch(values)
             return
-        if np is None:
-            self._samples.extend(float(v) for v in values)
-            return
         arr = np.asarray(values, dtype=np.float64).reshape(-1)
         if arr.size:
             self._samples.extend(arr.tolist())
@@ -387,8 +360,6 @@ class Histogram:
             return self._stream.mean
         if not self._samples:
             return math.nan
-        if np is None:
-            return math.fsum(self._samples) / len(self._samples)
         return float(np.mean(self._samples))
 
     @property
@@ -397,10 +368,6 @@ class Histogram:
             return self._stream.std
         if not self._samples:
             return math.nan
-        if np is None:
-            m = math.fsum(self._samples) / len(self._samples)
-            var = math.fsum((v - m) ** 2 for v in self._samples)
-            return math.sqrt(var / len(self._samples))
         return float(np.std(self._samples))
 
     @property
@@ -420,8 +387,6 @@ class Histogram:
             return self._stream.percentile(q)
         if not self._samples:
             return math.nan
-        if np is None:
-            return _percentile(self._samples, q)
         return float(np.percentile(self._samples, q))
 
     def _snapshot_state(self) -> object:
@@ -464,19 +429,11 @@ class TimeSeries:
         self._values.append(float(value))
 
     @property
-    def cycles(self) -> "np.ndarray":
-        if np is None:
-            raise ImportError(
-                "TimeSeries array views need numpy: pip install repro[fast]"
-            )
+    def cycles(self) -> np.ndarray:
         return np.asarray(self._cycles, dtype=np.int64)
 
     @property
-    def values(self) -> "np.ndarray":
-        if np is None:
-            raise ImportError(
-                "TimeSeries array views need numpy: pip install repro[fast]"
-            )
+    def values(self) -> np.ndarray:
         return np.asarray(self._values, dtype=np.float64)
 
     def __len__(self) -> int:
@@ -484,10 +441,6 @@ class TimeSeries:
 
     def window_mean(self, start: int, end: int) -> float:
         """Mean of samples with start <= cycle < end."""
-        if np is None:
-            hits = [v for c, v in zip(self._cycles, self._values)
-                    if start <= c < end]
-            return math.fsum(hits) / len(hits) if hits else math.nan
         c = self.cycles
         mask = (c >= start) & (c < end)
         if not mask.any():

@@ -11,44 +11,25 @@ inside the very same cycle loop — hybrid execution — so quiescence
 fast-forward, telemetry guards, the sanitizer and fault hooks all keep
 working unchanged.
 
-Engine choice is explicit (``make_simulator(engine=...)``, the CLI's
-``--engine`` flags) or ambient via the ``REPRO_SIM_ENGINE`` environment
-variable; the default stays the pure-Python object kernel.
+Engine choice is explicit and per call (``make_simulator(engine=...)``,
+``build_architecture(engine=...)``, ``repro sweep --engine``); the
+default is the object kernel.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Tuple
 
 from repro.sim.engine import SimError, Simulator
-
-#: environment switch for the default engine ("object" or "vec")
-ENGINE_ENV = "REPRO_SIM_ENGINE"
 
 #: recognised engine names, in preference order for documentation
 ENGINES: Tuple[str, ...] = ("object", "vec")
 
 
-def engine_default() -> str:
-    """The engine used when callers pass ``engine=None``: the value of
-    :data:`ENGINE_ENV`, or ``object`` when it is unset or empty."""
-    raw = os.environ.get(ENGINE_ENV, "")
-    name = raw.strip().lower()
-    if not name:
-        return "object"
-    if name not in ENGINES:
-        raise SimError(
-            f"unknown engine {raw!r} in {ENGINE_ENV}: expected one of "
-            f"{', '.join(ENGINES)}"
-        )
-    return name
-
-
 def resolve_engine(engine: Optional[str]) -> str:
-    """Validate an explicit engine name (None means the ambient default)."""
+    """Validate an engine name (None means ``object``)."""
     if engine is None:
-        return engine_default()
+        return "object"
     name = engine.strip().lower()
     if name not in ENGINES:
         raise SimError(
@@ -60,19 +41,15 @@ def resolve_engine(engine: Optional[str]) -> str:
 class VecSimulator(Simulator):
     """A :class:`Simulator` whose architectures vectorize themselves.
 
-    ``vectorized`` is the single flag the rest of the system keys on:
-    it is True only when numpy is importable, so on a numpy-less
-    install a ``VecSimulator`` degrades to a plain object-kernel run
-    (the documented pure-Python fallback) instead of failing.
-    ``vec_kernels`` records the installed batch kernels for
-    introspection and tests.
+    ``vectorized`` is the single flag the rest of the system keys on
+    (always True here; a plain :class:`Simulator` has no such
+    attribute).  ``vec_kernels`` records the installed batch kernels
+    for introspection and tests.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        from repro.sim.vec import HAVE_NUMPY
-
-        self.vectorized = HAVE_NUMPY
+        self.vectorized = True
         self.vec_kernels: List[object] = []
 
     def register_vec_kernel(self, kernel: object) -> None:
@@ -100,9 +77,8 @@ def make_simulator(name: str = "sim", engine: Optional[str] = None,
                    **kwargs) -> Simulator:
     """Build a simulator for the chosen engine.
 
-    ``engine=None`` defers to :data:`ENGINE_ENV` (default ``object``);
-    ``"vec"`` returns a :class:`VecSimulator`, ``"object"`` a plain
-    :class:`Simulator`.  All other keyword arguments pass through to
+    ``"vec"`` returns a :class:`VecSimulator`, ``"object"`` (or None) a
+    plain :class:`Simulator`.  All other keyword arguments pass through to
     the simulator constructor.
     """
     resolved = resolve_engine(engine)

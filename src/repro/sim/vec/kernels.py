@@ -61,6 +61,8 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+import numpy as np
+
 from repro.sim.engine import Simulator
 
 #: method names that synchronize kernel state back into the object-path
@@ -69,11 +71,6 @@ from repro.sim.engine import Simulator
 #: (:mod:`repro.lint.race`) uses this tuple as its flush-site metadata,
 #: so a renamed flush entry point must be reflected here.
 VEC_FLUSH_SITES: Tuple[str, ...] = ("flush", "flush_kernels")
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - guarded by sim.vectorized
-    np = None  # type: ignore[assignment]
 
 
 class BatchKernel:

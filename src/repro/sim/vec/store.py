@@ -7,8 +7,7 @@ touching the object-path helper code, then run their bulk operations
 (due extraction, interval occupancy counting) vectorized.  DyNoC's
 kernel, which staticmesh inherits, is their only user.
 
-Both require numpy (:func:`repro.sim.vec.require_numpy`); they are only
-constructed when a :class:`~repro.sim.vec.VecSimulator` actually
+They are only constructed when a :class:`~repro.sim.vec.VecSimulator`
 vectorizes.
 """
 
@@ -16,10 +15,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - guarded by require_numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 _GROW = 1.5
 _MIN_CAP = 16

@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import shutil
 
 import pytest
 
@@ -46,16 +47,41 @@ def test_serial_run_caches_result(tmp_path):
     assert repr(first["e1"]) == repr(second["e1"])
 
 
-def test_config_hash_keys_on_schema_not_release(monkeypatch):
-    """Package releases must not invalidate same-schema entries."""
+def test_config_hash_keys_on_schema_not_release(monkeypatch, tmp_path):
+    """The key's schema part is the package's source digest: the same
+    sources give the same key, any changed source gives a new key, and
+    a release that changes no source keeps the key."""
     import repro
 
     job = P.Job("e1")
     before = P.config_hash(job)
     monkeypatch.setattr(repro, "__version__", "999.0.0")
     assert P.config_hash(job) == before
-    monkeypatch.setattr(P, "RESULT_SCHEMA", P.RESULT_SCHEMA + 1)
+
+    same, edited = tmp_path / "same", tmp_path / "edited"
+    for root in (same, edited):
+        shutil.copytree(P.PACKAGE_ROOT, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    harness = edited / "analysis" / "experiments.py"
+    harness.write_text(harness.read_text() + "# edited\n")
+    digest = P.source_digest
+    monkeypatch.setattr(P, "source_digest", lambda: digest(str(same)))
+    assert P.config_hash(job) == before
+    monkeypatch.setattr(P, "source_digest", lambda: digest(str(edited)))
     assert P.config_hash(job) != before
+
+
+def test_changed_sources_miss_the_cache(tmp_path, monkeypatch):
+    cache = str(tmp_path / "cache")
+    job = P.Job("e1")
+    P._cache_store(P._cache_path(cache, job), "stale-result")
+    monkeypatch.setattr(P, "source_digest", lambda: "0" * 64)
+    calls = []
+    monkeypatch.setattr(P, "_execute",
+                        lambda j: calls.append(j) or "fresh-result")
+    out = P.run_jobs([job], max_workers=0, cache_dir=cache)
+    assert out == ["fresh-result"]
+    assert calls == [job]
 
 
 def test_cache_hit_refreshes_mtime_for_lru(tmp_path):

@@ -1,10 +1,8 @@
-"""CoNoChi fault-injection tests: unplanned switch loss and recovery."""
-
-import pytest
+"""CoNoChi fault-injection tests: unplanned switch loss and recovery,
+driven through the unified :mod:`repro.faults` injector."""
 
 from repro.arch import build_architecture
-from repro.arch.conochi.faults import FaultInjector
-from repro.fabric.tiles import TileType
+from repro.faults import FaultKind, FaultSchedule, inject
 from repro.traffic.generators import PeriodicStream
 
 
@@ -13,45 +11,33 @@ def ladder_arch():
     return build_architecture("conochi", num_modules=7)
 
 
+def fail_switch(arch, coord, at=0, duration=None, detection_latency=None):
+    """One ``NODE_DOWN`` of the switch at ``coord``; no retransmission,
+    so every loss stays explicit in the message log."""
+    sched = FaultSchedule(seed=0).one_shot(at, FaultKind.NODE_DOWN, coord,
+                                           duration=duration)
+    return inject(arch, sched, detection_latency=detection_latency,
+                  retransmit=False)
+
+
 class TestInjection:
-    def test_fail_non_switch_raises(self):
-        arch = build_architecture("conochi")
-        inj = FaultInjector(arch)
-        with pytest.raises(ValueError):
-            inj.fail_switch((0, 0))
-
-    def test_double_fail_raises(self):
-        arch = ladder_arch()
-        inj = FaultInjector(arch)
-        inj.fail_switch((2, 2))
-        with pytest.raises(ValueError):
-            inj.fail_switch((2, 2))
-
-    def test_repair_unfailed_raises(self):
-        arch = ladder_arch()
-        inj = FaultInjector(arch)
-        with pytest.raises(ValueError):
-            inj.repair_switch((2, 2))
-
     def test_packets_dropped_before_detection(self):
         """Between failure and detection, traffic through the switch is
         lost — and accounted for."""
         arch = build_architecture("conochi", num_modules=4)  # chain
-        inj = FaultInjector(arch, detection_latency=10_000)
-        inj.fail_switch((2, 1))  # mid-chain
+        fail_switch(arch, (2, 1), detection_latency=10_000)  # mid-chain
         msg = arch.ports["m0"].send("m3", 64)
         arch.sim.run(500)
         assert msg.dropped
         assert not msg.delivered
-        assert arch.sim.stats.counter("conochi.packets.dropped").value >= 1
+        assert arch.sim.stats.counter("fault.msg.dropped").value >= 1
 
     def test_reroute_after_detection_on_redundant_topology(self):
         """The ladder offers a second path: after detection, traffic
         between healthy modules flows again."""
         arch = ladder_arch()
-        inj = FaultInjector(arch, detection_latency=50)
         # fail a bottom-rail middle switch; the top rail bypasses it
-        inj.fail_switch((2, 2))
+        inj = fail_switch(arch, (2, 2), detection_latency=50)
         arch.sim.run(inj.detection_latency + 2)
         msg = arch.ports["m0"].send("m1", 32)  # (1,2) -> (1,3) via rung
         arch.sim.run_until(lambda s: msg.delivered or msg.dropped,
@@ -60,23 +46,19 @@ class TestInjection:
 
     def test_module_at_failed_switch_unreachable(self):
         arch = ladder_arch()
-        inj = FaultInjector(arch, detection_latency=20)
         victim_switch = arch._module_switch["m1"]
-        inj.fail_switch(victim_switch)
+        inj = fail_switch(arch, victim_switch, detection_latency=20)
         arch.sim.run(inj.detection_latency + 2)
-        assert not inj.reachable("m1")
+        assert inj.node_dead(victim_switch)
         msg = arch.ports["m0"].send("m1", 32)
         arch.sim.run(2_000)
         assert msg.dropped and not msg.delivered
 
     def test_repair_restores_reachability(self):
         arch = ladder_arch()
-        inj = FaultInjector(arch, detection_latency=20)
         victim_switch = arch._module_switch["m1"]
-        inj.fail_switch(victim_switch)
-        arch.sim.run(100)
-        inj.repair_switch(victim_switch)
-        arch.sim.run(arch.cfg.table_update_latency + 2)
+        fail_switch(arch, victim_switch, duration=100, detection_latency=20)
+        arch.sim.run(100 + arch.cfg.table_update_latency + 2)
         msg = arch.ports["m0"].send("m1", 32)
         arch.sim.run_until(lambda s: msg.delivered or msg.dropped,
                            max_cycles=10_000)
@@ -88,13 +70,12 @@ class TestContinuity:
         """A stream between healthy endpoints loses packets only in the
         detection window; afterwards delivery resumes with zero loss."""
         arch = ladder_arch()
-        inj = FaultInjector(arch, detection_latency=100)
         # m0@(1,2) -> m5@(3,3): failing (2,2) leaves the top-rail path
+        inj = fail_switch(arch, (2, 2), at=1000, detection_latency=100)
         stream = PeriodicStream("s", arch.ports["m0"], "m5",
                                 period=50, payload_bytes=32, stop=6000)
         arch.sim.add(stream)
         arch.sim.run(1000)
-        inj.fail_switch((2, 2))
         arch.sim.run(5000)
         arch.sim.run_until(
             lambda s: all(m.delivered or m.dropped for m in stream.sent),
@@ -112,8 +93,8 @@ class TestContinuity:
 
     def test_log_accounting_with_drops(self):
         arch = build_architecture("conochi", num_modules=4)
-        inj = FaultInjector(arch, detection_latency=10_000)
-        inj.fail_switch((3, 1))  # m3's route crosses it; m0->m1 does not
+        # m3's route crosses (3,1); m0->m1 does not
+        fail_switch(arch, (3, 1), detection_latency=10_000)
         arch.ports["m0"].send("m3", 64)
         ok = arch.ports["m0"].send("m1", 64)  # one hop, unaffected
         arch.sim.run(1_000)
@@ -133,10 +114,9 @@ class TestContinuity:
         def run(fast):
             sim = Simulator(name=f"cono-fp-{fast}", fast_path=fast)
             arch = build_architecture("conochi", num_modules=7, sim=sim)
-            inj = FaultInjector(arch, detection_latency=100)
-            sim.at(1_000, lambda s: inj.fail_switch((2, 2)))
+            fail_switch(arch, (2, 2), at=1_000, detection_latency=100)
             # the fabric is fully quiescent over [1000, 1101): the only
-            # pending work is the injector's recovery wake at 1100.  A
+            # pending work is the injector's detection wake at 1100.  A
             # message at 1101 routes m0 -> m5 over the detour tables,
             # which exist only if that wake actually fired on time.
             sim.at(1_101, lambda s: arch.ports["m0"].send("m5", 32))
@@ -152,8 +132,7 @@ class TestContinuity:
         """Losing one fragment must not leave orphaned reassembly state
         or mis-deliver the message."""
         arch = build_architecture("conochi", num_modules=4)
-        inj = FaultInjector(arch, detection_latency=10_000)
-        inj.fail_switch((2, 1))
+        fail_switch(arch, (2, 1), detection_latency=10_000)
         msg = arch.ports["m0"].send("m3", 3000)  # 3 fragments
         arch.sim.run(2_000)
         assert msg.dropped and not msg.delivered

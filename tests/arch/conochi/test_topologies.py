@@ -1,5 +1,7 @@
 """CoNoChi topology-library and TileGrid.parse tests."""
 
+from collections import deque
+
 import pytest
 
 from repro.arch.conochi import build_conochi
@@ -59,13 +61,23 @@ class TestRing:
 
     def test_ring_halves_diameter(self):
         """Worst-case hop distance on ring(8) beats chain(8)."""
-        import networkx as nx
-
         def diameter(grid):
-            g = nx.Graph()
+            adj = {}
             for a, b, _ in grid.links():
-                g.add_edge(a, b)
-            return nx.diameter(g)
+                adj.setdefault(a, []).append(b)
+                adj.setdefault(b, []).append(a)
+            worst = 0
+            for start in adj:
+                dist = {start: 0}
+                queue = deque([start])
+                while queue:
+                    node = queue.popleft()
+                    for nxt in adj[node]:
+                        if nxt not in dist:
+                            dist[nxt] = dist[node] + 1
+                            queue.append(nxt)
+                worst = max(worst, *dist.values())
+            return worst
 
         assert diameter(ring(8)) < diameter(chain(8))
 

@@ -5,8 +5,7 @@ workload, telemetry setting and fault script, a ``VecSimulator`` run
 must produce exactly the same statistics, telemetry and traces as the
 plain object kernel.  Components without a batch kernel (RMBoC,
 BUS-COM, CoNoChi) must fall back transparently inside the same hybrid
-cycle loop, and a numpy-less install must degrade to the object path
-rather than fail.
+cycle loop.
 """
 
 import json
@@ -194,52 +193,23 @@ def test_buscom_utilization_read_mid_sleep_equivalent():
         assert reads == reference
 
 
-def test_vec_simulator_without_numpy_degrades(monkeypatch):
-    """The documented pure-Python fallback: no numpy means
-    ``vectorized`` stays False and no kernels install, but the run
-    still completes on the object path."""
-    import repro.sim.vec as vec
+def test_engine_is_chosen_per_call():
+    """``engine="vec"`` builds a vectorizing simulator; without
+    ``engine`` the builder keeps its own object simulator."""
+    from repro.sim.vec import VecSimulator
 
-    monkeypatch.setattr(vec, "HAVE_NUMPY", False)
-    sim = make_simulator(name="fallback", engine="vec")
-    assert not sim.vectorized
-    arch = build_architecture("dynoc", sim=sim, seed=7)
-    assert not sim.vec_kernels
-    sim.at(5, lambda _s, a=arch: a.ports["m0"].send("m1", 64))
-    sim.run(500)
-    assert arch.log.delivered()
-
-
-def test_env_var_selects_vec_engine(monkeypatch):
-    from repro.sim.vec import ENGINE_ENV, VecSimulator
-
-    monkeypatch.setenv(ENGINE_ENV, "vec")
-    arch = build_architecture("sharedbus")
+    arch = build_architecture("sharedbus", engine="vec")
     assert isinstance(arch.sim, VecSimulator)
     assert arch.sim.vec_kernels
-    monkeypatch.setenv(ENGINE_ENV, "object")
     arch = build_architecture("sharedbus")
     assert not isinstance(arch.sim, VecSimulator)
 
 
-def test_unset_or_empty_env_var_means_object_engine(monkeypatch):
-    from repro.sim.vec import ENGINE_ENV, engine_default
-
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
-    assert engine_default() == "object"
-    for value in ("", "  "):
-        monkeypatch.setenv(ENGINE_ENV, value)
-        assert engine_default() == "object"
-
-
-def test_misspelled_env_var_engine_raises(monkeypatch):
-    from repro.sim.vec import ENGINE_ENV
-
-    monkeypatch.setenv(ENGINE_ENV, "vce")
+def test_misspelled_engine_raises():
     with pytest.raises(SimError) as info:
-        build_architecture("sharedbus")
+        build_architecture("sharedbus", engine="vce")
     message = str(info.value)
-    assert ENGINE_ENV in message and "'vce'" in message
+    assert "'vce'" in message
     assert "object" in message and "vec" in message
 
 

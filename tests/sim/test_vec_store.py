@@ -1,9 +1,7 @@
 """SoA timed structures: they must stay list-compatible while their
 bulk operations match the sequential semantics they replace."""
 
-import pytest
-
-np = pytest.importorskip("numpy")
+import numpy as np
 
 from repro.sim.vec.store import EventQueue, IntervalSet
 
