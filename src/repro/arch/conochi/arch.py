@@ -26,12 +26,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.arch.base import CommArchitecture, Message
 from repro.arch.conochi.config import CoNoChiConfig
 from repro.arch.conochi.control import GlobalControl
+from repro.arch.transport import DueQueue, LinkOccupancy, quiescence
 from repro.core.parameters import PAPER_TABLE_1, DesignParameters
 from repro.fabric.area import AreaModel
 from repro.fabric.geometry import Rect
 from repro.fabric.tiles import TileGrid, TileType
 from repro.fabric.timing import ClockModel
-from repro.sim import SLEEP, Component, SimError, Simulator
+from repro.sim import Component, SimError, Simulator
 
 Coord = Tuple[int, int]
 
@@ -63,16 +64,19 @@ class CoNoChi(CommArchitecture, Component):
         self.area_model = area_model or AreaModel()
         self.clock_model = clock_model or ClockModel()
         self._module_switch: Dict[str, Coord] = {}
-        self._arrivals: List[Tuple[int, _Packet, Coord]] = []
+        # (packet, switch) header arrivals awaiting routing
+        self._arrivals = DueQueue()
         self._port_free: Dict[Tuple[object, object], int] = {}
-        self._deliveries: List[Tuple[int, Message]] = []
+        # messages whose last fragment's tail leaves the ejection port
+        self._deliveries = DueQueue()
         self._landed_fragments: Dict[int, int] = {}  # msg.mid -> fragments in
         # migrations whose table update has not applied yet:
         # module -> target switch (remove_switch must respect these)
         self._pending_migrations: Dict[str, Coord] = {}
-        # (start, end, msg-id): the parallelism probe counts distinct
-        # messages on wires per cycle (independent data transfers).
-        self._transmissions: List[Tuple[int, int, int]] = []
+        # inter-switch link occupancy by message id: the parallelism
+        # probe counts distinct messages on wires per cycle
+        # (independent data transfers)
+        self._links = LinkOccupancy()
         self._link_wires: Dict[frozenset, int] = {}
         self._refresh_link_cache()
 
@@ -168,9 +172,8 @@ class CoNoChi(CommArchitecture, Component):
                 jr.stamp_to(msg.mid, "ni_queue", start)
                 jr.stamp_to(msg.mid, "link_transit",
                             start + self.cfg.link_latency)
-            self._arrivals.append(
-                (start + self.cfg.link_latency, pkt, src_switch)
-            )
+            self._arrivals.push(start + self.cfg.link_latency,
+                                (pkt, src_switch))
         self.sim.stats.counter("conochi.packets").inc(nfrag)
         self.sim.stats.counter("conochi.header_words").inc(
             nfrag * self.cfg.header_words
@@ -271,7 +274,7 @@ class CoNoChi(CommArchitecture, Component):
                                 at=coord)
 
         def try_swap(sim: Simulator) -> None:
-            if any(c == coord for _, _, c in self._arrivals):
+            if any(c == coord for _, c in self._arrivals):
                 sim.after(1, try_swap)
                 return
             self.grid.set(*coord, TileType.FREE)
@@ -334,42 +337,16 @@ class CoNoChi(CommArchitecture, Component):
     # ==================================================================
     def tick(self, sim: Simulator):
         now = sim.cycle
-        self._transmissions = [t for t in self._transmissions if t[1] > now]
-        self._note_parallelism(
-            len({m for s, e, m in self._transmissions if s <= now < e})
-        )
+        self._note_parallelism(self._links.active(now))
         if sim.telemetering:
             # packets awaiting switch routing = the fabric's input queue
             sim.telemetry.queue_depth(now, "conochi.fabric",
                                       len(self._arrivals))
-        due_deliveries = [d for d in self._deliveries if d[0] <= now]
-        for item in due_deliveries:
-            self._deliveries.remove(item)
-            self._deliver(item[1])
-        due = [a for a in self._arrivals if a[0] <= now]
-        for item in due:
-            self._arrivals.remove(item)
-            self._route(item[1], item[2], now)
-        return self._quiescence(now)
-
-    def _quiescence(self, now: int):
-        """Quiescence hint: wake for the next switch arrival, delivery,
-        or link-occupancy interval; stay hot while any link carries data
-        next cycle (the parallelism probe samples every busy cycle)."""
-        nxt: Optional[int] = None
-        for start, end, _ in self._transmissions:
-            if end <= now + 1:
-                continue
-            if start <= now + 1:
-                return None
-            nxt = start if nxt is None else min(nxt, start)
-        for t, _, _ in self._arrivals:
-            nxt = t if nxt is None else min(nxt, t)
-        for t, _ in self._deliveries:
-            nxt = t if nxt is None else min(nxt, t)
-        if nxt is None:
-            return SLEEP
-        return nxt
+        for msg in self._deliveries.pop_due(now):
+            self._deliver(msg)
+        for pkt, at in self._arrivals.pop_due(now):
+            self._route(pkt, at, now)
+        return quiescence(self._links, self._arrivals, self._deliveries)
 
     def _reserve(self, key: Tuple[object, object], now: int, words: int,
                  mid: int) -> int:
@@ -385,7 +362,7 @@ class CoNoChi(CommArchitecture, Component):
         self._port_free[key] = start + words
         if key[1] != "local":
             # inter-switch links only (see DyNoC._reserve_port)
-            self._transmissions.append((start, start + words, mid))
+            self._links.add(start, start + words, mid)
         return start
 
     # ------------------------------------------------------------------
@@ -442,9 +419,7 @@ class CoNoChi(CommArchitecture, Component):
         )
         if self.sim.tracing:
             self.sim.emit("conochi", "route", mid=pkt.msg.mid, at=at, nxt=nxt)
-        self._arrivals.append(
-            (start + self.link_cycles(at, nxt), pkt, nxt)  # type: ignore[arg-type]
-        )
+        self._arrivals.push(start + self.link_cycles(at, nxt), (pkt, nxt))
 
     def _land(self, pkt: _Packet, tail_cycle: int) -> None:
         msg = pkt.msg
@@ -452,7 +427,7 @@ class CoNoChi(CommArchitecture, Component):
         self._landed_fragments[msg.mid] = landed
         if landed >= self.cfg.fragments(msg.payload_bytes):
             del self._landed_fragments[msg.mid]
-            self._deliveries.append((tail_cycle, msg))
+            self._deliveries.push(tail_cycle, msg)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ instead of livelocking mid-simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.arch.base import CommArchitecture, Message
 from repro.arch.dynoc.config import DyNoCConfig
@@ -30,13 +30,12 @@ from repro.arch.dynoc.routing import (
     trace_route,
     sxy_next,
 )
+from repro.arch.transport import DueQueue, LinkOccupancy, quiescence
 from repro.core.parameters import PAPER_TABLE_1, DesignParameters
 from repro.fabric.area import AreaModel
 from repro.fabric.geometry import Rect
 from repro.fabric.timing import ClockModel
-from repro.sim import SLEEP, Component, SimError, Simulator
-from repro.sim.vec.kernels import BatchKernel
-from repro.sim.vec.store import EventQueue, IntervalSet
+from repro.sim import Component, SimError, Simulator
 
 
 @dataclass
@@ -63,11 +62,6 @@ class DyNoC(CommArchitecture, Component):
 
     KEY = "dynoc"
 
-    #: hot containers the batch kernel swaps for SoA stores (QL006)
-    VEC_FIELDS = ("_arrivals", "_deliveries", "_transmissions")
-    #: tick-mutated state the kernel shares with the object path (QL006)
-    VEC_SHARED = ("_port_free",)
-
     def __init__(self, sim: Simulator, cfg: DyNoCConfig,
                  area_model: Optional[AreaModel] = None,
                  clock_model: Optional[ClockModel] = None):
@@ -85,16 +79,16 @@ class DyNoC(CommArchitecture, Component):
         self._pe_used: Dict[Coord, str] = {}
         # fault state: routers deactivated by failure (vs. by placement)
         self._failed_routers: set = set()
-        # (arrive_cycle, packet, router) — header arrivals awaiting routing
-        self._arrivals: List[Tuple[int, _Packet, Coord]] = []
+        # (packet, router) header arrivals awaiting routing
+        self._arrivals = DueQueue()
         # output-port reservations: (router, next_router|"local") -> free_at
         self._port_free: Dict[Tuple[Coord, object], int] = {}
-        self._deliveries: List[Tuple[int, Message]] = []
-        # link-occupancy intervals (start, end, packet-id) — the
-        # parallelism probe counts distinct packets on wires per cycle,
-        # the paper's "independent data transfers".
-        self._transmissions: List[Tuple[int, int, int]] = []
-        self._init_vec(sim)
+        # messages whose tail leaves the ejection port
+        self._deliveries = DueQueue()
+        # inter-router link occupancy by packet id — the parallelism
+        # probe counts distinct packets on wires per cycle, the paper's
+        # "independent data transfers"
+        self._links = LinkOccupancy()
 
     # ==================================================================
     # activity / topology queries
@@ -197,7 +191,7 @@ class DyNoC(CommArchitecture, Component):
 
     def _pending_inside(self, rect: Rect) -> bool:
         return any(
-            rect.contains_point(*coord) for _, _, coord in self._arrivals
+            rect.contains_point(*coord) for _, coord in self._arrivals
         )
 
     def _validate_routability(self) -> None:
@@ -312,9 +306,8 @@ class DyNoC(CommArchitecture, Component):
             self.sim.journey.stamp_to(
                 msg.mid, "link_transit",
                 self.sim.cycle + self.cfg.link_latency)
-        self._arrivals.append(
-            (self.sim.cycle + self.cfg.link_latency, pkt, src_access)
-        )
+        self._arrivals.push(self.sim.cycle + self.cfg.link_latency,
+                            (pkt, src_access))
         self.sim.stats.counter("dynoc.packets").inc()
         self.sim.stats.counter("dynoc.header_words").inc(self.cfg.header_words)
         self.wake()  # new traffic ends any quiescent stretch
@@ -337,46 +330,18 @@ class DyNoC(CommArchitecture, Component):
     # ==================================================================
     # per-cycle behaviour
     # ==================================================================
-    def _make_vec_kernel(self):
-        return _DyNoCVecKernel(self)
-
     def tick(self, sim: Simulator):
-        if self.vec is not None:
-            return self.vec.tick(sim)
         now = sim.cycle
-        self._tick_parallelism(now)
+        self._note_parallelism(self._links.active(now))
         if sim.telemetering:
             # headers awaiting routing = the fabric's input queue
             sim.telemetry.queue_depth(now, "dynoc.fabric",
                                       len(self._arrivals))
-        due_deliveries = [d for d in self._deliveries if d[0] <= now]
-        for item in due_deliveries:
-            self._deliveries.remove(item)
-            self._deliver(item[1])
-        due = [a for a in self._arrivals if a[0] <= now]
-        for item in due:
-            self._arrivals.remove(item)
-            self._route(item[1], item[2], now)
-        return self._quiescence(now)
-
-    def _quiescence(self, now: int):
-        """Quiescence hint: wake for the next header arrival, delivery,
-        or link-occupancy interval; stay hot while any link carries data
-        next cycle (the parallelism probe samples every busy cycle)."""
-        nxt: Optional[int] = None
-        for start, end, _ in self._transmissions:
-            if end <= now + 1:
-                continue
-            if start <= now + 1:
-                return None
-            nxt = start if nxt is None else min(nxt, start)
-        for t, _, _ in self._arrivals:
-            nxt = t if nxt is None else min(nxt, t)
-        for t, _ in self._deliveries:
-            nxt = t if nxt is None else min(nxt, t)
-        if nxt is None:
-            return SLEEP
-        return nxt
+        for msg in self._deliveries.pop_due(now):
+            self._deliver(msg)
+        for pkt, at in self._arrivals.pop_due(now):
+            self._route(pkt, at, now)
+        return quiescence(self._links, self._arrivals, self._deliveries)
 
     def _reserve_port(self, router: Coord, target: object,
                       now: int, words: int, mid: int) -> int:
@@ -399,7 +364,7 @@ class DyNoC(CommArchitecture, Component):
         if target != "local":
             # the parallelism probe counts inter-router links only — the
             # paper's d_max is "limited by the number of links"
-            self._transmissions.append((start, start + words, mid))
+            self._links.add(start, start + words, mid)
         return start
 
     def _route(self, pkt: _Packet, at: Coord, now: int) -> None:
@@ -422,7 +387,7 @@ class DyNoC(CommArchitecture, Component):
                 jr = self.sim.journey
                 jr.stamp_to(pkt.msg.mid, "arbitration_wait", start)
                 jr.stamp_to(pkt.msg.mid, "delivery", start + pkt.words)
-            self._deliveries.append((start + pkt.words, pkt.msg))
+            self._deliveries.push(start + pkt.words, pkt.msg)
             self.sim.stats.histogram("dynoc.hops").add(pkt.hops)
             return
         nxt, state = sxy_next(at, pkt.dst_access, pkt.state,
@@ -467,78 +432,7 @@ class DyNoC(CommArchitecture, Component):
                         ("router_detour"
                          if pkt.state.mode is not NORMAL.mode
                          else "link_transit"), arrival)
-        self._arrivals.append((arrival, pkt, nxt))
-
-    def _tick_parallelism(self, now: int) -> None:
-        self._transmissions = [t for t in self._transmissions if t[1] > now]
-        active = len({m for s, e, m in self._transmissions if s <= now < e})
-        self._note_parallelism(active)
-
-
-class _DyNoCVecKernel(BatchKernel):
-    """Compiled tick for DyNoC/StaticMesh S-XY transport + ejection.
-
-    Swaps the three hot containers for SoA stores, extracts due headers
-    and deliveries with one masked scan each, and — with telemetry off —
-    sleeps through busy stretches between events, back-filling the
-    per-cycle link-parallelism samples from the occupancy intervals on
-    wake-up (distinct-packet counts via interval merge + prefix sum).
-    Routing itself stays the object code: it runs only at header-arrival
-    cycles, which are identical in both backends.
-    """
-
-    def __init__(self, arch: "DyNoC") -> None:
-        super().__init__(arch)
-        arch._arrivals = EventQueue("dynoc.arrivals", arch._arrivals)
-        arch._deliveries = EventQueue("dynoc.deliveries", arch._deliveries)
-        arch._transmissions = IntervalSet("dynoc.links", arch._transmissions)
-        #: last cycle whose parallelism sample is already recorded
-        self._last = self.sim.cycle
-
-    def _catch_up(self, through: int) -> None:
-        """Replay the skipped stretch through cycle ``through``: the
-        object path records one parallelism sample per cycle with a
-        nonzero distinct-packet count (it sleeps exactly when the count
-        is zero), so filtering the zeros reproduces its sample stream
-        bit for bit."""
-        if through > self._last:
-            tx = self.arch._transmissions
-            counts = tx.active_counts(self._last + 1, through + 1)
-            busy = counts[counts > 0]
-            if busy.size:
-                self.arch._parallelism_hist.add_batch(busy)
-            self._last = through
-
-    def flush(self, now: int) -> None:
-        self._catch_up(now - 1)
-
-    def tick(self, sim: Simulator):
-        arch = self.arch
-        now = sim.cycle
-        tx = arch._transmissions
-        self._catch_up(now - 1)
-        self._last = now
-        tx.prune(now)
-        arch._note_parallelism(tx.count_distinct_at(now))
-        if sim.telemetering:
-            sim.telemetry.queue_depth(now, "dynoc.fabric",
-                                      len(arch._arrivals))
-        for _, msg in arch._deliveries.pop_due(now):
-            arch._deliver(msg)
-        for _, pkt, coord in arch._arrivals.pop_due(now):
-            arch._route(pkt, coord, now)
-        if sim.telemetering:
-            # telemetry samples per-tick queue depths: stay per-cycle
-            return arch._quiescence(now)
-        nxt = arch._arrivals.min_ready()
-        nd = arch._deliveries.min_ready()
-        if nd is not None and (nxt is None or nd < nxt):
-            nxt = nd
-        if nxt is None:
-            # every link interval ends before its packet's delivery, so
-            # no pending events implies no live link either
-            return None if (tx.max_end() or 0) > now + 1 else SLEEP
-        return nxt if nxt > now else now + 1
+        self._arrivals.push(arrival, (pkt, nxt))
 
 
 def build_dynoc(

@@ -1,13 +1,12 @@
-"""Struct-of-arrays (SoA) backend for the synchronous kernel.
+"""Vectorizing backend for the synchronous kernel.
 
 ``repro.sim.vec`` holds the vectorized counterpart of the object
-kernel: list-compatible numpy stores for link/router occupancy
-intervals and timed event queues, a :class:`VecSimulator` that
-architectures detect to install their "compiled tick" batch kernels,
+kernel: a :class:`VecSimulator` that architectures detect to install
+their "compiled tick" batch kernels, the :class:`BatchKernel` contract,
 and the engine-selection helpers behind ``repro sweep --engine=vec``.
 
-Only DyNoC, staticmesh and the shared-bus baseline install a kernel;
-each clears a 1.5x per-run bar on dense traffic.  RMBoC, BUS-COM and
+Only the shared-bus baseline installs a kernel: it clears a 1.5x
+per-run bar on dense traffic.  RMBoC, BUS-COM, DyNoC, staticmesh and
 CoNoChi run their object ``tick`` inside the same cycle loop (hybrid
 execution).  See ``docs/kernel.md`` for the measurements.
 
@@ -18,20 +17,17 @@ and in trace fingerprints (see ``tests/sim/test_vec_equivalence.py``).
 
 Choose the engine per call: ``make_simulator(engine="vec")`` or
 ``build_architecture(..., engine="vec")``.  It pays only on unobserved
-dense traffic (``docs/kernel.md``, "Where vec pays").
+dense shared-bus traffic (``docs/kernel.md``, "Where vec pays").
 """
 
 from __future__ import annotations
 
 from repro.sim.vec.engine import ENGINES, VecSimulator, make_simulator
 from repro.sim.vec.kernels import BatchKernel
-from repro.sim.vec.store import EventQueue, IntervalSet
 
 __all__ = [
     "BatchKernel",
     "ENGINES",
-    "EventQueue",
-    "IntervalSet",
     "VecSimulator",
     "make_simulator",
 ]

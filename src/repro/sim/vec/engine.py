@@ -4,12 +4,11 @@
 three-phase cycle, same activity-driven fast path, same commit
 discipline.  The only difference is a flag: architectures probe
 ``getattr(sim, "vectorized", False)`` at construction time and, when it
-is set, install their compiled-tick batch kernel (swapping hot plain
-containers for the SoA structures in :mod:`repro.sim.vec.store`).
-Components that never install a kernel keep running their object tick
-inside the very same cycle loop — hybrid execution — so quiescence
-fast-forward, telemetry guards, the sanitizer and fault hooks all keep
-working unchanged.
+is set, install their compiled-tick batch kernel.  Components that
+never install a kernel keep running their object tick inside the very
+same cycle loop — hybrid execution — so quiescence fast-forward,
+telemetry guards, the sanitizer and fault hooks all keep working
+unchanged.
 
 Engine choice is explicit and per call (``make_simulator(engine=...)``,
 ``build_architecture(engine=...)``, ``repro sweep --engine``); the

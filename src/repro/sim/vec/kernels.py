@@ -1,13 +1,13 @@
 """The compiled-tick batch-kernel contract.
 
 A *batch kernel* replaces one architecture's per-cycle object ``tick``
-with an array program over the SoA stores.  The contract a component
+with an array program.  The contract a component
 must satisfy to install one (enforced statically by lint rule QL006 and
 dynamically by the vec==object golden-equivalence suite):
 
 ``VEC_FIELDS``
     Class attribute: the ``self._x`` containers the kernel swaps for
-    SoA structures.  The object-path tick may mutate hot state **only**
+    its own structures.  The object-path tick may mutate hot state **only**
     through these fields (or ``VEC_SHARED``) — QL006 flags anything
     else, because state the kernel does not know about would silently
     drift between backends.
@@ -24,8 +24,8 @@ Installation
     ``sim.vectorized`` is set, ``_make_vec_kernel()`` returns the
     kernel and ``tick`` dispatches to it.  Everything outside ``tick``
     — fault hooks, event-phase callbacks, submit paths — keeps running
-    the object code against the swapped containers, which is why the
-    SoA structures are list-compatible.
+    the object code against the swapped containers, so those must keep
+    the interface the object code uses.
 
 Equivalence rules
     * A kernel's ``tick`` must leave *exactly* the state and statistics
@@ -77,9 +77,7 @@ class BatchKernel:
     """Base class for per-architecture compiled-tick kernels.
 
     Holds the back-references and the shared back-fill helper; concrete
-    kernels implement :meth:`tick` (and usually an ``install`` step in
-    their constructor that swaps the architecture's hot containers for
-    SoA structures from :mod:`repro.sim.vec.store`).
+    kernels implement :meth:`tick`.
     """
 
     def __init__(self, arch) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,7 +72,30 @@ class TrafficGenerator(Component):
 
 class RandomTraffic(TrafficGenerator):
     """Bernoulli open-loop injection: each cycle, with probability
-    ``rate``, send ``payload_bytes`` to ``chooser()``."""
+    ``rate``, send ``payload_bytes`` to ``chooser()``.
+
+    The trial of the generator's i-th active cycle is the i-th double of
+    ``rng``, as if it drew one per cycle, but the doubles come in blocks
+    of :attr:`BLOCK` (``Generator.random(n)`` returns the same doubles as
+    ``n`` scalar calls) and the generator sleeps from one hit to the
+    next, or to the end of the block.  A block never reaches past
+    ``stop``, so once the window closes ``rng`` stands where per-cycle
+    draws leave it.  ``stop`` is read at every wake.  Lowered, it ends
+    injection before the new stop, and ``rng`` is wound back to the new
+    stop (where per-cycle draws leave it too, if the new stop was not
+    yet reached when it was set).  Raised before the window closed,
+    drawing goes on.  With ``rate`` 0 and no ``stop`` the generator
+    sleeps for good at once.
+
+    ``rng`` runs up to one block ahead of the cycle, so it must be this
+    generator's own stream: a chooser or another consumer drawing from
+    it would see different numbers (use ``make_rng(seed, ..., "r")``
+    next to the chooser's ``"c"`` stream, or a dedicated
+    ``default_rng``).
+    """
+
+    #: Bernoulli trials drawn per block
+    BLOCK = 256
 
     def __init__(self, name: str, port: ArchPort,
                  chooser: Callable[[], str], rng: np.random.Generator,
@@ -86,10 +110,51 @@ class RandomTraffic(TrafficGenerator):
         self.rng = rng
         self.rate = rate
         self.payload_bytes = payload_bytes
+        # the current block: its first cycle, its end, the cycles whose
+        # trial hits, the next of them, and rng's state before the draw
+        self._base = 0
+        self._end = 0
+        self._hits: List[int] = []
+        self._next = 0
+        self._state: Optional[dict] = None
 
-    def generate(self, cycle: int) -> None:
-        if self.rng.random() < self.rate:
+    def tick(self, sim: Simulator):
+        cycle = sim.cycle
+        stop = self.stop
+        if stop is not None and cycle >= stop:
+            self._rewind(stop)
+            return SLEEP  # window closed for good
+        if cycle < self.start:
+            return self.start  # doze until the window opens
+        if cycle >= self._end:
+            if self.rate == 0 and stop is None:
+                return SLEEP  # no trial can hit, and no window end to reach
+            self._draw(cycle, stop)
+        hits = self._hits
+        i = bisect_left(hits, cycle, self._next)
+        if i < len(hits) and hits[i] == cycle:
             self._inject(self.chooser(), self.payload_bytes)
+            i += 1
+        self._next = i
+        return hits[i] if i < len(hits) else self._end
+
+    def _draw(self, cycle: int, stop: Optional[int]) -> None:
+        """Draw the trials of the block starting at ``cycle``."""
+        n = self.BLOCK if stop is None else min(self.BLOCK, stop - cycle)
+        self._state = self.rng.bit_generator.state
+        hits = np.flatnonzero(self.rng.random(n) < self.rate)
+        self._base = cycle
+        self._end = cycle + n
+        self._hits = (hits + cycle).tolist()
+        self._next = 0
+
+    def _rewind(self, stop: int) -> None:
+        """Give back the trials of a block that reaches past ``stop``."""
+        if self._end > stop:
+            self.rng.bit_generator.state = self._state
+            if stop > self._base:
+                self.rng.random(stop - self._base)
+            self._end = stop
 
 
 class PeriodicStream(TrafficGenerator):

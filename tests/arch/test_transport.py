@@ -1,0 +1,139 @@
+"""Property tests: the time-ordered transport structures answer exactly
+what scans of plain lists answered.
+
+DyNoC, staticmesh and CoNoChi once kept header arrivals, deliveries and
+link-occupancy intervals in lists that every tick scanned in full.  The
+references below are those scans; random interleavings of appends,
+pops and queries must give the same answers, late pops (several ready
+cycles at once) included.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.arch.transport import DueQueue, LinkOccupancy, quiescence
+from repro.sim import SLEEP
+
+
+# ----------------------------------------------------------------------
+# DueQueue
+# ----------------------------------------------------------------------
+def _scan_pop(items, now):
+    """The old due scan: collect in list order, then remove each."""
+    due = [a for a in items if a[0] <= now]
+    for item in due:
+        items.remove(item)
+    return [a[1] for a in due]
+
+
+@st.composite
+def queue_scripts(draw):
+    """(pushes before the pop, clock step) per round; ready cycles
+    spread both sides of the pop cycle, and a step above 1 makes pops
+    late, taking items of several ready cycles at once."""
+    rounds = []
+    for _ in range(draw(st.integers(1, 25))):
+        pushes = draw(st.lists(st.integers(-3, 12), max_size=6))
+        rounds.append((pushes, draw(st.integers(1, 6))))
+    return rounds
+
+
+@given(script=queue_scripts())
+@settings(max_examples=200, deadline=None)
+def test_due_batches_match_list_scan(script):
+    queue, items = DueQueue(), []
+    now, label = 0, 0
+    for pushes, step in script:
+        for offset in pushes:
+            queue.push(now + offset, label)
+            items.append((now + offset, label))
+            label += 1
+        assert queue.pop_due(now) == _scan_pop(items, now)
+        assert len(queue) == len(items)
+        assert list(queue) == [a[1] for a in items]
+        expect = min((a[0] for a in items), default=None)
+        assert queue.next_ready() == expect
+        now += step
+
+
+def test_late_pop_keeps_insertion_order():
+    """Not (ready, insertion) order: a pop that comes late returns the
+    items as they were pushed."""
+    queue = DueQueue()
+    for ready, item in ((9, "c"), (3, "a"), (9, "d"), (5, "b")):
+        queue.push(ready, item)
+    assert queue.pop_due(2) == []
+    assert queue.pop_due(9) == ["c", "a", "d", "b"]
+    assert not queue and queue.next_ready() is None
+
+
+# ----------------------------------------------------------------------
+# LinkOccupancy
+# ----------------------------------------------------------------------
+def _scan_active(intervals, now):
+    """The old probe: prune finished intervals, count distinct ids."""
+    intervals[:] = [t for t in intervals if t[1] > now]
+    return len({m for s, e, m in intervals if s <= now < e})
+
+
+def _scan_hint(intervals, now):
+    """The old quiescence scan over link intervals alone: None while a
+    link is busy next cycle, else the earliest later start, else
+    SLEEP."""
+    nxt = None
+    for start, end, _ in intervals:
+        if end <= now + 1:
+            continue
+        if start <= now + 1:
+            return None
+        nxt = start if nxt is None else min(nxt, start)
+    return SLEEP if nxt is None else nxt
+
+
+@st.composite
+def link_scripts(draw):
+    """Rounds of (intervals added after the query, clock step).  Starts
+    lie after the query cycle, as port reservations do; ids repeat, as
+    a packet streams over several links."""
+    rounds = []
+    for _ in range(draw(st.integers(1, 30))):
+        adds = draw(st.lists(
+            st.tuples(st.integers(1, 10), st.integers(1, 12),
+                      st.integers(0, 5)),
+            max_size=5))
+        rounds.append((adds, draw(st.integers(1, 5))))
+    return rounds
+
+
+@given(script=link_scripts())
+@settings(max_examples=200, deadline=None)
+def test_occupancy_matches_list_scans(script):
+    links, intervals = LinkOccupancy(), []
+    now = 0
+    for adds, step in script:
+        assert links.active(now) == _scan_active(intervals, now)
+        for offset, length, ident in adds:
+            start = now + offset
+            links.add(start, start + length, ident)
+            intervals.append((start, start + length, ident))
+        assert quiescence(links) == _scan_hint(intervals, now)
+        now += step
+
+
+def test_one_packet_on_two_links_counts_once():
+    links = LinkOccupancy()
+    for start, end, ident in ((0, 5, 7), (5, 10, 7), (3, 6, 8)):
+        links.add(start, end, ident)
+    assert [links.active(t) for t in (2, 4, 5, 8, 10)] == [1, 2, 2, 1, 0]
+
+
+def test_quiescence_wakes_for_earliest_of_links_and_queues():
+    links, arrivals, deliveries = LinkOccupancy(), DueQueue(), DueQueue()
+    links.active(10)
+    assert quiescence(links, arrivals, deliveries) == SLEEP
+    links.add(20, 24, 1)
+    arrivals.push(15, "header")
+    deliveries.push(30, "msg")
+    assert quiescence(links, arrivals, deliveries) == 15
+    links.add(11, 13, 2)
+    assert quiescence(links, arrivals, deliveries) is None

@@ -19,9 +19,9 @@ from repro.sim import SimError, Tracer
 from repro.sim.vec import make_simulator
 
 #: architectures with a compiled-tick batch kernel installed
-VEC_ARCHS = ("dynoc", "staticmesh", "sharedbus")
+VEC_ARCHS = ("sharedbus",)
 #: hybrid-fallback architectures: object tick inside VecSimulator
-HYBRID_ARCHS = ("rmboc", "buscom", "conochi")
+HYBRID_ARCHS = ("rmboc", "buscom", "conochi", "dynoc", "staticmesh")
 ALL_ARCHS = VEC_ARCHS + HYBRID_ARCHS
 
 
