@@ -247,6 +247,21 @@ class CommArchitecture:
         self._detach_impl(module)
         del self.ports[module]
 
+    # -- reconfiguration hooks (repro.reconfig) ---------------------------
+    def placement(self, module: str) -> Dict[str, object]:
+        """``attach`` keywords that put a module where ``module`` sits
+        now; a swap reuses them for the incoming module and for a
+        rollback.  Empty where attach places modules itself."""
+        return {}
+
+    def freeze(self, module: str) -> None:
+        """Isolate ``module``'s region for its rewrite window; a no-op
+        where a rewrite touches only the module's own region."""
+
+    def unfreeze(self, module: str) -> None:
+        """Release the region of ``module``, just attached after a
+        rewrite; a no-op where attach leaves nothing frozen."""
+
     # -- transport (subclass responsibilities) ----------------------------
     def _attach_impl(self, module: str, **placement: Any) -> None:
         raise NotImplementedError

@@ -160,6 +160,11 @@ class BusCom(CommArchitecture, Component):
             raise KeyError(f"module {module!r} is not attached")
         self._frozen[module] = False
 
+    def freeze(self, module: str) -> None:
+        # no unfreeze: a module attaches unfrozen, and the outgoing
+        # module's frozen flag dies with its detach
+        self.freeze_module(module)
+
     def reassign_slot(self, bus: int, slot: int,
                       owner: Optional[str] = None) -> None:
         """Rewrite one slot entry after the LUT-reconfiguration latency.

@@ -122,6 +122,13 @@ class CoNoChi(CommArchitecture, Component):
         self.control.register(module, switch)
         self.control.recompute_tables()
 
+    def placement(self, module: str) -> Dict[str, object]:
+        out: Dict[str, object] = {"switch": self._module_switch[module]}
+        rect = self.grid.modules.get(module)
+        if rect is not None:
+            out["rect"] = rect
+        return out
+
     def _rect_touches(self, rect: Rect, switch: Coord) -> bool:
         x, y = switch
         return any(

@@ -206,6 +206,10 @@ class DyNoC(CommArchitecture, Component):
     def placement_of(self, name: str) -> _Placement:
         return self._placements[name]
 
+    def placement(self, module: str) -> Dict[str, object]:
+        pl = self.placement_of(module)
+        return {"rect": pl.rect, "access": pl.access}
+
     # ==================================================================
     # fault hooks (repro.faults)
     # ==================================================================

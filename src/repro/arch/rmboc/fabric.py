@@ -156,6 +156,15 @@ class RMBoC(CommArchitecture, Component):
     def xp_of(self, module: str) -> int:
         return self._module_xp[module]
 
+    def placement(self, module: str) -> Dict[str, object]:
+        return {"xp": self.xp_of(module)}
+
+    def freeze(self, module: str) -> None:
+        self.freeze_slot(self.xp_of(module))
+
+    def unfreeze(self, module: str) -> None:
+        self.unfreeze_slot(self.xp_of(module))
+
     # ==================================================================
     # fault hooks (repro.faults)
     # ==================================================================

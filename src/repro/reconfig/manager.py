@@ -1,37 +1,68 @@
 """The reconfiguration manager: serialized module exchange over one
-configuration port, with architecture-specific freeze semantics.
+configuration port.
 
-A swap proceeds through the phases real DPR systems go through:
+Every operation runs one phase sequence, the one real DPR systems go
+through:
 
-1. **quiesce** — wait until no in-flight message involves the outgoing
-   module (the application-level discipline the paper assumes: peers
-   must stop addressing a module that is about to be swapped);
-2. **freeze + detach + rewrite** — the slot/region is isolated for the
-   rewrite window (RMBoC cross-points freeze so only established
-   channels keep working; BUS-COM stops granting the module's slots;
-   the NoCs need nothing — only the module's own region is touched),
-   the module leaves the interconnect, and the region's configuration
-   frames are rewritten; the duration comes from the frame-based
-   bitstream model at the architecture's own clock;
-3. **attach + unfreeze** — the incoming module joins at the same
-   placement and traffic resumes.
+1. **quiesce** (when a module leaves) — wait until no in-flight
+   message involves the outgoing module (the application-level
+   discipline the paper assumes: peers must stop addressing a module
+   that is about to be swapped).  A quiesce that outlasts
+   ``quiesce_timeout`` aborts the operation and leaves the old module
+   in service;
+2. **freeze + detach** — the architecture isolates the region for the
+   rewrite window (:meth:`~repro.arch.base.CommArchitecture.freeze`:
+   RMBoC cross-points freeze so only established channels keep
+   working; BUS-COM stops granting the module's slots; the NoCs need
+   nothing, only the module's own region is touched) and the outgoing
+   module leaves the interconnect;
+3. **rewrite** — the region's configuration frames are rewritten; the
+   duration comes from the frame-based bitstream model at the
+   architecture's own clock.  When a module enters, a readback
+   integrity check ends the rewrite: a corrupt rewrite is retried with
+   bounded exponential backoff up to ``max_retries`` times, then rolled
+   back (the outgoing module's frames are rewritten and it returns);
+4. **attach + unfreeze** (when a module enters) — the incoming module
+   joins, by default at the outgoing module's placement
+   (:meth:`~repro.arch.base.CommArchitecture.placement`), and traffic
+   resumes;
+5. **complete** — the configuration port frees and the next queued
+   operation starts.
 
-Operations queue FIFO on the single configuration port, exactly like a
-single ICAP on silicon.
+``swap`` runs every phase, ``install`` has nothing to quiesce or detach
+and ``remove`` nothing to attach.  Operations queue FIFO on the single
+configuration port, exactly like a single ICAP on silicon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.arch.base import CommArchitecture
 from repro.fabric.bitstream import ConfigPort, ReconfigTimingModel
 from repro.fabric.device import Device
 from repro.fabric.geometry import Rect
 from repro.reconfig.module import ModuleSpec
-from repro.sim import SimError, Simulator
+from repro.sim import Simulator
 from repro.sim.backoff import bounded_backoff
+
+#: wait before the first retry of a corrupt rewrite; it doubles per retry
+RETRY_BACKOFF = 64
+#: clamp on the retry wait, as on RMBoC's fault path
+#: (``fault_backoff_cap``), so a high ``max_retries`` cannot grow an
+#: unbounded stall
+RETRY_BACKOFF_CAP = 4096
+
+#: the counter an operation increments once its region is detached
+_OP_COUNTERS = {"swap": "reconfig.swaps", "install": "reconfig.installs",
+                "remove": "reconfig.removals"}
+
+#: fault notification, called as ``notify(phase, cycle)``
+_Notify = Callable[[str, int], None]
+#: a span or event of an operation's trace: (kind, data)
+_Mark = Tuple[str, Dict[str, object]]
 
 
 @dataclass
@@ -68,98 +99,64 @@ class SwapRecord:
         return self.attach_cycle - self.detach_cycle
 
 
+@dataclass(eq=False)
+class _Operation:
+    """One queued operation: its record and what its phases need."""
+
+    kind: str                   # "swap", "install" or "remove"
+    record: SwapRecord
+    rid: int                    # key of the operation's reconfig.* spans
+    on_done: Optional[Callable[[SwapRecord], None]]
+    #: ``attach`` keywords of the incoming module
+    placement: Dict[str, object]
+    #: ``attach`` keywords that restore the outgoing module on rollback
+    restore: Dict[str, object] = field(default_factory=dict)
+
+
 class ReconfigurationManager:
     """Serializes reconfiguration operations for one architecture."""
 
     def __init__(self, arch: CommArchitecture, device: Device,
                  port: Optional[ConfigPort] = None,
                  quiesce_timeout: int = 100_000,
-                 strict_quiesce: bool = False,
-                 max_retries: int = 3,
-                 retry_backoff: int = 64,
-                 retry_backoff_cap: int = 4096):
+                 max_retries: int = 3):
         self.arch = arch
         self.sim: Simulator = arch.sim
         self.timing = ReconfigTimingModel(device, port or ConfigPort())
         self.quiesce_timeout = quiesce_timeout
-        #: True restores the pre-hardening behaviour: a quiesce deadline
-        #: raises SimError instead of aborting the operation gracefully
-        self.strict_quiesce = strict_quiesce
         self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        #: clamp on the exponential retry wait — the fault path (RMBoC
-        #: ``fault_backoff_cap``) was capped but this path was not, so
-        #: a high ``max_retries`` could grow an unbounded stall
-        self.retry_backoff_cap = retry_backoff_cap
         self.records: List[SwapRecord] = []
-        self._busy = False
-        self._pending: List[Callable[[], None]] = []
+        self._active: Optional[_Operation] = None
+        self._pending: Deque[_Operation] = deque()
         # fault hooks (armed by repro.faults)
         self._corrupt_next = 0
-        self._corrupt_notify: Optional[Callable[[str, int], None]] = None
+        self._corrupt_notify: Optional[_Notify] = None
         self._quiesce_stick = 0
-        self._stick_notify: Optional[Callable[[str, int], None]] = None
+        self._stick_notify: Optional[_Notify] = None
 
     # ------------------------------------------------------------------
     # fault hooks (repro.faults)
     # ------------------------------------------------------------------
-    def fault_corrupt_next(
-        self, notify: Optional[Callable[[str, int], None]] = None,
-        count: int = 1,
-    ) -> None:
-        """Arm a bitstream-integrity failure for the next ``count`` swap
-        rewrites: each affected rewrite completes, fails its readback
-        check, and triggers the bounded retry/rollback machinery.
-        ``notify(phase, cycle)`` fires at ``"detected"``/``"recovered"``."""
+    def fault_corrupt_next(self, notify: Optional[_Notify] = None,
+                           count: int = 1) -> None:
+        """Arm a bitstream-integrity failure for the next ``count``
+        rewrites that bring a module in (swap, install, or a retry of
+        either): each completes, fails its readback check, and triggers
+        the bounded retry/rollback machinery.  A removal's rewrite is
+        not checked.  ``notify(phase, cycle)`` fires at
+        ``"detected"``/``"recovered"``."""
         self._corrupt_next += count
         self._corrupt_notify = notify
 
-    def fault_stick_quiesce(
-        self, extra_cycles: int,
-        notify: Optional[Callable[[str, int], None]] = None,
-    ) -> None:
+    def fault_stick_quiesce(self, extra_cycles: int,
+                            notify: Optional[_Notify] = None) -> None:
         """Arm a stuck quiescence: the next swap/removal's quiesce phase
         refuses to complete for ``extra_cycles`` beyond its start.  If
-        that crosses ``quiesce_timeout`` the operation aborts gracefully
-        (or raises under ``strict_quiesce``)."""
+        that crosses ``quiesce_timeout`` the operation aborts."""
         if extra_cycles < 1:
             raise ValueError("extra_cycles must be >= 1")
         self._quiesce_stick = extra_cycles
         self._stick_notify = notify
-
-    def _take_stick(self, quiesce_from: int):
-        """Consume an armed stuck-quiesce for a quiesce starting now."""
-        stick_until = quiesce_from + self._quiesce_stick
-        notify, self._stick_notify = self._stick_notify, None
-        self._quiesce_stick = 0
-        return stick_until, notify
-
-    def _abort_quiesce(
-        self, record: SwapRecord, rid: int, kind: str,
-        stick_notify: Optional[Callable[[str, int], None]],
-        on_done: Optional[Callable[[SwapRecord], None]],
-    ) -> None:
-        """Graceful degradation at the quiesce deadline: drop the
-        operation, alert, and keep the system running on the old module
-        instead of hanging the configuration port forever."""
-        sim = self.sim
-        record.aborted = True
-        sim.stats.counter("reconfig.quiesce_aborted").inc()
-        if sim.telemetering:
-            sim.telemetry.count(sim.cycle, "reconfig.quiesce_aborted")
-        if sim.tracing:
-            sim.emit("reconfig", "quiesce_aborted", out=record.module_out,
-                     kind=kind)
-            sim.span_end("reconfig", "quiesce", key=rid, status="aborted")
-            sim.span_end("reconfig", kind, key=rid, status="aborted")
-        if stick_notify is not None:
-            stick_notify("detected", sim.cycle)
-            stick_notify("recovered", sim.cycle)
-        self._busy = False
-        if on_done is not None:
-            on_done(record)
-        if self._pending:
-            self._pending.pop(0)()
 
     # ------------------------------------------------------------------
     def module_quiescent(self, module: str) -> bool:
@@ -175,8 +172,10 @@ class ReconfigurationManager:
 
     @property
     def busy(self) -> bool:
-        return self._busy or bool(self._pending)
+        return self._active is not None or bool(self._pending)
 
+    # ------------------------------------------------------------------
+    # operations
     # ------------------------------------------------------------------
     def swap(
         self,
@@ -193,26 +192,9 @@ class ReconfigurationManager:
         ``rect``/``switch`` for CoNoChi); when omitted, the outgoing
         module's placement is reused where the architecture allows it.
         """
-        record = SwapRecord(
-            module_out=module_out,
-            module_in=module_in.name,
-            region=region,
-            requested_cycle=self.sim.cycle,
-        )
-        self.records.append(record)
-        rid = len(self.records) - 1
-        if self.sim.tracing:
-            self.sim.span_begin("reconfig", "swap", key=rid,
-                               out=module_out, into=module_in.name)
-
-        def start() -> None:
-            self._begin(record, rid, module_in, dict(attach_kwargs), on_done)
-
-        if self._busy:
-            self._pending.append(start)
-        else:
-            start()
-        return record
+        record = SwapRecord(module_out, module_in.name, region,
+                            self.sim.cycle)
+        return self._queue("swap", record, on_done, attach_kwargs)
 
     def install(
         self,
@@ -222,52 +204,8 @@ class ReconfigurationManager:
         **attach_kwargs: object,
     ) -> SwapRecord:
         """Configure a new module into a free region (no outgoing module)."""
-        record = SwapRecord(
-            module_out="",
-            module_in=module_in.name,
-            region=region,
-            requested_cycle=self.sim.cycle,
-        )
-        self.records.append(record)
-        rid = len(self.records) - 1
-        if self.sim.tracing:
-            self.sim.span_begin("reconfig", "install", key=rid,
-                                into=module_in.name)
-
-        def start() -> None:
-            self._busy = True
-            record.freeze_cycle = self.sim.cycle
-            record.detach_cycle = self.sim.cycle
-            record.reconfig_cycles = self.reconfig_cycles(region)
-            if self.sim.tracing:
-                self.sim.emit("reconfig", "rewrite_start", out="",
-                              into=module_in.name,
-                              cycles=record.reconfig_cycles)
-                self.sim.span_begin("reconfig", "rewrite", key=rid,
-                                    into=module_in.name)
-            self.sim.stats.counter("reconfig.installs").inc()
-
-            def finish(sim: Simulator) -> None:
-                self.arch.attach(module_in.name, **attach_kwargs)
-                self._unfreeze_new(record)
-                if sim.tracing:
-                    sim.emit("reconfig", "attached", module=module_in.name)
-                    sim.span_end("reconfig", "rewrite", key=rid)
-                    sim.span_end("reconfig", "install", key=rid)
-                record.attach_cycle = sim.cycle
-                self._busy = False
-                if on_done is not None:
-                    on_done(record)
-                if self._pending:
-                    self._pending.pop(0)()
-
-            self.sim.after(record.reconfig_cycles, finish)
-
-        if self._busy:
-            self._pending.append(start)
-        else:
-            start()
-        return record
+        record = SwapRecord("", module_in.name, region, self.sim.cycle)
+        return self._queue("install", record, on_done, attach_kwargs)
 
     def remove(
         self,
@@ -279,204 +217,139 @@ class ReconfigurationManager:
 
         The record's ``attach_cycle`` marks blanking completion.
         """
-        record = SwapRecord(
-            module_out=module_out,
-            module_in="",
-            region=region,
-            requested_cycle=self.sim.cycle,
-        )
+        record = SwapRecord(module_out, "", region, self.sim.cycle)
+        return self._queue("remove", record, on_done, {})
+
+    def _queue(self, kind: str, record: SwapRecord,
+               on_done: Optional[Callable[[SwapRecord], None]],
+               attach_kwargs: Dict[str, object]) -> SwapRecord:
         self.records.append(record)
-        rid = len(self.records) - 1
-        if self.sim.tracing:
-            self.sim.span_begin("reconfig", "remove", key=rid,
-                                out=module_out)
-
-        def start() -> None:
-            self._busy = True
-            quiesce_from = self.sim.cycle
-            deadline = quiesce_from + self.quiesce_timeout
-            stick_until, stick_notify = self._take_stick(quiesce_from)
-            if self.sim.tracing:
-                self.sim.span_begin("reconfig", "quiesce", key=rid,
-                                    out=module_out)
-
-            def poll(sim: Simulator) -> None:
-                if (sim.cycle >= stick_until
-                        and self.module_quiescent(module_out)):
-                    if sim.telemetering:
-                        sim.telemetry.record_quiesce(
-                            sim.cycle, sim.cycle - quiesce_from
-                        )
-                    if sim.tracing:
-                        sim.span_end("reconfig", "quiesce", key=rid)
-                        sim.span_begin("reconfig", "rewrite", key=rid,
-                                       out=module_out)
-                    if stick_notify is not None:
-                        stick_notify("recovered", sim.cycle)
-                    self._freeze(module_out)
-                    record.freeze_cycle = sim.cycle
-                    record.detach_cycle = sim.cycle
-                    self.arch.detach(module_out)
-                    record.reconfig_cycles = self.reconfig_cycles(region)
-                    self.sim.stats.counter("reconfig.removals").inc()
-
-                    def finish(s2: Simulator) -> None:
-                        record.attach_cycle = s2.cycle
-                        if s2.tracing:
-                            s2.span_end("reconfig", "rewrite", key=rid)
-                            s2.span_end("reconfig", "remove", key=rid)
-                        self._busy = False
-                        if on_done is not None:
-                            on_done(record)
-                        if self._pending:
-                            self._pending.pop(0)()
-
-                    sim.after(record.reconfig_cycles, finish)
-                elif sim.cycle >= deadline:
-                    if self.strict_quiesce:
-                        raise SimError(
-                            f"removal of {module_out!r}: traffic did not "
-                            f"quiesce within {self.quiesce_timeout} cycles"
-                        )
-                    self._abort_quiesce(record, rid, "remove",
-                                        stick_notify, on_done)
-                else:
-                    sim.after(1, poll)
-
-            self.sim.after(0, poll)
-
-        if self._busy:
-            self._pending.append(start)
+        op = _Operation(kind, record, len(self.records) - 1, on_done,
+                        dict(attach_kwargs))
+        names = {"out": record.module_out, "into": record.module_in}
+        self._trace(op, begin=(kind, {k: v for k, v in names.items() if v}))
+        if self.busy:
+            self._pending.append(op)
         else:
-            start()
+            self._start(op)
         return record
 
     # ------------------------------------------------------------------
     # phases
     # ------------------------------------------------------------------
-    def _begin(self, record: SwapRecord, rid: int, spec: ModuleSpec,
-               attach_kwargs: Dict[str, object],
-               on_done: Optional[Callable[[SwapRecord], None]]) -> None:
-        self._busy = True
-        rollback_kwargs = self._capture_placement(record.module_out)
-        placement_kwargs = dict(rollback_kwargs)
-        placement_kwargs.update(attach_kwargs)
-        quiesce_from = self.sim.cycle
-        deadline = quiesce_from + self.quiesce_timeout
-        stick_until, stick_notify = self._take_stick(quiesce_from)
-        if self.sim.tracing:
-            self.sim.span_begin("reconfig", "quiesce", key=rid,
-                                out=record.module_out)
+    def _start(self, op: _Operation) -> None:
+        """Claim the configuration port and enter the first phase."""
+        record = op.record
+        if record.module_out and record.module_in:
+            # the incoming module takes the outgoing one's place unless
+            # the caller names another; a rollback restores it there
+            op.restore = self.arch.placement(record.module_out)
+            op.placement = {**op.restore, **op.placement}
+        self._active = op
+        if record.module_out:
+            self._quiesce(op)
+        else:
+            self._detach(op)
 
-        def poll_quiesce(sim: Simulator) -> None:
-            if (sim.cycle >= stick_until
-                    and self.module_quiescent(record.module_out)):
+    def _quiesce(self, op: _Operation) -> None:
+        """Poll once per cycle until the outgoing module is quiescent
+        (and an armed stuck quiesce has passed) or the deadline hits."""
+        sim = self.sim
+        module = op.record.module_out
+        since = sim.cycle
+        deadline = since + self.quiesce_timeout
+        stuck_until = since + self._quiesce_stick
+        stick_notify, self._stick_notify = self._stick_notify, None
+        self._quiesce_stick = 0
+        self._trace(op, begin=("quiesce", {"out": module}))
+
+        def poll(sim: Simulator) -> None:
+            if sim.cycle >= stuck_until and self.module_quiescent(module):
                 if sim.telemetering:
-                    sim.telemetry.record_quiesce(
-                        sim.cycle, sim.cycle - quiesce_from
-                    )
-                if sim.tracing:
-                    sim.span_end("reconfig", "quiesce", key=rid)
+                    sim.telemetry.record_quiesce(sim.cycle,
+                                                 sim.cycle - since)
+                self._trace(op, end=(("quiesce", {}),))
                 if stick_notify is not None:
                     stick_notify("recovered", sim.cycle)
-                self._rewrite(record, rid, spec, placement_kwargs,
-                              rollback_kwargs, on_done)
+                self._detach(op)
             elif sim.cycle >= deadline:
-                if self.strict_quiesce:
-                    raise SimError(
-                        f"swap of {record.module_out!r}: traffic did not "
-                        f"quiesce within {self.quiesce_timeout} cycles"
-                    )
-                self._abort_quiesce(record, rid, "swap",
-                                    stick_notify, on_done)
+                self._abort(op, stick_notify)
             else:
-                sim.after(1, poll_quiesce)
+                sim.after(1, poll)
 
-        self.sim.after(0, poll_quiesce)
+        sim.after(0, poll)
 
-    def _rewrite(self, record: SwapRecord, rid: int, spec: ModuleSpec,
-                 placement_kwargs: Dict[str, object],
-                 rollback_kwargs: Dict[str, object],
-                 on_done: Optional[Callable[[SwapRecord], None]]) -> None:
-        arch = self.arch
-        # Freeze only for the rewrite window itself: traffic was already
-        # quiesced, and draining must not be blocked by the freeze.
-        record.freeze_cycle = self.sim.cycle
-        self._freeze(record.module_out)
-        record.detach_cycle = self.sim.cycle
-        arch.detach(record.module_out)
-        self.sim.stats.counter("reconfig.swaps").inc()
-        self._attempt(record, rid, spec, placement_kwargs,
-                      rollback_kwargs, on_done)
+    def _abort(self, op: _Operation, stick_notify: Optional[_Notify]) -> None:
+        """Graceful degradation at the quiesce deadline: drop the
+        operation, alert, and keep the system running on the old module
+        instead of hanging the configuration port forever."""
+        sim = self.sim
+        op.record.aborted = True
+        sim.stats.counter("reconfig.quiesce_aborted").inc()
+        if sim.telemetering:
+            sim.telemetry.count(sim.cycle, "reconfig.quiesce_aborted")
+        aborted = {"status": "aborted"}
+        self._trace(op, event=("quiesce_aborted", {
+            "out": op.record.module_out, "op": op.kind,
+        }), end=(("quiesce", aborted), (op.kind, aborted)))
+        if stick_notify is not None:
+            stick_notify("detected", sim.cycle)
+            stick_notify("recovered", sim.cycle)
+        self._finish(op)
 
-    def _attempt(self, record: SwapRecord, rid: int, spec: ModuleSpec,
-                 placement_kwargs: Dict[str, object],
-                 rollback_kwargs: Dict[str, object],
-                 on_done: Optional[Callable[[SwapRecord], None]]) -> None:
-        """One rewrite of the (already detached) region; the completion
-        integrity check routes to attach, retry, or rollback."""
-        arch = self.arch
+    def _detach(self, op: _Operation) -> None:
+        """Freeze + detach.  The freeze covers only the rewrite window:
+        traffic already quiesced, and draining must not be blocked by
+        it."""
+        record = op.record
+        record.freeze_cycle = record.detach_cycle = self.sim.cycle
+        if record.module_out:
+            self.arch.freeze(record.module_out)
+            self.arch.detach(record.module_out)
+        self.sim.stats.counter(_OP_COUNTERS[op.kind]).inc()
+        self._rewrite(op)
+
+    def _rewrite(self, op: _Operation) -> None:
+        """One rewrite of the detached region; the integrity check at
+        its end routes to attach, retry, or rollback."""
+        sim, record = self.sim, op.record
         cycles = self.reconfig_cycles(record.region)
         record.reconfig_cycles += cycles
-        if self.sim.tracing:
-            self.sim.emit("reconfig", "rewrite_start", out=record.module_out,
-                          into=record.module_in, cycles=cycles)
-            self.sim.span_begin("reconfig", "rewrite", key=rid,
-                                out=record.module_out, into=record.module_in)
-        self.sim.stats.counter("reconfig.cycles").inc(cycles)
+        names = {"out": record.module_out, "into": record.module_in}
+        self._trace(op, event=("rewrite_start", {**names, "cycles": cycles}),
+                    begin=("rewrite", names))
+        sim.stats.counter("reconfig.cycles").inc(cycles)
+        sim.after(cycles, lambda s: self._check(op))
 
-        def finish(sim: Simulator) -> None:
-            if self._corrupt_next > 0:
-                # readback/CRC failed: the frames written are garbage
-                self._corrupt_next -= 1
-                if sim.tracing:
-                    sim.span_end("reconfig", "rewrite", key=rid,
-                                 status="corrupt")
-                self._on_corrupt(record, rid, spec, placement_kwargs,
-                                 rollback_kwargs, on_done)
-                return
-            arch.attach(spec.name, **placement_kwargs)
-            if sim.tracing:
-                sim.emit("reconfig", "attached", module=spec.name)
-                sim.span_end("reconfig", "rewrite", key=rid)
-                sim.span_end("reconfig", "swap", key=rid)
-            self._unfreeze_new(record)
-            record.attach_cycle = sim.cycle
-            if record.retries and self._corrupt_notify is not None:
-                notify, self._corrupt_notify = self._corrupt_notify, None
-                notify("recovered", sim.cycle)
-            self._busy = False
-            if on_done is not None:
-                on_done(record)
-            if self._pending:
-                self._pending.pop(0)()
+    def _check(self, op: _Operation) -> None:
+        """Readback of an incoming module's frames; a removal's blank
+        frames are not checked."""
+        record = op.record
+        if record.module_in and self._corrupt_next > 0:
+            # readback/CRC failed: the frames written are garbage
+            self._corrupt_next -= 1
+            self._corrupt(op)
+        else:
+            self._attach(op, record.module_in, op.placement)
 
-        self.sim.after(cycles, finish)
-
-    def _on_corrupt(self, record: SwapRecord, rid: int, spec: ModuleSpec,
-                    placement_kwargs: Dict[str, object],
-                    rollback_kwargs: Dict[str, object],
-                    on_done: Optional[Callable[[SwapRecord], None]]) -> None:
-        sim = self.sim
+    def _corrupt(self, op: _Operation) -> None:
+        sim, record = self.sim, op.record
         sim.stats.counter("reconfig.bitstream_corrupt").inc()
         if sim.telemetering:
             sim.telemetry.count(sim.cycle, "reconfig.bitstream_corrupt")
-        if sim.tracing:
-            sim.emit("reconfig", "bitstream_corrupt",
-                     into=record.module_in, attempt=record.retries + 1)
+        self._trace(op, event=("bitstream_corrupt", {
+            "into": record.module_in, "attempt": record.retries + 1,
+        }), end=(("rewrite", {"status": "corrupt"}),))
         if self._corrupt_notify is not None and record.retries == 0:
             self._corrupt_notify("detected", sim.cycle)
         if record.retries < self.max_retries:
             # bounded retry with exponential backoff before re-driving
             # the configuration port
             record.retries += 1
-            backoff = bounded_backoff(self.retry_backoff, record.retries,
-                                      cap=self.retry_backoff_cap)
             sim.stats.counter("reconfig.retries").inc()
-            sim.after(backoff,
-                      lambda s: self._attempt(record, rid, spec,
-                                              placement_kwargs,
-                                              rollback_kwargs, on_done))
+            backoff = bounded_backoff(RETRY_BACKOFF, record.retries,
+                                      cap=RETRY_BACKOFF_CAP)
+            sim.after(backoff, lambda s: self._rewrite(op))
             return
         # retries exhausted: roll back — rewrite the region with the
         # outgoing module's (known-good) frames and reattach it
@@ -484,70 +357,55 @@ class ReconfigurationManager:
         sim.stats.counter("reconfig.rollbacks").inc()
         cycles = self.reconfig_cycles(record.region)
         record.reconfig_cycles += cycles
-        if sim.tracing:
-            sim.emit("reconfig", "rollback_start", out=record.module_out,
-                     cycles=cycles)
-            sim.span_begin("reconfig", "rewrite", key=rid,
-                           into=record.module_out, rollback=True)
+        self._trace(op, event=("rollback_start", {
+            "out": record.module_out, "cycles": cycles,
+        }), begin=("rewrite", {"into": record.module_out, "rollback": True}))
+        sim.after(cycles,
+                  lambda s: self._attach(op, record.module_out, op.restore))
 
-        def rollback_done(s2: Simulator) -> None:
-            s2_arch = self.arch
-            if record.module_out:
-                s2_arch.attach(record.module_out, **rollback_kwargs)
-                self._unfreeze_name(record.module_out)
-            if s2.tracing:
-                s2.emit("reconfig", "rolled_back", module=record.module_out)
-                s2.span_end("reconfig", "rewrite", key=rid, rollback=True)
-                s2.span_end("reconfig", "swap", key=rid,
-                            status="rolled_back")
-            record.attach_cycle = s2.cycle
-            if self._corrupt_notify is not None:
-                notify, self._corrupt_notify = self._corrupt_notify, None
-                notify("recovered", s2.cycle)
-            self._busy = False
-            if on_done is not None:
-                on_done(record)
-            if self._pending:
-                self._pending.pop(0)()
+    def _attach(self, op: _Operation, module: str,
+                placement: Dict[str, object]) -> None:
+        """Attach + unfreeze ``module``: the incoming one, or the
+        outgoing one after a rollback; none after a removal."""
+        sim, record = self.sim, op.record
+        if module:
+            self.arch.attach(module, **placement)
+            self.arch.unfreeze(module)
+        if record.rolled_back:
+            self._trace(op, event=("rolled_back", {"module": module}), end=(
+                ("rewrite", {"rollback": True}),
+                (op.kind, {"status": "rolled_back"})))
+        else:
+            self._trace(op, event=("attached", {"module": module})
+                        if module else None,
+                        end=(("rewrite", {}), (op.kind, {})))
+        record.attach_cycle = sim.cycle
+        if ((record.retries or record.rolled_back)
+                and self._corrupt_notify is not None):
+            notify, self._corrupt_notify = self._corrupt_notify, None
+            notify("recovered", sim.cycle)
+        self._finish(op)
 
-        sim.after(cycles, rollback_done)
+    def _finish(self, op: _Operation) -> None:
+        """Complete: free the port, report, start the next operation."""
+        self._active = None
+        if op.on_done is not None:
+            op.on_done(op.record)
+        if self._pending:
+            self._start(self._pending.popleft())
 
     # ------------------------------------------------------------------
-    # architecture-specific adapters
-    # ------------------------------------------------------------------
-    def _capture_placement(self, module: str) -> Dict[str, object]:
-        arch = self.arch
-        if arch.KEY == "rmboc":
-            return {"xp": arch.xp_of(module)}  # type: ignore[attr-defined]
-        if arch.KEY == "dynoc":
-            pl = arch.placement_of(module)  # type: ignore[attr-defined]
-            return {"rect": pl.rect, "access": pl.access}
-        if arch.KEY == "conochi":
-            rect = arch.grid.modules.get(module)  # type: ignore[attr-defined]
-            out: Dict[str, object] = {
-                "switch": arch._module_switch[module]  # type: ignore[attr-defined]
-            }
-            if rect is not None:
-                out["rect"] = rect
-            return out
-        return {}
-
-    def _freeze(self, module: str) -> None:
-        arch = self.arch
-        if arch.KEY == "rmboc":
-            arch.freeze_slot(arch.xp_of(module))  # type: ignore[attr-defined]
-        elif arch.KEY == "buscom":
-            arch.freeze_module(module)  # type: ignore[attr-defined]
-        # NoCs: reconfiguration only touches the module's own region.
-
-    def _unfreeze_new(self, record: SwapRecord) -> None:
-        self._unfreeze_name(record.module_in)
-
-    def _unfreeze_name(self, module: str) -> None:
-        arch = self.arch
-        if arch.KEY == "rmboc":
-            arch.unfreeze_slot(  # type: ignore[attr-defined]
-                arch.xp_of(module)  # type: ignore[attr-defined]
-            )
-        # BUS-COM: the incoming module attaches unfrozen; the outgoing
-        # module's frozen flag died with its detach.
+    def _trace(self, op: _Operation, event: Optional[_Mark] = None,
+               end: Tuple[_Mark, ...] = (),
+               begin: Optional[_Mark] = None) -> None:
+        """Emit ``event``, close the spans ``end`` and open ``begin`` of
+        ``op``'s ``reconfig.*`` trace when a tracer is attached."""
+        sim = self.sim
+        if not sim.tracing:
+            return
+        if event is not None:
+            sim.emit("reconfig", event[0], **event[1])
+        for kind, data in end:
+            sim.span_end("reconfig", kind, key=op.rid, **data)
+        if begin is not None:
+            sim.span_begin("reconfig", begin[0], key=op.rid, **begin[1])

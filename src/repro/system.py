@@ -63,14 +63,11 @@ class ReconfigurableSystem:
         """The configuration region a module occupies on the device."""
         if self.floorplan is not None:
             return self.floorplan.slot_of(module).rect
-        if self.arch.KEY == "dynoc":
-            pe_rect = self.arch.placement_of(module).rect  # type: ignore[attr-defined]
-        else:  # conochi
-            grid_rect = self.arch.grid.modules.get(module)  # type: ignore[attr-defined]
-            if grid_rect is None:
-                sx, sy = self.arch._module_switch[module]  # type: ignore[attr-defined]
-                grid_rect = Rect(sx, sy, 1, 1)
-            pe_rect = grid_rect
+        placement = self.arch.placement(module)
+        pe_rect = placement.get("rect")
+        if pe_rect is None:  # a CoNoChi module homed on its switch alone
+            sx, sy = placement["switch"]
+            pe_rect = Rect(sx, sy, 1, 1)
         scaled = Rect(
             pe_rect.x * CLBS_PER_TILE,
             pe_rect.y * CLBS_PER_TILE,
@@ -88,43 +85,29 @@ class ReconfigurableSystem:
     def swap(self, module_out: str, module_in: ModuleSpec,
              on_done: Optional[Callable[[SwapRecord], None]] = None,
              **attach_kwargs: object) -> SwapRecord:
-        """Exchange a module; the region is resolved from the floorplan."""
-        region = self.region_of(module_out)
-        record = self.manager.swap(module_out, module_in, region,
-                                   on_done=on_done, **attach_kwargs)
-        if self.floorplan is not None:
-            slot = self.floorplan.slot_of(module_out)
-            slot.frozen = True
+        """Exchange a module; the region is resolved from the floorplan.
 
-            def _relabel(rec: SwapRecord, _slot=slot) -> None:
-                _slot.occupant = rec.module_in
-                _slot.frozen = False
-
-            prev = on_done
-
-            def chained(rec: SwapRecord) -> None:
-                _relabel(rec)
-                if prev is not None:
-                    prev(rec)
-
-            # the manager stored `on_done`; rebind through a wrapper
-            self._rebind_on_done(record, chained)
-        return record
-
-    def _rebind_on_done(self, record: SwapRecord,
-                        fn: Callable[[SwapRecord], None]) -> None:
-        """Poll for completion to run floorplan bookkeeping.
-
-        The manager's callback belongs to the caller; the facade's
-        bookkeeping rides on a cheap completion poll instead.
+        A slot-based floorplan freezes the slot for the operation and
+        relabels it only if ``module_in`` attached: after a rollback or
+        an abort the slot still holds ``module_out``.
         """
-        def poll(sim: Simulator) -> None:
-            if record.done:
-                fn(record)
-            else:
-                sim.after(64, poll)
+        region = self.region_of(module_out)
+        if self.floorplan is None:
+            return self.manager.swap(module_out, module_in, region,
+                                     on_done=on_done, **attach_kwargs)
+        slot = self.floorplan.slot_of(module_out)
 
-        self.sim.after(0, poll)
+        def settle(record: SwapRecord) -> None:
+            if record.done and not record.rolled_back:
+                slot.occupant = record.module_in
+            slot.frozen = False
+            if on_done is not None:
+                on_done(record)
+
+        record = self.manager.swap(module_out, module_in, region,
+                                   on_done=settle, **attach_kwargs)
+        slot.frozen = True
+        return record
 
     # ------------------------------------------------------------------
     def module_fits(self, spec: ModuleSpec, module_slot_of: str) -> bool:

@@ -74,6 +74,50 @@ class TestSwap:
         assert system.floorplan.slot_of("m1").frozen
 
 
+@pytest.mark.parametrize("name", ["rmboc", "buscom"])
+class TestSwapOutcomes:
+    """The slot bookkeeping follows what the manager actually did, and
+    the caller hears about it exactly once."""
+
+    def test_on_done_runs_once(self, name):
+        system = ReconfigurableSystem(name)
+        calls = []
+        record = system.swap("m1", ModuleSpec("fancy"), on_done=calls.append)
+        system.sim.run_until(lambda s: record.done, max_cycles=2_000_000)
+        system.sim.run(1_000)
+        assert calls == [record]
+        slot = system.floorplan.slot_of("fancy")
+        assert slot.index == 1 and not slot.frozen
+
+    def test_rolled_back_swap_keeps_the_slot(self, name):
+        system = ReconfigurableSystem(name)
+        region = system.region_of("m1")
+        system.manager.max_retries = 0
+        system.manager.fault_corrupt_next()
+        calls = []
+        record = system.swap("m1", ModuleSpec("fancy"), on_done=calls.append)
+        system.sim.run_until(lambda s: record.done, max_cycles=8_000_000)
+        system.sim.run(1_000)
+        assert record.rolled_back and calls == [record]
+        assert "m1" in system.arch.modules
+        assert system.region_of("m1") == region
+        assert not system.floorplan.slot_of("m1").frozen
+        with pytest.raises(KeyError):
+            system.region_of("fancy")
+
+    def test_aborted_swap_unfreezes_the_slot(self, name):
+        system = ReconfigurableSystem(name)
+        system.manager.quiesce_timeout = 500
+        system.manager.fault_stick_quiesce(1_000)
+        calls = []
+        record = system.swap("m1", ModuleSpec("fancy"), on_done=calls.append)
+        system.sim.run(2_000)
+        assert record.aborted and calls == [record]
+        slot = system.floorplan.slot_of("m1")
+        assert not slot.frozen
+        assert not system.manager.busy
+
+
 class TestReporting:
     def test_module_fits(self):
         system = ReconfigurableSystem("rmboc")
