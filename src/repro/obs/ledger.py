@@ -24,11 +24,12 @@ not opt-in) a compact persistent record:
 The run id is the SHA-256 of the record's canonical JSON with the
 volatile wall-clock section stripped, so identical runs (same seed,
 config, engine-independent stats) store under one id — re-running a
-deterministic experiment is a write-once no-op.  Records are pure
-observations: the ledger attaches only pure-observer instrumentation
-(telemetry, journeys) whose bit-identity with unobserved runs is
-proven by the obs test suite, so ledgered results equal unledgered
-ones.
+deterministic experiment is a write-once no-op.  A stored file holds
+the same compact sorted-key encoding with the wall-clock section
+included.  Records are pure observations: the ledger attaches only
+pure-observer instrumentation (telemetry, journeys) whose bit-identity
+with unobserved runs is proven by the obs test suite, so ledgered
+results equal unledgered ones.
 
 Opt-out: set ``REPRO_LEDGER=0`` to disable persistence entirely, or
 ``REPRO_LEDGER_DIR`` to relocate it (default: the result-cache root,
@@ -104,8 +105,20 @@ def jsonable(obj: Any) -> Any:
     Mirrors :func:`repro.analysis.export.to_jsonable`, except that
     numpy values are handled structurally via ``item()`` (arrays fall
     back to ``str``).  Run ids hash this encoding, so it must not
-    change.
+    change.  Plain data (exact str, int, bool, None, finite float,
+    dict, list and tuple) takes a fast path ahead of the general
+    checks; it converts exactly as they would.
     """
+    cls = type(obj)
+    if cls is str or cls is int or cls is bool or obj is None:
+        return obj
+    if cls is float and math.isfinite(obj):
+        return obj
+    if cls is dict:
+        return {k if isinstance(k, str) else str(k): jsonable(v)
+                for k, v in obj.items()}
+    if cls is list or cls is tuple:
+        return [jsonable(v) for v in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
@@ -136,23 +149,38 @@ def jsonable(obj: Any) -> Any:
     return str(obj)
 
 
+def _dumps(doc: Any) -> str:
+    """Compact, sorted-key JSON of plain data (json's C encoder)."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _canonical(doc: Dict[str, Any], strip_volatile: bool = True) -> bytes:
+    """:func:`canonical_bytes` of a record already converted by
+    :func:`jsonable`."""
+    if strip_volatile:
+        doc = {k: v for k, v in doc.items() if k not in VOLATILE_KEYS}
+    return _dumps(doc).encode("utf-8")
+
+
 def canonical_bytes(record: Dict[str, Any],
                     strip_volatile: bool = True) -> bytes:
     """The record's canonical JSON encoding: sorted keys, minimal
     separators, volatile (wall-clock) sections stripped.  This is what
     gets hashed — and what the determinism tests compare byte for
     byte."""
-    doc = {k: v for k, v in record.items()
-           if not (strip_volatile and k in VOLATILE_KEYS)}
-    return json.dumps(jsonable(doc), sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    return _canonical(jsonable(record), strip_volatile)
+
+
+def _content_id(doc: Dict[str, Any]) -> str:
+    """:func:`run_id_of` a record already converted by :func:`jsonable`."""
+    return hashlib.sha256(_canonical(doc)).hexdigest()[:16]
 
 
 def run_id_of(record: Dict[str, Any]) -> str:
     """Content address of a record: SHA-256 of its canonical bytes,
     truncated to 16 hex digits (64 bits — collision-safe for any
     realistic ledger size)."""
-    return hashlib.sha256(canonical_bytes(record)).hexdigest()[:16]
+    return _content_id(jsonable(record))
 
 
 def config_hash(kind: str, name: str,
@@ -445,21 +473,30 @@ class RunLedger:
 
     # ------------------------------------------------------------------
     def store(self, record: Dict[str, Any]) -> str:
-        """Persist ``record``; returns its run id."""
-        run_id = run_id_of(record)
+        """Persist ``record``; returns its run id.
+
+        The record is converted to plain data once.  Its id hashes the
+        compact sorted-key encoding without the wall-clock section (as
+        :func:`run_id_of`), and the file holds the same encoding with
+        it, so ``json.load`` of the file gives the converted record
+        back.  A root that cannot be written (read-only, or a path
+        through a regular file) leaves the run unrecorded: the id is
+        still returned.
+        """
+        doc = jsonable(record)
+        run_id = _content_id(doc)
         path = self.path_for(run_id)
         if os.path.exists(path):
             return run_id
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        payload = json.dumps(jsonable(record), sort_keys=True, indent=1)
         tmp = f"{path}.tmp.{os.getpid()}"
         try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+                fh.write(_dumps(doc))
                 fh.write("\n")
             os.replace(tmp, path)
         except OSError:
-            # read-only store: the run still happened, just unrecorded
+            # unwritable store: the run still happened, just unrecorded
             try:
                 os.unlink(tmp)
             except OSError:

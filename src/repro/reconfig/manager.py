@@ -357,6 +357,7 @@ class ReconfigurationManager:
         sim.stats.counter("reconfig.rollbacks").inc()
         cycles = self.reconfig_cycles(record.region)
         record.reconfig_cycles += cycles
+        sim.stats.counter("reconfig.cycles").inc(cycles)
         self._trace(op, event=("rollback_start", {
             "out": record.module_out, "cycles": cycles,
         }), begin=("rewrite", {"into": record.module_out, "rollback": True}))

@@ -8,7 +8,9 @@ reports never reach into model internals.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,10 +52,42 @@ def bucket_value(key: int) -> float:
     if key == 0:
         return 0.0
     e, sub = divmod(abs(key) - _BIAS, _SUBBUCKETS)
-    lo = math.ldexp(0.5 + sub / (2 * _SUBBUCKETS), e)
-    hi = math.ldexp(0.5 + (sub + 1) / (2 * _SUBBUCKETS), e)
-    mid = (lo + hi) / 2.0
+    if e < 1024:
+        lo = math.ldexp(0.5 + sub / (2 * _SUBBUCKETS), e)
+        hi = math.ldexp(0.5 + (sub + 1) / (2 * _SUBBUCKETS), e)
+        mid = (lo + hi) / 2.0
+    else:
+        # the top octave's edges sum past the largest double; scale the
+        # midpoint fraction instead (the same value where both are finite)
+        mid = math.ldexp(0.5 + (2 * sub + 1) / (4 * _SUBBUCKETS), e)
     return mid if key > 0 else -mid
+
+
+def _linear_percentile(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile of a value-ordered, non-empty, NaN-free
+    sequence by numpy's default ("linear") method.
+
+    This is ``np.percentile`` without the call: the same float
+    operations in the same order as numpy >= 1.22 — virtual index
+    ``(n - 1) * (q / 100)``, its floor, then numpy's ``_lerp``
+    including the branch that interpolates down from the upper
+    neighbour when the fraction is at least one half — so the result is
+    the one numpy returns, bit for bit.
+    """
+    if not 0 <= q <= 100:
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    last = len(ordered) - 1
+    index = last * (q / 100)
+    if index >= last:
+        return ordered[last]
+    below = math.floor(index)
+    t = index - below
+    a = ordered[below]
+    b = ordered[below + 1]
+    diff = b - a
+    if t >= 0.5:
+        return b - diff * (1 - t)
+    return a + diff * t
 
 
 def _log_bucket_array(values: np.ndarray) -> np.ndarray:
@@ -88,13 +122,20 @@ class StreamingHistogram:
     so ``mean``/``std``/``min``/``max`` never degrade — only
     percentiles become bucketed approximations past the cap.
 
+    Percentiles are cheap to read repeatedly, as alert rules do: a
+    value-ordered copy of the head is caught up lazily with only the
+    samples added since the last read, and past the cap a cumulative
+    ladder over the buckets is rebuilt only when a bucket changed;
+    :meth:`add` does no extra work for either.  Percentiles assume
+    NaN-free samples (no recorder produces NaN).
+
     This is the storage engine both for the opt-in *bucketed* mode of
     :class:`Histogram` and for the per-flow/per-link fabric telemetry
     in :mod:`repro.obs.flows`.
     """
 
     __slots__ = ("exact_cap", "_head", "_buckets", "count", "total",
-                 "sumsq", "_min", "_max")
+                 "sumsq", "_min", "_max", "_ordered", "_ladder")
 
     def __init__(self, exact_cap: int = 512):
         if exact_cap < 1:
@@ -107,6 +148,12 @@ class StreamingHistogram:
         self.sumsq = 0.0
         self._min = math.inf
         self._max = -math.inf
+        #: value-ordered copy of a prefix of ``_head`` (see _sorted_head)
+        self._ordered: List[float] = []
+        #: (count when built, bucket midpoints in key order, cumulative
+        #: bucket counts); once bucketed, the head is full, so a count
+        #: change means a bucket changed
+        self._ladder: Optional[Tuple[int, List[float], List[int]]] = None
 
     def add(self, value: float) -> None:
         value = float(value)
@@ -149,13 +196,14 @@ class StreamingHistogram:
             for v in arr.tolist():
                 self.add(v)
             return
-        tot = float(arr.sum())
-        ssq = float(np.square(arr).sum())
+        with np.errstate(over="ignore"):  # huge samples: unsafe below
+            tot = float(arr.sum())
+            ssq = float(np.square(arr).sum())
         safe = (
             bool(np.all(arr == np.floor(arr)))
             and float(arr.min()) >= 0.0
-            and self.total == math.floor(self.total)
-            and self.sumsq == math.floor(self.sumsq)
+            and self.total.is_integer()
+            and self.sumsq.is_integer()
             and self.total + tot < _EXACT_SUM_LIMIT
             and self.sumsq + ssq < _EXACT_SUM_LIMIT
         )
@@ -213,23 +261,51 @@ class StreamingHistogram:
         return self._max if self.count else math.nan
 
     def percentile(self, q: float) -> float:
-        """Exact (interpolated) while under the cap; nearest-rank over
-        the retained head plus bucket midpoints once bucketed."""
+        """Exact (interpolated, as ``np.percentile``) while under the
+        cap; nearest-rank over the retained head plus bucket midpoints
+        once bucketed."""
         if not self.count:
             return math.nan
         if not self._buckets:
-            return float(np.percentile(self._head, q))
-        pairs = sorted(
-            [(v, 1) for v in self._head]
-            + [(bucket_value(k), n) for k, n in self._buckets.items()]
-        )
+            return _linear_percentile(self._sorted_head(), q)
         rank = min(self.count, max(1, math.ceil(q / 100.0 * self.count)))
-        seen = 0
-        for value, n in pairs:
-            seen += n
-            if seen >= rank:
-                return value
-        return pairs[-1][0]  # pragma: no cover - rank <= count always hits
+        return self._nearest_rank(rank)
+
+    def _sorted_head(self) -> List[float]:
+        """The head in value order, caught up with the samples appended
+        since the last read (one sort of a sorted run plus the tail)."""
+        ordered = self._ordered
+        head = self._head
+        if len(ordered) < len(head):
+            ordered.extend(head[len(ordered):])
+            ordered.sort()
+        return ordered
+
+    def _nearest_rank(self, rank: int) -> float:
+        """The ``rank``-th smallest (1-based) of the head samples and
+        the bucket midpoints, each midpoint counted once per sample in
+        its bucket."""
+        head = self._sorted_head()
+        ladder = self._ladder
+        if ladder is None or ladder[0] != self.count:
+            keys = sorted(self._buckets)
+            ladder = self._ladder = (
+                self.count, [bucket_value(k) for k in keys],
+                list(accumulate(self._buckets[k] for k in keys)))
+        _, mids, cum = ladder
+        # first bucket whose midpoint has >= rank samples at or below it
+        lo, hi = 0, len(mids)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if cum[mid] + bisect_right(head, mids[mid]) >= rank:
+                hi = mid
+            else:
+                lo = mid + 1
+        below = cum[lo - 1] if lo else 0  # bucketed samples under it
+        if lo < len(mids) and below + bisect_left(head, mids[lo]) < rank:
+            return mids[lo]
+        # the answer is a head sample lying above every earlier bucket
+        return head[rank - below - 1]
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -293,6 +369,13 @@ class Histogram:
     traffic experiments: count/mean/std/min/max stay exact, while
     percentiles become log-bucketed approximations once the sample
     count passes the exact cap.
+
+    Bucketed mode serves per-cycle probes such as the parallelism
+    histogram, so :meth:`add` only appends the value to a buffer.  The
+    buffer is converted to float64 and folded in through
+    :meth:`StreamingHistogram.add_batch` (bit-identical to per-sample
+    adds) when it reaches ``exact_cap`` samples and before anything
+    reads the histogram, including :meth:`extend` and :meth:`add_batch`.
     """
 
     MODES = ("exact", "bucketed")
@@ -306,28 +389,45 @@ class Histogram:
             )
         self.name = name
         self.mode = mode
+        bucketed = mode == "bucketed"
         self._stream: Optional[StreamingHistogram] = (
-            StreamingHistogram(exact_cap) if mode == "bucketed" else None
+            StreamingHistogram(exact_cap) if bucketed else None
         )
+        #: bucketed mode: samples not yet folded into ``_stream``
+        self._pending: Optional[List[float]] = [] if bucketed else None
         self._samples: List[float] = []
 
     def add(self, value: float) -> None:
-        if self._stream is not None:
-            self._stream.add(value)
-        else:
+        pending = self._pending
+        if pending is None:
             self._samples.append(float(value))
+            return
+        pending.append(value)
+        if len(pending) >= self._stream.exact_cap:
+            self._folded()
+
+    def _folded(self) -> Optional[StreamingHistogram]:
+        """The bucketed-mode store with every buffered sample folded in
+        (None in exact mode)."""
+        pending = self._pending
+        if pending:
+            self._pending = []
+            self._stream.add_batch(pending)
+        return self._stream
 
     def extend(self, values: Iterable[float]) -> None:
-        if self._stream is not None:
-            self._stream.extend(values)
+        stream = self._folded()
+        if stream is not None:
+            stream.extend(values)
         else:
             self._samples.extend(float(v) for v in values)
 
     def add_batch(self, values) -> None:
         """Append an array of samples in one call, bit-identical to
         per-sample :meth:`add` (the vec kernels' record path)."""
-        if self._stream is not None:
-            self._stream.add_batch(values)
+        stream = self._folded()
+        if stream is not None:
+            stream.add_batch(values)
             return
         arr = np.asarray(values, dtype=np.float64).reshape(-1)
         if arr.size:
@@ -335,56 +435,64 @@ class Histogram:
 
     @property
     def count(self) -> int:
-        if self._stream is not None:
-            return self._stream.count
+        stream = self._folded()
+        if stream is not None:
+            return stream.count
         return len(self._samples)
 
     @property
     def samples(self) -> Tuple[float, ...]:
         """All samples (exact mode) or the verbatim head retained
         before bucketing began (bucketed mode)."""
-        if self._stream is not None:
-            return self._stream.head
+        stream = self._folded()
+        if stream is not None:
+            return stream.head
         return tuple(self._samples)
 
     @property
     def total(self) -> float:
         """Sum of all samples (exact in both modes)."""
-        if self._stream is not None:
-            return self._stream.total
+        stream = self._folded()
+        if stream is not None:
+            return stream.total
         return float(sum(self._samples))
 
     @property
     def mean(self) -> float:
-        if self._stream is not None:
-            return self._stream.mean
+        stream = self._folded()
+        if stream is not None:
+            return stream.mean
         if not self._samples:
             return math.nan
         return float(np.mean(self._samples))
 
     @property
     def std(self) -> float:
-        if self._stream is not None:
-            return self._stream.std
+        stream = self._folded()
+        if stream is not None:
+            return stream.std
         if not self._samples:
             return math.nan
         return float(np.std(self._samples))
 
     @property
     def min(self) -> float:
-        if self._stream is not None:
-            return self._stream.min
+        stream = self._folded()
+        if stream is not None:
+            return stream.min
         return min(self._samples) if self._samples else math.nan
 
     @property
     def max(self) -> float:
-        if self._stream is not None:
-            return self._stream.max
+        stream = self._folded()
+        if stream is not None:
+            return stream.max
         return max(self._samples) if self._samples else math.nan
 
     def percentile(self, q: float) -> float:
-        if self._stream is not None:
-            return self._stream.percentile(q)
+        stream = self._folded()
+        if stream is not None:
+            return stream.percentile(q)
         if not self._samples:
             return math.nan
         return float(np.percentile(self._samples, q))
@@ -392,8 +500,9 @@ class Histogram:
     def _snapshot_state(self) -> object:
         """Snapshot form: the full sample list (exact mode) or the
         deterministic streaming-state dict (bucketed mode)."""
-        if self._stream is not None:
-            return self._stream.as_dict()
+        stream = self._folded()
+        if stream is not None:
+            return stream.as_dict()
         return list(self._samples)
 
     def summary(self) -> Dict[str, float]:

@@ -107,6 +107,42 @@ class TestStore:
         assert ledger.store(rec) == rid
         assert len(ledger) == 1
 
+    def test_stored_file_is_the_compact_sorted_record(self):
+        rec = build_run_record("experiment", "x", config={"b": 2, "a": 1},
+                               stats={"v": math.nan, "w": (1, 2)})
+        ledger = RunLedger()
+        rid = ledger.store(rec)
+        with open(ledger.path_for(rid), encoding="utf-8") as fh:
+            text = fh.read()
+        doc = json.loads(text)
+        assert doc == jsonable(rec)
+        assert text == json.dumps(doc, sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+        assert run_id_of(doc) == rid
+
+    def test_unwritable_root_leaves_the_run_unrecorded(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        rec = build_run_record("experiment", "x", config={}, stats={})
+        ledger = RunLedger(str(blocker / "ledger"))
+        assert ledger.store(rec) == run_id_of(rec)
+        assert len(ledger) == 0
+
+    def test_experiment_output_ignores_an_unwritable_root(
+            self, tmp_path, monkeypatch, capsys):
+        """A ledger root below a regular file changes nothing a user
+        sees: same stdout and exit code as with the ledger off."""
+        from repro.cli import main
+
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        monkeypatch.setenv("REPRO_LEDGER_DIR", str(blocker / "ledger"))
+        assert main(["experiment", "e1", "--json", "--no-cache"]) == 0
+        unwritable = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_LEDGER", "0")
+        assert main(["experiment", "e1", "--json", "--no-cache"]) == 0
+        assert unwritable == capsys.readouterr().out
+
     def test_disabled_ledger_runs_plain(self, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER", "0")
         assert not ledger_enabled()

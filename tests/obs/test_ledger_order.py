@@ -1,0 +1,261 @@
+"""Golden fixture: the default run ledger writes fixed records.
+
+Each scenario runs through :func:`~repro.obs.ledger.ledgered_call`, so
+telemetry, the default alert rules and journeys are attached exactly as
+for ``repro experiment``, and the record is built and stored by the
+ledger's own code.  Per scenario the fixture pins:
+
+* ``run_id`` — the content address returned by the store;
+* ``canonical`` — ``canonical_bytes`` of the in-memory record;
+* ``stored`` — the parsed stored file, wall-clock section removed;
+* ``stats`` — ``stats.snapshot()`` of every simulator the run built.
+
+The scenarios drive the paths whose cost the ledger pays:
+
+* ``overload`` — a shared bus fed faster than it drains: the hot
+  flow's latency histogram passes its 512-sample exact cap while alert
+  rules keep reading its p99, the latency and saturation alerts fire,
+  and the per-cycle parallelism histogram passes its 4,096-sample cap
+  while ``observed_dmax`` is read mid-run;
+* ``overload_vec`` — the same on the vec engine, whose shared-bus
+  kernel back-fills the parallelism samples in batches;
+* ``mesh`` — DyNoC under random all-to-all traffic: twelve flows with
+  interpolated exact percentiles and a parallelism histogram spread
+  over several values.
+
+Each result also carries the value types the record encoder treats
+specially (dataclasses, enums, numpy scalars, tuples, non-finite
+floats, non-string keys).  The versions block is pinned, so the
+digests do not depend on the checkout.
+
+Regenerate only for an intended behaviour change::
+
+    PYTHONPATH=src python -m tests.obs.test_ledger_order
+"""
+
+import dataclasses
+import enum
+import hashlib
+import json
+import math
+import tempfile
+from typing import Any, Dict, List, Tuple
+
+import numpy as np
+import pytest
+
+import repro.obs.ledger as ledger_mod
+from repro.arch import build_architecture
+from repro.obs.ledger import canonical_bytes, ledgered_call
+from repro.sim.rng import make_rng
+from repro.traffic.generators import PeriodicStream, RandomTraffic
+
+SCENARIOS = ("overload", "overload_vec", "mesh")
+
+GOLDEN: Dict[str, Dict[str, str]] = {
+    "overload": {
+        "run_id": "c8ecf04e695bee4c",
+        "canonical": "c8ecf04e695bee4c1851b7f3b4496caf92334a7fcc2f6b0dad9de4586927b0c7",
+        "stored": "e1afb9db99b1b837839cc2caca6fc0dcb1c40335d8e014fae491e05634346bdf",
+        "stats": "297abd4dba055a6cde79cc3e66e3d8016a80e1c344d5c82e05664b6203ae1a02",
+    },
+    "overload_vec": {
+        "run_id": "fa7ead540c5eb406",
+        "canonical": "fa7ead540c5eb4067a5746c7892e318860d811d22fd94027a2fb61ce338d6b89",
+        "stored": "a7d61ac3e4afc8738fb2137293a6ddc5aff9a829aecda0e564df8dde649b00f8",
+        "stats": "297abd4dba055a6cde79cc3e66e3d8016a80e1c344d5c82e05664b6203ae1a02",
+    },
+    "mesh": {
+        "run_id": "947e1779d0576952",
+        "canonical": "947e1779d05769521cdcc757ffeeffd88de92fef449ae18a49fb207bb80e19b4",
+        "stored": "39aa97680ef5673043ce839ea57ee172326681699a1c68fba31c10bfe18e0ecc",
+        "stats": "bea8b0d8b8b61ec913dba782df08a804ad0b3bd5665ff0d40a66dafd216ad48f",
+    },
+}
+
+#: stands in for the package / python / git identity of the checkout
+VERSIONS = {"package": "golden", "python": "3", "git": None, "record": 1}
+
+#: overload: a 64-byte message every 16 cycles outruns the shared bus
+HOT_PERIOD, HOT_STOP = 16, 20_000
+#: mesh: per-module Bernoulli injection rate and window
+MESH_RATE, MESH_STOP = 0.05, 8_000
+
+
+class Kind(enum.Enum):
+    OVERLOAD = "overload"
+    MESH = "mesh"
+
+
+@dataclasses.dataclass
+class Probe:
+    cycle: int
+    dmax: int
+    samples: int
+
+
+@dataclasses.dataclass
+class Result:
+    kind: Kind
+    probes: List[Probe]
+    latency: Dict[str, float]
+    extremes: Tuple[Any, ...] = (math.nan, math.inf, -math.inf,
+                                 np.float64(0.25), np.int64(3), True, None)
+    keyed: Dict[Any, str] = dataclasses.field(
+        default_factory=lambda: {1: "int", (2, 3): "tuple", "s": "str"})
+
+
+def _sha(obj) -> str:
+    blob = json.dumps(obj, sort_keys=True, default=str).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _probe(arch, probes: List[Probe]):
+    hist = arch.sim.stats.get_histogram("parallelism.concurrent")
+
+    def read(sim) -> None:
+        probes.append(Probe(sim.cycle, arch.observed_dmax, hist.count))
+    return read
+
+
+def _spy_evaluations(sim, seen: List[bool]) -> None:
+    """Note, at every alert evaluation, whether some flow's latency
+    histogram has left its exact regime."""
+    engine = sim.telemetry.engine
+    evaluate = engine.evaluate
+
+    def spy(tel, now):
+        seen.append(any(not f.latency.exact for f in tel.flows.values()))
+        return evaluate(tel, now)
+    engine.evaluate = spy
+
+
+def _overload(engine, built, seen):
+    arch = build_architecture("sharedbus", engine=engine)
+    sim = arch.sim
+    _spy_evaluations(sim, seen)
+    sim.add(PeriodicStream("hot", arch.ports["m0"], "m1", period=HOT_PERIOD,
+                           payload_bytes=64, stop=HOT_STOP))
+    sim.add(PeriodicStream("cold", arch.ports["m2"], "m3", period=97,
+                           payload_bytes=32, stop=HOT_STOP))
+    probes: List[Probe] = []
+    for t in range(1_000, HOT_STOP + 20_000, 3_000):
+        sim.at(t, _probe(arch, probes))
+    sim.run(HOT_STOP)
+    arch.run_to_completion(max_cycles=500_000)
+    built.append(arch)
+    return Result(Kind.OVERLOAD, probes,
+                  sim.stats.histogram("latency.message").summary())
+
+
+def _mesh(built, seen):
+    arch = build_architecture("dynoc")
+    sim = arch.sim
+    _spy_evaluations(sim, seen)
+    names = sorted(arch.ports)
+    for src in names:
+        others = [n for n in names if n != src]
+        pick = make_rng(7, "mesh", src, "c")
+        sim.add(RandomTraffic(
+            f"rt-{src}", arch.ports[src],
+            lambda o=others, r=pick: o[int(r.integers(len(o)))],
+            make_rng(7, "mesh", src, "r"), rate=MESH_RATE,
+            payload_bytes=64, stop=MESH_STOP))
+    probes: List[Probe] = []
+    for t in range(500, MESH_STOP, 1_500):
+        sim.at(t, _probe(arch, probes))
+    sim.run(MESH_STOP)
+    arch.run_to_completion(max_cycles=500_000)
+    built.append(arch)
+    return Result(Kind.MESH, probes,
+                  sim.stats.histogram("latency.message").summary())
+
+
+def _run(name: str, root: str):
+    """Run one scenario under the ledger; returns (record, run id,
+    stored document, simulators, evaluation spy notes)."""
+    built: list = []
+    seen: List[bool] = []
+    records: list = []
+    build = ledger_mod.build_run_record
+
+    def capture(*args, **kwargs):
+        record = build(*args, **kwargs)
+        records.append(record)
+        return record
+
+    engine = "vec" if name == "overload_vec" else "object"
+    if name == "mesh":
+        fn = lambda: _mesh(built, seen)  # noqa: E731
+        config = {"rate": MESH_RATE, "stop": MESH_STOP}
+    else:
+        fn = lambda: _overload(engine, built, seen)  # noqa: E731
+        config = {"period": HOT_PERIOD, "stop": HOT_STOP}
+    saved = (ledger_mod.build_run_record, ledger_mod.versions_block)
+    ledger_mod.build_run_record = capture
+    ledger_mod.versions_block = lambda: dict(VERSIONS)
+    try:
+        _, run_id = ledgered_call(fn, kind="experiment", name=name,
+                                  config=config, seed=7, engine=engine,
+                                  ledger=root)
+    finally:
+        ledger_mod.build_run_record, ledger_mod.versions_block = saved
+    (record,) = records
+    with open(ledger_mod.RunLedger(root).path_for(run_id),
+              encoding="utf-8") as fh:
+        stored = json.load(fh)
+    return record, run_id, stored, [a.sim for a in built], seen
+
+
+def _digests(record, run_id, stored, sims) -> Dict[str, str]:
+    body = {k: v for k, v in stored.items() if k != "wall"}
+    return {
+        "run_id": run_id,
+        "canonical": hashlib.sha256(canonical_bytes(record)).hexdigest(),
+        "stored": _sha(body),
+        "stats": _sha([s.stats.snapshot() for s in sims]),
+    }
+
+
+@pytest.fixture(scope="module", params=SCENARIOS)
+def run(request):
+    with tempfile.TemporaryDirectory() as root:
+        yield (request.param,) + _run(request.param, root)
+
+
+def test_scenarios_take_every_path(run):
+    """The digests pin the ledger's statistics only if the record
+    reads bucketed flow percentiles in fired alerts, carries journeys,
+    and the parallelism histogram is read past its exact cap."""
+    name, record, run_id, stored, sims, seen = run
+    (sim,) = sims
+    assert set(stored["wall"]) == {"seconds", "recorded_at"}
+    assert record["journeys"]["simulators"][0]["records"] > 0
+    hist = sim.stats.get_histogram("parallelism.concurrent")
+    assert hist.count > 4_096 and len(hist.samples) == 4_096
+    probes = record["stats"]["probes"]
+    assert any(p["samples"] > 4_096 for p in probes)
+    assert probes[-1]["dmax"] == int(hist.max)
+    if name == "mesh":
+        assert hist.max > 1
+        assert len(record["telemetry"][0]["flows"]) == 12
+    else:
+        rules = {a["rule"] for a in record["alerts"]}
+        assert {"flow-latency-p99", "link-saturation"} <= rules
+        # alert rules read the hot flow's p99 after it passed the cap
+        assert any(seen) and not all(seen)
+        hot = sim.telemetry.flows[("m0", "m1")]
+        assert hot.latency.count > 512 and not hot.latency.exact
+
+
+def test_ledger_records_match_golden(run):
+    name, record, run_id, stored, sims, _ = run
+    assert _digests(record, run_id, stored, sims) == GOLDEN[name]
+
+
+if __name__ == "__main__":  # pragma: no cover - regeneration helper
+    out = {}
+    for scenario in SCENARIOS:
+        with tempfile.TemporaryDirectory() as tmp:
+            out[scenario] = _digests(*_run(scenario, tmp)[:4])
+    print(json.dumps(out, indent=4))

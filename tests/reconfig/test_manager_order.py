@@ -23,7 +23,11 @@ The install/remove digests moved once, on purpose, when the three
 operations came to share one phase sequence: ``reconfig.cycles`` also
 counts install and removal rewrites, a removal emits ``rewrite_start``
 and every rewrite span names both ``out`` and ``into``, and an install
-runs the integrity check, so the armed corruption hits it.
+runs the integrity check, so the armed corruption hits it.  The swap
+``stats`` digests moved once, on purpose, when ``reconfig.cycles`` came
+to count the rollback's rewrite too; only that counter changed (RMBoC
+19,663 -> 22,472, BUS-COM 13,811 -> 15,784, DyNoC 15,484 -> 17,696,
+CoNoChi 15,274 -> 17,456 cycles).
 
 Regenerate only for an intended behaviour change::
 
@@ -56,7 +60,7 @@ GOLDEN = {
         "swap": {
             "records": "5e9bdbaff60ca3cb939b8271a31c074cfbd371424077c41a5a34d51db5cb9107",
             "messages": "eb28bec6fb486561e2da096e7a0d74001edc3340a53907dbdcdc96273fabfa49",
-            "stats": "c8e67f478ea0ee2e5a4c6488c3c391c28441d0f1650488d497f71db883f1dbdb",
+            "stats": "4391d87488c4a2e8f894482fd89e5227dfdba12647babedc965cdc2d18918f4b",
             "trace": "259a1dde3ad85042da1c58ce8d48c4cd3e0f238b314f873dc064c3c0dc5bd50c",
             "telemetry": "f04fa966577ee5b3eca6db4bd92f12af5e679d8a277f5e96648ad75dc1ea4b43",
             "journeys": "19a5655cdccf415ff121cba10b21bcf714038194958e9a613391f1c81d0c28bb",
@@ -74,7 +78,7 @@ GOLDEN = {
         "swap": {
             "records": "ef35ea6ac6beacc57a696ecdf07620eb8bbdb61354072513b12cdad54a0d60f0",
             "messages": "a3500d918d31e2882f1bda073276e6297fd410b9b6d907b8de3b2b0c0f83eae6",
-            "stats": "447cc814cc91f343430d6de55124d7b13590a418aac9a87aa350f8408d57d0ce",
+            "stats": "68d1abdc6507e9153187c27125b2c76635e142ec6e07c26f4537666ba779f904",
             "trace": "161573ec5f9307ff276eba0a36a666e88b7bd8811c9d01a0dd0b3f0895445181",
             "telemetry": "b5608de818063525dc4e63ae51bc30fcd64f5be0c0d65126b265e21b9c9c7dfc",
             "journeys": "3b267789d4b00a12a930b6d8f43c38812b38f1f4a36461e1f578e194b4959011",
@@ -92,7 +96,7 @@ GOLDEN = {
         "swap": {
             "records": "abcdd2ba591367f43077ab884d8b87baf581dd163cb56d3644aa16835afd61a1",
             "messages": "bdd86f2e5c3d6e79630cf97a7fdecc47c39499986045a6307b1e8e07bfe78dad",
-            "stats": "bc6ce3afcfb34d8427b02b8729c68adf163986dd3b5f842fa0e0538b2df3ab51",
+            "stats": "24e5edb76bef3b9d215a37c82fe4394af58ccbdcd5d4b0897872ef13a70d6029",
             "trace": "22084045f927ba5f6604763f2a63e7ef1231876e4d97a5828ab98d93c88b9923",
             "telemetry": "a8c4b7a733ea1f52ed2cbfc29c9f38d108eb04db7cc16d845f633116a48a730a",
             "journeys": "4f80638d15a9e38f7b1a21cab2e5301b5a1ec1d99165f3b116f84add52a9c3a9",
@@ -110,7 +114,7 @@ GOLDEN = {
         "swap": {
             "records": "2a4669928803fd89d4572a74bd00fedfc84a8cc954d3718bd220df54492f90ad",
             "messages": "9fa07272bc4704d25be81a1b36804f12536d744a26410722696be065f422ad1a",
-            "stats": "9ca20c8b33b4348339ceac7f93e3efdd40cedcc6511395e2cca3ed854669e48c",
+            "stats": "d908cd24867dd64312b8a38a13f9355ae262bad0031be88e5cf491d55cdb2f30",
             "trace": "08a07ee6e86bd19a4b8fcbf01adaff63f94387b04d4e3bfc148de08e3470000a",
             "telemetry": "a828b56d4fa97d69814891601c8f0efd97161bd8a6e3aa498248e07bb6a70529",
             "journeys": "7196a144b2845b2f33f55b5a0da395c2f6572deb883ae20746fbc53c1329ab56",
@@ -295,6 +299,16 @@ def test_swap_scenario_reaches_every_path(swap_run):
     assert counters["fault.recovered"] == 2
     assert parts["telemetry"]["alerts"]["alerts"]
     assert all(m.delivered for m in arch.log.messages)
+
+
+def test_swap_counts_every_rewrite(swap_run):
+    """``reconfig.cycles`` counts every rewrite the records account
+    for: the retried rewrite and the rollback's rewrite included."""
+    key, arch, records, _, parts = swap_run
+    counted = parts["stats"]["counters"]["reconfig.cycles"]
+    assert counted == sum(r.reconfig_cycles for r in records)
+    if key == "rmboc":
+        assert counted == 22_472
 
 
 def test_install_remove_scenario_runs(install_remove_run):

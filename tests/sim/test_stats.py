@@ -2,9 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.stats import Counter, Histogram, StatsRegistry, TimeSeries
+from repro.sim.stats import (
+    Counter,
+    Histogram,
+    StatsRegistry,
+    StreamingHistogram,
+    TimeSeries,
+    bucket_value,
+)
 
 
 class TestCounter:
@@ -291,3 +301,139 @@ class TestBucketedHistogramMode:
         assert snap["e"] == [1.0]
         assert isinstance(snap["b"], dict)
         assert snap["b"]["count"] == 1
+
+
+# ----------------------------------------------------------------------
+# property tests: incremental percentiles and the buffered bucketed mode
+# ----------------------------------------------------------------------
+#: finite samples: plain floats, and integer counts (the parallelism
+#: probe's kind, which takes add_batch's one-shot path)
+SAMPLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.integers(min_value=0, max_value=64),
+)
+QUANTILES = st.one_of(st.sampled_from((0, 50, 95, 99, 100)),
+                      st.floats(min_value=0, max_value=100))
+#: a run of samples added one by one, then one percentile read
+STEPS = st.lists(st.tuples(st.lists(SAMPLES, max_size=40), QUANTILES),
+                 min_size=1, max_size=12)
+
+
+def _same(a: float, b: float) -> bool:
+    """Equal values (so 0.0 == -0.0), or NaN from the same overflow."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _sort_and_walk(h: StreamingHistogram, q: float) -> float:
+    """The bucketed percentile as first written: sort the head and the
+    bucket midpoints together on every read and walk to the rank."""
+    state = h.as_dict()
+    pairs = sorted([(v, 1) for v in state["head"]]
+                   + [(bucket_value(int(k)), n)
+                      for k, n in state["buckets"].items()])
+    rank = min(h.count, max(1, math.ceil(q / 100.0 * h.count)))
+    seen = 0
+    for value, n in pairs:
+        seen += n
+        if seen >= rank:
+            return value
+    raise AssertionError("rank past the last sample")
+
+
+class TestIncrementalPercentiles:
+    """Percentiles assume NaN-free samples, as every recorder gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(STEPS)
+    def test_exact_regime_matches_numpy(self, steps):
+        h = StreamingHistogram(exact_cap=1_000)
+        for values, q in steps:
+            h.extend(values)
+            if h.count:
+                expect = float(np.percentile(h.head, q))
+                assert _same(h.percentile(q), expect)
+        assert h.exact
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=24), STEPS)
+    def test_bucketed_regime_matches_sort_and_walk(self, cap, steps):
+        h = StreamingHistogram(exact_cap=cap)
+        for values, q in steps:
+            h.extend(values)
+            if h.count and not h.exact:
+                assert _same(h.percentile(q), _sort_and_walk(h, q))
+
+    def test_out_of_range_quantile_raises_like_numpy(self):
+        h = StreamingHistogram()
+        h.add(1.0)
+        for q in (-1, 100.5, math.nan):
+            with pytest.raises(ValueError):
+                h.percentile(q)
+
+
+#: one operation on a bucketed histogram: a sample, a list through
+#: extend or add_batch, or a read
+OPS = st.one_of(
+    st.tuples(st.just("add"), SAMPLES),
+    st.tuples(st.just("extend"), st.lists(SAMPLES, max_size=40)),
+    st.tuples(st.just("add_batch"), st.lists(SAMPLES, max_size=40)),
+    st.tuples(st.just("read"), st.sampled_from((
+        "count", "samples", "total", "mean", "std", "min", "max",
+        "summary", "snapshot", "p50", "p99"))),
+)
+
+
+def _read(h, reader: str):
+    if reader == "snapshot":
+        return h._snapshot_state()
+    if reader.startswith("p"):
+        return h.percentile(int(reader[1:]))
+    if reader == "summary":
+        return h.summary()
+    return getattr(h, reader)
+
+
+def _same_reading(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_reading(a[k], b[k])
+                                            for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same_reading, a, b))
+    if isinstance(a, float):
+        return _same(a, b)
+    return a == b
+
+
+class TestBufferedBucketedHistogram:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=48),
+           st.lists(OPS, max_size=40))
+    def test_matches_per_sample_adds(self, cap, ops):
+        """Buffered adds folded through add_batch read exactly like a
+        StreamingHistogram fed one sample at a time."""
+        h = Histogram("h", mode="bucketed", exact_cap=cap)
+        ref = Histogram("ref", mode="bucketed", exact_cap=cap)
+        stream = ref._stream
+        for op, arg in ops:
+            if op == "read":
+                assert _same_reading(_read(h, arg), _read(ref, arg))
+                continue
+            if op == "add":
+                h.add(arg)
+                stream.add(arg)
+                continue
+            getattr(h, op)(arg)
+            for v in arg:
+                stream.add(v)
+        for reader in ("count", "samples", "total", "mean", "std", "min",
+                       "max", "summary", "snapshot"):
+            assert _same_reading(_read(h, reader), _read(ref, reader))
+
+    def test_buffer_folds_at_the_cap(self):
+        h = Histogram("h", mode="bucketed", exact_cap=8)
+        for v in range(7):
+            h.add(v)
+        assert len(h._pending) == 7 and h._stream.count == 0
+        h.add(7)
+        assert not h._pending and h._stream.count == 8
