@@ -64,7 +64,7 @@ def main(arch_name: str = "rmboc") -> None:
                        start=rec.attach_cycle, stop=horizon),
     ]
     sim.add_all(resumed)
-    sim.run_until(lambda s: s.cycle >= horizon)
+    sim.run(max(0, horizon - sim.cycle))
     sim.run_until(lambda s: arch.log.all_delivered() and arch.idle(),
                   max_cycles=2_000_000)
 

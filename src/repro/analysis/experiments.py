@@ -370,8 +370,9 @@ def e6b_conochi_topology_change(width: int = 32) -> E6bResult:
         if m.delivered and m.created_cycle >= 600
     ]
     arch.remove_switch((2, 3))
-    sim.run_until(lambda s: s.cycle >= 3000 and stream.all_delivered()
-                  and arch.idle(), max_cycles=1_000_000)
+    sim.run(max(0, 3000 - sim.cycle))
+    sim.run_until(lambda s: stream.all_delivered() and arch.idle(),
+                  max_cycles=1_000_000)
     removed_ok = (2, 3) not in arch.grid.switches()
     return E6bResult(
         added_ok=added_ok,
@@ -744,11 +745,9 @@ def e12_reconfiguration_frequency(
                 sim.at(n * period, swap_next)
             horizon = horizon_swaps * period
             stream.stop = horizon
-            sim.run_until(
-                lambda s: s.cycle >= horizon
-                and all(r.done for r in records),
-                max_cycles=10 * horizon,
-            )
+            sim.run(max(0, horizon - sim.cycle))
+            sim.run_until(lambda s: all(r.done for r in records),
+                          max_cycles=10 * horizon)
             sim.run_until(lambda s: stream.all_delivered(),
                           max_cycles=horizon)
             downtime = sum(r.downtime_cycles for r in records)

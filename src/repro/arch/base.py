@@ -212,14 +212,17 @@ class CommArchitecture:
         self._parallelism_hist = sim.stats.histogram(
             "parallelism.concurrent", mode="bucketed"
         )
+        # a fabric asleep in mid-transfer owes samples for the cycles it
+        # skipped: reads of the histogram replay them first (see settle)
+        self._parallelism_hist.settle = sim.settle
+        #: the last cycle whose per-cycle effects are accounted for
+        #: (ticked or replayed by settle)
+        self._settled = sim.cycle - 1
         # fault-injection guard: raised only while a non-empty
         # FaultSchedule is attached, so the fault-free hot path costs
         # one dead boolean test (mirrors sim.tracing/sim.telemetering)
         self.faulting = False
         self.fault_injector: Optional[Any] = None
-        #: installed batch kernel (repro.sim.vec), or None on the
-        #: object path — subclasses dispatch their tick through it
-        self.vec: Optional[Any] = None
         if _NEW_ARCH_HOOK is not None:
             _NEW_ARCH_HOOK(self)
 
@@ -301,31 +304,27 @@ class CommArchitecture:
         if concurrent_transfers > 0:
             self._parallelism_hist.add(concurrent_transfers)
 
-    # -- vectorized backend (repro.sim.vec) --------------------------------
-    def _init_vec(self, sim: Optional[Simulator] = None) -> None:
-        """Install this architecture's batch kernel when running on a
-        vectorizing simulator.  Called at the *end* of a subclass
-        ``__init__`` (the kernel swaps hot containers in place); a
-        subclass without a kernel (``_make_vec_kernel`` returning None)
-        simply stays on the object path — hybrid execution.
+    def _note_parallelism_run(self, concurrent_transfers: int,
+                              cycles: int) -> None:
+        """Record ``cycles`` skipped cycles with the same count, as that
+        many :meth:`_note_parallelism` calls would."""
+        if concurrent_transfers > 0 and cycles > 0:
+            self._parallelism_hist.add_repeated(concurrent_transfers, cycles)
 
-        Architectures that also inherit :class:`~repro.sim.Component`
-        pass their simulator explicitly: ``Component.__init__`` resets
-        ``_sim`` to None until ``bind``, which runs only at ``sim.add``.
-        """
-        if sim is not None:
-            self._sim = sim
-        sim = self._sim
-        if getattr(sim, "vectorized", False):
-            kernel = self._make_vec_kernel()
-            if kernel is not None:
-                self.vec = kernel
-                sim.register_vec_kernel(kernel)
+    # -- event horizons (see docs/kernel.md) --------------------------------
+    def bind(self, sim: Simulator) -> None:
+        """``Simulator.add``: the fabric ticks, and skips ticks, from
+        this cycle on, so the simulator settles it from here."""
+        super().bind(sim)
+        self._settled = sim.cycle - 1
+        sim.register_settler(self)
 
-    def _make_vec_kernel(self) -> Optional[Any]:
-        """Build the architecture's compiled-tick batch kernel (see
-        :mod:`repro.sim.vec.kernels`); None means no vec support."""
-        return None
+    def settle(self, through: int) -> None:
+        """Replay the per-cycle effects of the ticks skipped through cycle
+        ``through``: a fabric that sleeps while traffic is in flight
+        owes the samples and counters those ticks would have written.
+        Called by :meth:`Simulator.settle` and by the fabric's next
+        tick; a fabric that skips only no-op ticks has nothing to do."""
 
     @property
     def observed_dmax(self) -> int:

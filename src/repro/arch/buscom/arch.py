@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.arch.base import CommArchitecture, Message
 from repro.arch.buscom.config import BusComConfig
@@ -31,7 +31,7 @@ from repro.arch.buscom.schedule import SlotKind, SlotTable
 from repro.core.parameters import PAPER_TABLE_1, DesignParameters
 from repro.fabric.area import AreaModel
 from repro.fabric.timing import ClockModel
-from repro.sim import Component, Simulator
+from repro.sim import SLEEP, Component, Simulator
 
 
 @dataclass
@@ -81,9 +81,18 @@ class BusCom(CommArchitecture, Component):
         self._frozen: Dict[str, bool] = {}
         self._dead_buses: set = set()  # fault state: buses out of service
         self._delivered_bytes: Dict[int, int] = {}  # msg.mid -> bytes landed
-        # last cycle this component ticked; cycles slept through are
-        # replayed arithmetically by _account_idle on wake
-        self._last_ticked = sim.cycle - 1
+        #: per-module telemetry names of the interface queues
+        self._ni_names: Dict[str, str] = {}
+        # event horizons: what the last tick stashed for settle() to
+        # replay the ticks skipped after it (see _horizon)
+        self._stash_busy = False
+        self._stash_frames: List[bool] = []
+        self._stash_active = 0
+        self._stash_tel = False
+        self._stash_depths: List[Tuple[str, int]] = []
+        #: (table version, idle slot durations and dynamic flags per
+        #: bus, idle round length per bus, dyn_budget after a round)
+        self._idle_cache: Optional[tuple] = None
 
     # ==================================================================
     # CommArchitecture interface
@@ -91,12 +100,16 @@ class BusCom(CommArchitecture, Component):
     RT_TAGS = ("stream", "rt", "ctrl")
 
     def _attach_impl(self, module: str, **_: object) -> None:
+        self._settle_now()  # skipped ticks sampled the old module set
         self._queues[module] = deque()
         self._bulk[module] = deque()
         self._priority.append(module)
         self._frozen[module] = False
+        self._ni_names[module] = f"buscom.ni.{module}"
+        self._replan()
 
     def _detach_impl(self, module: str) -> None:
+        self._settle_now()
         q = self._queues.pop(module)
         b = self._bulk.pop(module)
         if q or b:
@@ -107,7 +120,8 @@ class BusCom(CommArchitecture, Component):
                 f"messages"
             )
         self._priority.remove(module)
-        del self._frozen[module]
+        del self._frozen[module], self._ni_names[module]
+        self._replan()
 
     def _submit(self, msg: Message) -> None:
         if msg.src not in self._queues:
@@ -173,11 +187,13 @@ class BusCom(CommArchitecture, Component):
         BUS-COM's runtime topology-adaptation primitive.
         """
         def apply(_sim: Simulator) -> None:
+            self._settle_now()  # idle slots skipped so far ran the old table
             if owner is None:
                 self.table.set_dynamic(bus, slot)
             else:
                 self.table.set_static(bus, slot, owner)
             self.sim.stats.counter("buscom.slots.reassigned").inc()
+            self._replan()
 
         self.sim.after(self.cfg.reassign_latency, apply)
 
@@ -231,6 +247,7 @@ class BusCom(CommArchitecture, Component):
         plan = self.table.plan_migration_off_bus(bus, healthy)
         if plan:
             def apply(_sim: Simulator) -> None:
+                self._settle_now()
                 self.table.apply_migration(plan)
                 self.sim.stats.counter("buscom.slots.reassigned").inc(
                     2 * len(plan))
@@ -242,6 +259,7 @@ class BusCom(CommArchitecture, Component):
     def restore_slots(self, plan) -> None:
         """Undo a fault migration after repair (same reassign latency)."""
         def apply(_sim: Simulator) -> None:
+            self._settle_now()
             self.table.undo_migration(plan)
             self.sim.stats.counter("buscom.slots.reassigned").inc(
                 2 * len(plan))
@@ -254,13 +272,14 @@ class BusCom(CommArchitecture, Component):
     # ==================================================================
     def tick(self, sim: Simulator):
         now = sim.cycle
-        if self._last_ticked < now - 1:
-            self._account_idle(now - 1)
-        self._last_ticked = now
+        if self._settled < now - 1:
+            self.settle(now - 1)
+        self._settled = now
         if sim.telemetering:
             tel = sim.telemetry
+            names = self._ni_names
             for module, q in self._queues.items():
-                tel.queue_depth(now, f"buscom.ni.{module}",
+                tel.queue_depth(now, names[module],
                                 len(q) + len(self._bulk[module]))
         active = 0
         for bus in self._buses:
@@ -278,37 +297,184 @@ class BusCom(CommArchitecture, Component):
                 # be shorter than the config default
                 bus.slot_idx = (bus.slot_idx + 1) % self.table.slots_per_bus
         self._note_parallelism(active)
-        return self._quiescence(now)
+        return self._horizon(sim, now)
 
-    def _account_idle(self, through: int) -> None:
-        """Replay the cycles slept through, up to and including ``through``.
+    # ------------------------------------------------------------------
+    # event horizons
+    # ------------------------------------------------------------------
+    def _horizon(self, sim: Simulator, now: int):
+        """The next cycle a tick changes protocol state, stashing what
+        the ticks before it would record.
 
-        The sleep hint always lands on the next slot start across all
-        buses, so a skipped cycle never runs ``_start_slot`` and never
-        carries a frame: its whole effect is counting time and running
-        down the current slot (with the slot-index wrap when a slot's
-        countdown completes).  That makes the replay pure arithmetic,
-        identical to having ticked each skipped cycle with empty queues.
+        With traffic queued or on a wire, every tick counts each bus's
+        cycle, runs down its slot and samples parallelism and the
+        interface queues; only slot starts and frame landings change
+        anything else, so the fabric wakes for the earliest of those.
+        Idle, a tick can only start an empty slot, which
+        :meth:`_replay_idle` replays arithmetically, so it sleeps.  With
+        alert rules attached it wakes where the next evaluation runs:
+        the first cycle from it on which it would tick (every cycle
+        while busy, a slot start while idle).
         """
-        gap = through - self._last_ticked
-        if gap <= 0:
+        buses = self._buses
+        self._stash_tel = tel = sim.telemetering
+        engine = tel and sim.telemetry.engine is not None
+        busy = (any(b.frame_msg is not None for b in buses)
+                or any(self._queues.values()) or any(self._bulk.values()))
+        self._stash_busy = busy
+        if not busy:
+            return self._idle_wake(now) if engine else SLEEP
+        self._stash_frames = frames = [b.frame_msg is not None
+                                       for b in buses]
+        self._stash_active = sum(frames)
+        nxt = now + 1 + min(b.slot_remaining for b in buses)
+        for bus in buses:
+            if bus.frame_msg is not None and bus.frame_done_at < nxt:
+                nxt = bus.frame_done_at
+        if tel:
+            names, bulk = self._ni_names, self._bulk
+            self._stash_depths = [(names[m], len(q) + len(bulk[m]))
+                                  for m, q in self._queues.items()]
+            due = sim.telemetry.next_eval
+            if engine and due < nxt:
+                nxt = due if due > now else now + 1
+        return nxt
+
+    def settle(self, through: int) -> None:
+        """Replay the ticks skipped through ``through`` from the stash
+        of the last tick (see :meth:`_horizon`)."""
+        first = self._settled + 1
+        if through < first:
             return
-        for bus in self._buses:
+        self._settled = through
+        gap = through - first + 1
+        if not self._stash_busy:
+            if self._replay_idle(first - 1, through) and self._stash_tel:
+                # every slot start ticked, sampling empty queues
+                link, names = self.sim.telemetry.link, self._ni_names
+                for module in self._queues:
+                    link(names[module]).note_queue_depth(0)
+            return
+        slots = self.table.slots_per_bus
+        for bus, framed in zip(self._buses, self._stash_frames):
             bus.total_cycles += gap
+            if framed:
+                bus.busy_cycles += gap
             bus.slot_remaining -= gap
             if bus.slot_remaining == 0:
-                bus.slot_idx = (bus.slot_idx + 1) % self.table.slots_per_bus
-        self._last_ticked = through
+                bus.slot_idx = (bus.slot_idx + 1) % slots
+        self._note_parallelism_run(self._stash_active, gap)
+        if self._stash_tel:
+            link = self.sim.telemetry.link
+            for name, depth in self._stash_depths:
+                link(name).note_queue_depth(depth)
 
-    def _quiescence(self, now: int):
-        """With nothing queued and no frame on any wire, the only thing
-        ticks would do is run slot countdowns — sleep to the earliest
-        next slot start and let :meth:`_account_idle` replay the rest."""
-        if any(self._queues.values()) or any(self._bulk.values()):
-            return None
-        if any(b.frame_msg is not None for b in self._buses):
-            return None
-        return now + 1 + min(b.slot_remaining for b in self._buses)
+    def _idle_schedule(self) -> tuple:
+        """Per bus: idle slot durations and dynamic flags, the idle
+        round length, and the dynamic-segment budget a whole idle round
+        leaves; cached until the slot table changes."""
+        cache = self._idle_cache
+        table = self.table
+        if cache is not None and cache[0] == table.version:
+            return cache
+        cfg = self.cfg
+        durations, dynamic, rounds, budgets = [], [], [], []
+        for bus in range(cfg.num_buses):
+            kinds = [table.entry(bus, slot).kind is SlotKind.DYNAMIC
+                     for slot in range(table.slots_per_bus)]
+            durs = [cfg.empty_dynamic_slot_cycles if dyn
+                    else cfg.static_slot_cycles for dyn in kinds]
+            budget = cfg.dynamic_segment_cycles
+            for dyn, dur in zip(kinds, durs):
+                if dyn:
+                    budget = max(0, budget - dur)
+            durations.append(durs)
+            dynamic.append(kinds)
+            rounds.append(sum(durs))
+            budgets.append(budget)
+        cache = self._idle_cache = (table.version, durations, dynamic,
+                                    rounds, budgets)
+        return cache
+
+    def _replay_idle(self, last: int, through: int) -> bool:
+        """Advance every bus from the end of cycle ``last`` to the end
+        of ``through`` as idle ticks would: empty slots start and run
+        down (whole rounds at once), nothing is sent.  Returns whether
+        any slot started, i.e. whether any tick was skipped."""
+        _, durations, dynamic, rounds, budgets = self._idle_schedule()
+        slots = self.table.slots_per_bus
+        reset = self.cfg.dynamic_segment_cycles
+        started = False
+        for bus in self._buses:
+            bus.total_cycles += through - last
+            durs, kinds, round_len = (durations[bus.index],
+                                      dynamic[bus.index], rounds[bus.index])
+            idx, left = bus.slot_idx, bus.slot_remaining
+            cycle = last + 1
+            while cycle <= through:
+                if left == 0:
+                    started = True
+                    if idx == 0:
+                        whole = (through - cycle + 1) // round_len
+                        if whole:
+                            cycle += whole * round_len
+                            bus.dyn_budget = budgets[bus.index]
+                            continue
+                        bus.dyn_budget = reset
+                    left = durs[idx]
+                    if kinds[idx]:
+                        bus.dyn_budget = max(0, bus.dyn_budget - left)
+                step = min(left, through - cycle + 1)
+                left -= step
+                cycle += step
+                if left == 0:
+                    idx = (idx + 1) % slots
+            bus.slot_idx, bus.slot_remaining = idx, left
+        return started
+
+    def _idle_wake(self, now: int) -> int:
+        """The first idle slot start, on any bus, from the next alert
+        evaluation cycle (and after ``now``)."""
+        _, durations, _, rounds, _ = self._idle_schedule()
+        slots = self.table.slots_per_bus
+        due = self.sim.telemetry.next_eval
+        target = due if due > now else now + 1
+        best = None
+        for bus in self._buses:
+            durs, round_len = durations[bus.index], rounds[bus.index]
+            # the slot in progress ends first; at 0 left the index has
+            # already moved on to the slot that starts next cycle
+            idx, left = bus.slot_idx, bus.slot_remaining
+            if left:
+                idx = (idx + 1) % slots
+            start = now + left + 1
+            while start < target:
+                if idx == 0 and target - start >= round_len:
+                    start += (target - start) // round_len * round_len
+                    continue
+                start += durs[idx]
+                idx = (idx + 1) % slots
+            if best is None or start < best:
+                best = start
+        return best
+
+    def _settle_now(self) -> None:
+        """Replay the skipped ticks before an event-phase hook changes
+        what later ones would do (the slot table, the module set)."""
+        if self._sim is not None:
+            self.settle(self._sim.cycle - 1)
+
+    def _replan(self) -> None:
+        """After such a hook: asleep in busy traffic, the fabric would
+        tick this cycle anyway, so it wakes; idle, its wake for the next
+        alert evaluation moves to the new first slot start."""
+        sim = self._sim
+        if sim is None or not self._asleep:
+            return
+        if self._stash_busy:
+            self.wake()
+        elif self._stash_tel and sim.telemetry.engine is not None:
+            sim.reschedule(self, self._idle_wake(sim.cycle - 1))
 
     # ------------------------------------------------------------------
     def _queue_for(self, module: str) -> Optional[Deque[_SendItem]]:
@@ -471,7 +637,7 @@ class BusCom(CommArchitecture, Component):
         """Fraction of cycles each bus spent carrying a frame."""
         # catch up on any cycles currently being slept through so the
         # denominator matches the wall clock
-        self._account_idle(self.sim.cycle - 1)
+        self.settle(self.sim.cycle - 1)
         return [
             b.busy_cycles / b.total_cycles if b.total_cycles else 0.0
             for b in self._buses

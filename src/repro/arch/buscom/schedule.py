@@ -44,6 +44,8 @@ class SlotTable:
             [SlotEntry(SlotKind.DYNAMIC) for _ in range(slots_per_bus)]
             for _ in range(num_buses)
         ]
+        #: bumped by every rewrite, so derived schedules can be cached
+        self.version = 0
 
     # ------------------------------------------------------------------
     def entry(self, bus: int, slot: int) -> SlotEntry:
@@ -51,9 +53,11 @@ class SlotTable:
 
     def set_static(self, bus: int, slot: int, owner: str) -> None:
         self._table[bus][slot] = SlotEntry(SlotKind.STATIC, owner)
+        self.version += 1
 
     def set_dynamic(self, bus: int, slot: int) -> None:
         self._table[bus][slot] = SlotEntry(SlotKind.DYNAMIC)
+        self.version += 1
 
     # ------------------------------------------------------------------
     def static_slots_of(self, module: str) -> List[Tuple[int, int]]:
@@ -94,7 +98,7 @@ class SlotTable:
             for s in range(self.slots_per_bus):
                 e = self._table[b][s]
                 if e.kind is SlotKind.STATIC and e.owner == module:
-                    self._table[b][s] = SlotEntry(SlotKind.DYNAMIC)
+                    self.set_dynamic(b, s)
                     n += 1
         return n
 

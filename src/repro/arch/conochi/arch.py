@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.arch.base import CommArchitecture, Message
 from repro.arch.conochi.config import CoNoChiConfig
 from repro.arch.conochi.control import GlobalControl
-from repro.arch.transport import DueQueue, LinkOccupancy, quiescence
+from repro.arch.transport import DueQueue, LinkOccupancy, TransportHorizon
 from repro.core.parameters import PAPER_TABLE_1, DesignParameters
 from repro.fabric.area import AreaModel
 from repro.fabric.geometry import Rect
@@ -47,10 +47,11 @@ class _Packet:
     hops: int = 0
 
 
-class CoNoChi(CommArchitecture, Component):
+class CoNoChi(TransportHorizon, CommArchitecture, Component):
     """The CoNoChi interconnect over a tile grid."""
 
     KEY = "conochi"
+    FABRIC_QUEUE = "conochi.fabric"
 
     def __init__(self, sim: Simulator, cfg: CoNoChiConfig,
                  grid: Optional[TileGrid] = None,
@@ -344,16 +345,19 @@ class CoNoChi(CommArchitecture, Component):
     # ==================================================================
     def tick(self, sim: Simulator):
         now = sim.cycle
+        if self._settled < now - 1:
+            self.settle(now - 1)
+        self._settled = now
         self._note_parallelism(self._links.active(now))
         if sim.telemetering:
             # packets awaiting switch routing = the fabric's input queue
-            sim.telemetry.queue_depth(now, "conochi.fabric",
+            sim.telemetry.queue_depth(now, self.FABRIC_QUEUE,
                                       len(self._arrivals))
         for msg in self._deliveries.pop_due(now):
             self._deliver(msg)
         for pkt, at in self._arrivals.pop_due(now):
             self._route(pkt, at, now)
-        return quiescence(self._links, self._arrivals, self._deliveries)
+        return self._horizon(sim, now)
 
     def _reserve(self, key: Tuple[object, object], now: int, words: int,
                  mid: int) -> int:

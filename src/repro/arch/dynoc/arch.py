@@ -30,7 +30,7 @@ from repro.arch.dynoc.routing import (
     trace_route,
     sxy_next,
 )
-from repro.arch.transport import DueQueue, LinkOccupancy, quiescence
+from repro.arch.transport import DueQueue, LinkOccupancy, TransportHorizon
 from repro.core.parameters import PAPER_TABLE_1, DesignParameters
 from repro.fabric.area import AreaModel
 from repro.fabric.geometry import Rect
@@ -57,10 +57,11 @@ class _Placement:
         return self.rect.w == 1 and self.rect.h == 1
 
 
-class DyNoC(CommArchitecture, Component):
+class DyNoC(TransportHorizon, CommArchitecture, Component):
     """The DyNoC interconnect on a ``cols x rows`` PE/router mesh."""
 
     KEY = "dynoc"
+    FABRIC_QUEUE = "dynoc.fabric"
 
     def __init__(self, sim: Simulator, cfg: DyNoCConfig,
                  area_model: Optional[AreaModel] = None,
@@ -336,16 +337,19 @@ class DyNoC(CommArchitecture, Component):
     # ==================================================================
     def tick(self, sim: Simulator):
         now = sim.cycle
+        if self._settled < now - 1:
+            self.settle(now - 1)
+        self._settled = now
         self._note_parallelism(self._links.active(now))
         if sim.telemetering:
             # headers awaiting routing = the fabric's input queue
-            sim.telemetry.queue_depth(now, "dynoc.fabric",
+            sim.telemetry.queue_depth(now, self.FABRIC_QUEUE,
                                       len(self._arrivals))
         for msg in self._deliveries.pop_due(now):
             self._deliver(msg)
         for pkt, at in self._arrivals.pop_due(now):
             self._route(pkt, at, now)
-        return quiescence(self._links, self._arrivals, self._deliveries)
+        return self._horizon(sim, now)
 
     def _reserve_port(self, router: Coord, target: object,
                       now: int, words: int, mid: int) -> int:

@@ -80,6 +80,13 @@ class RMBoC(CommArchitecture, Component):
         self._channel_cap = cfg.channels_per_module
         # per-fabric cids keep traces of identical runs identical
         self._cid_seq = itertools.count()
+        #: per-module telemetry names of the NI queues
+        self._ni_names: Dict[str, str] = {}
+        # event horizons: whether this tick's NI acted, and what the
+        # last tick stashed for settle() to replay (see _horizon)
+        self._acted = False
+        self._stash_active = 0
+        self._stash_depths: List[Tuple[str, int]] = []
 
     # ==================================================================
     # CommArchitecture interface
@@ -95,6 +102,8 @@ class RMBoC(CommArchitecture, Component):
         self._xp_module[xp] = module
         self._module_xp[module] = xp
         self._queues[module] = {}
+        self._ni_names[module] = f"rmboc.ni.{module}"
+        self._kick()  # queued traffic for the new module may move
 
     def _detach_impl(self, module: str) -> None:
         queued = sum(len(q) for q in self._queues[module].values())
@@ -104,7 +113,7 @@ class RMBoC(CommArchitecture, Component):
             )
         xp = self._module_xp.pop(module)
         del self._xp_module[xp]
-        del self._queues[module]
+        del self._queues[module], self._ni_names[module]
 
     def _submit(self, msg: Message) -> None:
         if msg.src not in self._module_xp:
@@ -114,7 +123,7 @@ class RMBoC(CommArchitecture, Component):
         if queue is None:
             queue = queues[msg.dst] = deque()
         queue.append(msg)
-        self.wake()  # new traffic ends any quiescent stretch
+        self._kick()  # new traffic ends any quiescent stretch
 
     def idle(self) -> bool:
         return (
@@ -148,7 +157,7 @@ class RMBoC(CommArchitecture, Component):
 
     def unfreeze_slot(self, xp: int) -> None:
         self._frozen[xp] = False
-        self.wake()  # held traffic may resume
+        self._kick()  # held traffic may resume
 
     def module_at(self, xp: int) -> Optional[str]:
         return self._xp_module.get(xp)
@@ -196,7 +205,7 @@ class RMBoC(CommArchitecture, Component):
             self._idle_since.pop(ch.cid, None)
             ch.state = ChannelState.CANCELLED
             self._finish_cancel(ch, now)
-        self.wake()
+        self._kick()
         return victims
 
     def repair_crosspoint(self, xp: int) -> None:
@@ -209,7 +218,7 @@ class RMBoC(CommArchitecture, Component):
             for pair in self._fault_attempts:
                 self._retry_at[pair] = now + 1
             self._fault_attempts.clear()
-        self.wake()
+        self._kick()
 
     # ==================================================================
     # lane helpers
@@ -262,17 +271,107 @@ class RMBoC(CommArchitecture, Component):
                                      "rmboc.channel_cap.set")
         if self.sim.tracing:
             self.sim.emit("rmboc", "channel_cap", cap=cap)
-        self.wake()  # a raised cap lets queued traffic open circuits
+        self._kick()  # a raised cap lets queued traffic open circuits
 
     # ==================================================================
     # per-cycle behaviour
     # ==================================================================
     def tick(self, sim: Simulator):
         now = sim.cycle
+        if self._settled < now - 1:
+            self.settle(now - 1)
+        self._settled = now
+        self._acted = False
         self._tick_data(now)
         self._tick_control(now)
         self._tick_ni(now)
-        return self._quiescence(now)
+        return self._horizon(sim, now)
+
+    def _kick(self) -> None:
+        """A hook changed what the NI may do: tick at the next chance.
+        Called from inside a tick (an alert's control action), it keeps
+        the fabric hot for the next cycle instead."""
+        self._acted = True
+        self.wake()
+
+    def _horizon(self, sim: Simulator, now: int):
+        """The next cycle a tick changes protocol state, stashing what
+        the ticks before it would record.
+
+        While anything is in flight or queued, every tick moves each
+        streaming transfer one word, samples parallelism and samples
+        the non-empty NI queues.  Protocol state changes only at a
+        transfer's last word, a control message's ``ready_at``, a
+        queued pair's retry time or an idle circuit's linger deadline,
+        and the NI acts again only after one of those or after an
+        external hook (submit, establish, unfreeze, repair, channel
+        cap, attach), which wakes the fabric.  An NI action changes
+        what the next tick's NI sees, so the fabric stays hot one more
+        cycle after one.  With alert rules attached it also wakes for
+        the next evaluation cycle, on which it would tick anyway.
+        """
+        transfers = self._transfers
+        queued = any(self._queues.values())
+        if not (self._ctrl or transfers or queued):
+            self._stash_active = 0
+            self._stash_depths = []
+            return self._quiescence(now)
+        if self._acted:
+            return None
+        nxt = None
+        for tr in transfers:
+            last_word = now + tr.words_left
+            if nxt is None or last_word < nxt:
+                nxt = last_word
+        for cm in self._ctrl:
+            if nxt is None or cm.ready_at < nxt:
+                nxt = cm.ready_at
+        if queued:
+            retry_at = self._retry_at
+            for module, queues in self._queues.items():
+                for dst in queues:
+                    at = retry_at.get((module, dst))
+                    if at is not None and at > now and (nxt is None
+                                                        or at < nxt):
+                        nxt = at
+        linger = self.cfg.channel_linger
+        for since in self._idle_since.values():
+            deadline = since + linger
+            if deadline > now and (nxt is None or deadline < nxt):
+                nxt = deadline
+        self._stash_active = len(transfers)
+        if sim.telemetering:
+            names = self._ni_names
+            self._stash_depths = [
+                (names[module], sum(map(len, queues.values())))
+                for module, queues in self._queues.items() if queues]
+            tel = sim.telemetry
+            if tel.engine is not None and (nxt is None
+                                           or tel.next_eval < nxt):
+                nxt = tel.next_eval
+        else:
+            self._stash_depths = []
+        if nxt is None:
+            return SLEEP
+        return nxt if nxt > now else now + 1
+
+    def settle(self, through: int) -> None:
+        """Replay the ticks skipped through ``through``: each moved every
+        transfer one word and sampled parallelism and the NI queues as
+        the last tick left them (see :meth:`_horizon`)."""
+        first = self._settled + 1
+        if through < first:
+            return
+        self._settled = through
+        gap = through - first + 1
+        if self._stash_active:
+            for tr in self._transfers:
+                tr.words_left -= gap
+            self._note_parallelism_run(self._stash_active, gap)
+        if self._stash_depths:
+            link = self.sim.telemetry.link
+            for name, depth in self._stash_depths:
+                link(name).note_queue_depth(depth)
 
     def _quiescence(self, now: int):
         """Quiescence hint for the activity-driven kernel.
@@ -283,10 +382,6 @@ class RMBoC(CommArchitecture, Component):
         idle circuits, which happens at a known linger deadline.
         Anything external (a new submit, an unfreeze) wakes us.
         """
-        if self._ctrl or self._transfers:
-            return None
-        if any(self._queues.values()):
-            return None
         if not self._channels:
             return SLEEP
         # Remaining channels should all be established-and-idle with a
@@ -417,7 +512,7 @@ class RMBoC(CommArchitecture, Component):
             now - ch.requested_cycle
         )
         self._idle_since[ch.cid] = now
-        self.wake()  # the circuit may start serving queued traffic
+        self._kick()  # the circuit may start serving queued traffic
 
     def _start_cancel(self, ch: Channel, from_xp: int, now: int) -> None:
         ch.state = ChannelState.CANCELLED
@@ -485,6 +580,7 @@ class RMBoC(CommArchitecture, Component):
                               status="cancelled")
 
     def _start_destroy(self, ch: Channel, now: int) -> None:
+        self._acted = True  # the freed budget may open circuits next tick
         ch.state = ChannelState.CLOSED
         self._drop_pair_entry(ch)
         self._idle_since.pop(ch.cid, None)
@@ -522,7 +618,7 @@ class RMBoC(CommArchitecture, Component):
                 busy: Set[int], now: int) -> None:
         if self.sim.telemetering:
             self.sim.telemetry.queue_depth(
-                now, f"rmboc.ni.{module}", sum(map(len, queues.values())))
+                now, self._ni_names[module], sum(map(len, queues.values())))
         xp = self._module_xp[module]
         if self._frozen[xp]:
             return  # slot under reconfiguration: hold traffic
@@ -571,6 +667,7 @@ class RMBoC(CommArchitecture, Component):
                     actions.append((msg, None))
         if not actions:
             return
+        self._acted = True
         # Across destinations, act in arrival (mid) order: it fixes cid
         # numbering, the control-message order and so lane allocation,
         # and decides which destinations the budget goes to.

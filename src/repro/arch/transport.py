@@ -14,7 +14,11 @@ what falls due in it, not what is in flight:
   the distinct-packet count changes only where an interval starts or
   ends.
 
-:func:`quiescence` turns both into the models' wake hint.
+A busy link changes no protocol state, so the fabrics sleep to their
+event horizon, the next due item (:meth:`TransportHorizon._horizon`),
+and :meth:`TransportHorizon.settle` replays the busy cycles they skipped:
+one parallelism sample per busy cycle (:meth:`LinkOccupancy.replay`)
+and the queue-depth sample each of those ticks would have recorded.
 """
 
 from __future__ import annotations
@@ -122,30 +126,102 @@ class LinkOccupancy:
                 del live[ident]
         return len(live)
 
-    def busy_after(self) -> bool:
-        """Does an interval cover the cycle after the last
-        :meth:`active` call?  A live one does exactly when the latest
-        live end lies beyond that cycle (the interval holding it is
-        still live); a pending one when it starts there."""
-        nxt = self._now + 1
-        return self._max_end > nxt or bool(
-            self._pending and self._pending[0][0] <= nxt)
+    def replay(self, first: int, last: int) -> List[Tuple[int, int]]:
+        """Advance through cycles ``first`` .. ``last`` (after the last
+        :meth:`active` call) and return the runs ``(count, cycles)`` of
+        the nonzero counts :meth:`active` would have returned on each,
+        in cycle order, adjacent equal counts merged."""
+        runs: List[Tuple[int, int]] = []
+        pending, ends = self._pending, self._ends
+        cycle = first
+        while cycle <= last:
+            count = self.active(cycle)
+            nxt = last + 1
+            if pending and pending[0][0] < nxt:
+                nxt = pending[0][0]
+            if ends and ends[0][0] < nxt:
+                nxt = ends[0][0]
+            if count:
+                if runs and runs[-1][0] == count:
+                    runs[-1] = (count, runs[-1][1] + nxt - cycle)
+                else:
+                    runs.append((count, nxt - cycle))
+            cycle = nxt
+        return runs
 
-    def next_start(self) -> Optional[int]:
-        """The earliest start after the last :meth:`active` call."""
-        return self._pending[0][0] if self._pending else None
+    def first_busy(self, cycle: int) -> Optional[int]:
+        """The first cycle from ``cycle`` (after the last :meth:`active`
+        call) that an interval covers, or None.  A live interval
+        covers ``cycle`` exactly when the latest live end lies beyond
+        it (the interval holding it is still live)."""
+        if self._max_end > cycle:
+            return cycle
+        best = None
+        for start, end, _ in self._pending:
+            if end > cycle:
+                at = start if start > cycle else cycle
+                if best is None or at < best:
+                    best = at
+        return best
 
 
-def quiescence(links: LinkOccupancy, *queues: DueQueue):
-    """Quiescence hint at the end of a tick: stay hot while a link
-    carries data next cycle (the parallelism probe samples every busy
-    cycle), else wake for the next interval start or due item, else
-    sleep until new traffic wakes the fabric."""
-    if links.busy_after():
-        return None
-    nxt = links.next_start()
-    for queue in queues:
-        ready = queue.next_ready()
+class TransportHorizon:
+    """Event horizon and replay shared by the NoC models.
+
+    A tick routes the headers that arrived, lands the packets whose
+    tails cleared their ejection port, records one parallelism sample
+    and, with telemetry on, one queue-depth sample of the fabric's
+    header queue (:attr:`FABRIC_QUEUE`).  Only the pops change protocol
+    state, so the fabric sleeps to the next due item; the busy-link
+    cycles in between, on which the same fabric would otherwise tick,
+    are replayed by :meth:`settle`.  With alert rules attached it also
+    wakes on the first busy cycle from the next evaluation cycle, so
+    that the evaluation runs inside the same tick.
+    """
+
+    #: telemetry name of the header-arrival queue
+    FABRIC_QUEUE = ""
+
+    _links: LinkOccupancy
+    _arrivals: DueQueue
+    _deliveries: DueQueue
+    _settled: int
+    #: header-queue depth at the last tick's end, or None when telemetry
+    #: was off (nothing to replay)
+    _depth_stash: Optional[int] = None
+
+    def settle(self, through: int) -> None:
+        """Replay the busy-link cycles skipped through ``through``."""
+        first = self._settled + 1
+        if through < first:
+            return
+        self._settled = through
+        runs = self._links.replay(first, through)
+        if not runs:
+            return
+        note = self._note_parallelism_run
+        for count, cycles in runs:
+            note(count, cycles)
+        if self._depth_stash is not None:
+            self.sim.telemetry.link(self.FABRIC_QUEUE).note_queue_depth(
+                self._depth_stash)
+
+    def _horizon(self, sim, now: int):
+        """The hint at the end of a tick: the next due item, or with
+        alert rules attached the first busy cycle from the next
+        evaluation, whichever comes first; SLEEP when neither exists."""
+        nxt = self._arrivals.next_ready()
+        ready = self._deliveries.next_ready()
         if ready is not None and (nxt is None or ready < nxt):
             nxt = ready
-    return SLEEP if nxt is None else nxt
+        if sim.telemetering:
+            tel = sim.telemetry
+            self._depth_stash = len(self._arrivals)
+            if tel.engine is not None:
+                due = tel.next_eval
+                busy = self._links.first_busy(due if due > now else now + 1)
+                if busy is not None and (nxt is None or busy < nxt):
+                    nxt = busy
+        else:
+            self._depth_stash = None
+        return SLEEP if nxt is None else nxt

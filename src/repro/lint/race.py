@@ -39,10 +39,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.lint.findings import Finding, Severity
 from repro.lint.graph import AccessGraph, Access, ClassDecl, build_graph
 
-try:  # flush-site metadata lives next to the kernels it describes
-    from repro.sim.vec.kernels import VEC_FLUSH_SITES
-except Exception:  # pragma: no cover - vec layer always importable
-    VEC_FLUSH_SITES = ("flush", "flush_kernels")
+#: method names that synchronize batch-kernel state back into the
+#: object-path containers; a read dominated by a call to one is clean
+VEC_FLUSH_SITES = ("flush", "flush_kernels")
 
 #: rule id -> (default severity, one-line summary)
 GRAPH_RULES: Dict[str, Tuple[Severity, str]] = {

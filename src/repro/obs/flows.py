@@ -30,7 +30,12 @@ When an :class:`~repro.obs.alerts.AlertEngine` is attached
 record paths at most once per ``eval_interval`` cycles — *not* from an
 eager sequential, which would defeat the kernel's fast-forward over
 quiescent stretches (and a quiescent fabric records nothing, so there
-is nothing new to alert on).
+is nothing new to alert on).  A fabric asleep to its event horizon
+owes the samples of the ticks it skipped: the collector settles the
+simulator (``Simulator.settle``) before it evaluates rules or takes a
+snapshot, and fabrics wake for :attr:`FlowTelemetry.next_eval` so that
+each evaluation runs at the record call it would run at if they ticked
+every busy cycle.
 """
 
 from __future__ import annotations
@@ -268,6 +273,16 @@ class FlowTelemetry:
         self._maybe_eval(now)
 
     # ------------------------------------------------------------------
+    @property
+    def next_eval(self) -> int:
+        """The first cycle on which a record call runs the alert rules."""
+        return self._next_eval
+
+    def _settle(self) -> None:
+        """Bring in the samples sleeping fabrics owe (see module doc)."""
+        if self.sim is not None:
+            self.sim.settle()
+
     def _maybe_eval(self, now: int) -> None:
         """Run attached alert rules at most once per ``eval_interval``.
 
@@ -277,6 +292,7 @@ class FlowTelemetry:
         """
         if self.engine is not None and now >= self._next_eval:
             self._next_eval = now + self.eval_interval
+            self._settle()
             self.engine.evaluate(self, now)
 
     def evaluate_now(self, now: Optional[int] = None) -> None:
@@ -285,6 +301,7 @@ class FlowTelemetry:
             at = now if now is not None else (
                 self.sim.cycle if self.sim is not None else self._next_eval
             )
+            self._settle()
             self.engine.evaluate(self, at)
             self._next_eval = at + self.eval_interval
 
@@ -294,6 +311,7 @@ class FlowTelemetry:
         at = now if now is not None else (
             self.sim.cycle if self.sim is not None else 0
         )
+        self._settle()
         out: Dict[str, Any] = {
             "cycle": at,
             "flows": [self.flows[k].as_dict() for k in sorted(self.flows)],

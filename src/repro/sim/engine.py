@@ -25,13 +25,23 @@ of elements with staged writes instead of every registered sequential,
 and :meth:`Simulator.run` fast-forwards the clock over fully quiescent
 stretches straight to the next scheduled event or timed wake.
 
+A component's hint is its *event horizon*: the next cycle on which its
+protocol state can change, even while traffic is in flight.  The ticks
+it skips until then may still have per-cycle effects (statistics
+samples, counters, telemetry); the component replays those exactly in
+``settle(through)``, registered with :meth:`Simulator.register_settler`.
+:meth:`Simulator.settle` runs every replay through the last cycle whose
+ticks have run; the component's next tick, every read of a replayed
+probe, :meth:`run` and :meth:`run_until` call it.
+
 The fast path is a pure optimization with a golden-equivalence
 guarantee (see ``tests/sim/test_fastpath_equivalence.py``): a model
-obeying the quiescence contract — *a tick while quiescent is an
-observable no-op, and spurious wake-ups are harmless* — produces
-bit-identical cycle counts and statistics with the fast path on or
-off.  Disable it for debugging with ``Simulator(fast_path=False)`` or
-``REPRO_SIM_FASTPATH=0`` in the environment.
+obeying the quiescence contract — *a skipped tick is an observable
+no-op or is replayed by settle before anything reads it, and spurious
+wake-ups are harmless* — produces bit-identical cycle counts and
+statistics with the fast path on or off.  Disable it for debugging
+with ``Simulator(fast_path=False)`` or ``REPRO_SIM_FASTPATH=0`` in the
+environment.
 """
 
 from __future__ import annotations
@@ -287,6 +297,8 @@ class Simulator:
         # then takes a tick loop with no per-tick instrumentation checks
         self._plain = self._profiler is None and self._sanitizer is None
         self._components: List["Component"] = []
+        #: objects whose ``settle(through)`` replays skipped ticks
+        self._settlers: List[object] = []
         self._sequentials: List[object] = []
         self._events: List[Tuple[int, int, Callable[["Simulator"], None]]] = []
         self._event_seq = itertools.count()
@@ -450,6 +462,29 @@ class Simulator:
             )
         if self._sanitizer is not None:
             self._sanitizer.forget(component)
+        if component in self._settlers:
+            # it ticked up to its removal: replay what it skipped first
+            component.settle(self.cycle - 1)
+            self._settlers.remove(component)
+
+    def register_settler(self, settler: object) -> None:
+        """Register an object exposing ``settle(through)``: replay the
+        per-cycle effects of the ticks it skipped, up to and including
+        cycle ``through`` (see :meth:`settle`)."""
+        self._settlers.append(settler)
+
+    def settle(self) -> None:
+        """Bring every registered settler up to date through the last
+        cycle whose tick phase has run (``cycle - 1``).
+
+        Called before anything reads state that skipped ticks would
+        have written: the parallelism histogram, telemetry snapshots
+        and alert evaluations, and the end of :meth:`run` and
+        :meth:`run_until`.
+        """
+        through = self.cycle - 1
+        for settler in self._settlers:
+            settler.settle(through)
 
     def register_sequential(self, element: object) -> None:
         """Register an object exposing ``_commit()`` to be latched each cycle.
@@ -521,6 +556,23 @@ class Simulator:
             pending = component._pending_wake
             if pending is None or cycle < pending:
                 component._pending_wake = cycle
+
+    def reschedule(self, component: "Component",
+                   cycle: Optional[int]) -> None:
+        """Move a sleeping component's timed wake to ``cycle``, earlier
+        or later (None: until woken); a no-op for an awake component,
+        whose next tick returns a fresh hint.  For a model whose event
+        horizon moved at event phase without a reason to tick now."""
+        if not component._asleep:
+            return
+        if cycle is not None and cycle <= self.cycle:
+            self._wake(component, WAKE_EXPLICIT)
+            return
+        # a stale heap entry is skipped: it no longer matches _wake_at
+        component._wake_at = cycle
+        if cycle is not None:
+            component._wake_reason = WAKE_TIMED
+            heappush(self._wake_heap, (cycle, component._order, component))
 
     def _request_sleep(self, component: "Component", hint: object) -> None:
         """Apply a quiescence hint returned by ``tick``."""
@@ -815,12 +867,39 @@ class Simulator:
         if sanitizer is not None:
             sanitizer.end_cycle()
 
+    def _jump(self, end: int) -> bool:
+        """Fast-forward a fully quiescent stretch: advance the clock to
+        the next scheduled event or timed wake, capped at ``end``.
+        Returns False when nothing is quiescent or there is nothing to
+        skip."""
+        if self._runnable or self._dirty or self._eager_sequentials:
+            return False
+        events = self._events
+        heap = self._wake_heap
+        if events:
+            nxt = events[0][0]
+            if heap and heap[0][0] < nxt:
+                nxt = heap[0][0]
+        elif heap:
+            nxt = heap[0][0]
+        else:
+            nxt = end
+        target = nxt if nxt < end else end
+        if target <= self.cycle:
+            return False
+        metrics = self._kmetrics
+        metrics.ff_jumps += 1
+        metrics.ff_cycles_skipped += target - self.cycle
+        self.cycle = target
+        return True
+
     def run(self, cycles: int) -> None:
         """Run for ``cycles`` clock cycles (or until :meth:`stop`).
 
         With the fast path enabled, fully quiescent stretches are
         skipped in one clock jump to the next scheduled event or timed
         wake — nothing can change during them, so no cycle is stepped.
+        Skipped ticks are settled before it returns.
         """
         self._stopped = False
         end = self.cycle + cycles
@@ -830,28 +909,11 @@ class Simulator:
             # inline `self.quiescent` — a property call per cycle is
             # measurable at this loop's frequency
             if (fast and not self._runnable and not self._dirty
-                    and not self._eager_sequentials):
-                # inline `self.next_activity()`: one jump per quiescent
-                # stretch makes the call overhead visible in idle-heavy
-                # workloads
-                events = self._events
-                heap = self._wake_heap
-                if events:
-                    nxt = events[0][0]
-                    if heap and heap[0][0] < nxt:
-                        nxt = heap[0][0]
-                elif heap:
-                    nxt = heap[0][0]
-                else:
-                    nxt = None
-                target = end if nxt is None else min(nxt, end)
-                if target > self.cycle:
-                    metrics = self._kmetrics
-                    metrics.ff_jumps += 1
-                    metrics.ff_cycles_skipped += target - self.cycle
-                    self.cycle = target
-                    continue
+                    and not self._eager_sequentials and self._jump(end)):
+                continue
             step()
+        if self._settlers:
+            self.settle()
 
     def run_for_time(self, seconds: float, clock_hz: float) -> int:
         """Run the number of cycles covering ``seconds`` of wall time at
@@ -876,31 +938,45 @@ class Simulator:
         current cycle — check :attr:`stopped` to distinguish it from the
         predicate holding.
 
-        The predicate is evaluated at every cycle (it may depend on
-        ``sim.cycle`` itself, as :meth:`drain` does), so the clock is
-        never jumped here.  The kernel's own share of a quiescent step
-        is O(1); the predicate's share is whatever one call costs, so a
-        predicate must be amortised O(1) — see "Drain predicates" in
-        ``docs/performance.md``.
+        **A predicate depends only on simulated state**, never on
+        ``sim.cycle`` or on how often it is called: with the fast path
+        on, fully quiescent stretches are skipped in one clock jump to
+        the next scheduled event or timed wake (capped at the bound),
+        since nothing the predicate reads can change during them.  A
+        run that must reach a given cycle first calls :meth:`run`.  The
+        predicate's share of a stepped cycle is whatever one call
+        costs, so it must be amortised O(1) — see "Drain predicates" in
+        ``docs/performance.md``.  Skipped ticks are settled before it
+        returns.
         """
+        return self._run_until(predicate, max_cycles, self.fast_path)
+
+    def _run_until(self, predicate: Callable[["Simulator"], bool],
+                   max_cycles: Optional[int], jump: bool) -> int:
         bound = self.max_cycles if max_cycles is None else self.cycle + max_cycles
         self._stopped = False
+        step = self.step
         while not predicate(self):
             if self._stopped:
-                return self.cycle
+                break
             if self.cycle >= bound:
                 raise SimError(
                     f"{self.name}: run_until exceeded {bound} cycles "
                     f"(now {self.cycle})"
                 )
-            self.step()
+            if jump and self._jump(bound):
+                continue
+            step()
+        if self._settlers:
+            self.settle()
         return self.cycle
 
     def drain(self, idle_predicate: Callable[["Simulator"], bool], patience: int = 64,
               max_cycles: Optional[int] = None) -> int:
         """Run until ``idle_predicate`` holds for ``patience`` consecutive cycles.
 
-        Useful to flush in-flight packets after a workload stops injecting.
+        Useful to flush in-flight packets after a workload stops
+        injecting.  Patience counts cycles, so every cycle is stepped.
         """
         streak = 0
 
@@ -909,7 +985,7 @@ class Simulator:
             streak = streak + 1 if idle_predicate(sim) else 0
             return streak >= patience
 
-        return self.run_until(_pred, max_cycles=max_cycles)
+        return self._run_until(_pred, max_cycles, False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

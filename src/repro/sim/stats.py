@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -376,6 +376,9 @@ class Histogram:
     :meth:`StreamingHistogram.add_batch` (bit-identical to per-sample
     adds) when it reaches ``exact_cap`` samples and before anything
     reads the histogram, including :meth:`extend` and :meth:`add_batch`.
+
+    A probe whose recorder may owe samples for cycles it skipped sets
+    :attr:`settle` (``Simulator.settle``): every read calls it first.
     """
 
     MODES = ("exact", "bucketed")
@@ -396,6 +399,8 @@ class Histogram:
         #: bucketed mode: samples not yet folded into ``_stream``
         self._pending: Optional[List[float]] = [] if bucketed else None
         self._samples: List[float] = []
+        #: called before every read to bring owed samples in (or None)
+        self.settle: Optional[Callable[[], None]] = None
 
     def add(self, value: float) -> None:
         pending = self._pending
@@ -404,15 +409,32 @@ class Histogram:
             return
         pending.append(value)
         if len(pending) >= self._stream.exact_cap:
-            self._folded()
+            self._fold()
 
-    def _folded(self) -> Optional[StreamingHistogram]:
-        """The bucketed-mode store with every buffered sample folded in
-        (None in exact mode)."""
+    def add_repeated(self, value: float, n: int) -> None:
+        """Append ``n`` copies of ``value``, as ``n`` :meth:`add` calls
+        would."""
+        pending = self._pending
+        if pending is None:
+            self._samples.extend([float(value)] * n)
+            return
+        pending.extend([value] * n)
+        if len(pending) >= self._stream.exact_cap:
+            self._fold()
+
+    def _fold(self) -> None:
         pending = self._pending
         if pending:
             self._pending = []
             self._stream.add_batch(pending)
+
+    def _folded(self) -> Optional[StreamingHistogram]:
+        """The bucketed-mode store with every owed and buffered sample
+        folded in (None in exact mode)."""
+        if self.settle is not None:
+            self.settle()
+        if self._pending:
+            self._fold()
         return self._stream
 
     def extend(self, values: Iterable[float]) -> None:

@@ -1,14 +1,12 @@
-"""Engine selection and the hybrid vectorizing simulator.
+"""Engine selection and the vectorizing simulator.
 
 ``VecSimulator`` *is* a :class:`repro.sim.engine.Simulator` — same
 three-phase cycle, same activity-driven fast path, same commit
-discipline.  The only difference is a flag: architectures probe
-``getattr(sim, "vectorized", False)`` at construction time and, when it
-is set, install their compiled-tick batch kernel.  Components that
-never install a kernel keep running their object tick inside the very
-same cycle loop — hybrid execution — so quiescence fast-forward,
-telemetry guards, the sanitizer and fault hooks all keep working
-unchanged.
+discipline — carrying the ``vectorized`` flag a batch kernel would key
+on.  No architecture installs one any more: each fabric's object tick
+sleeps to its event horizon and settles the skipped cycles, which is
+what the last kernel (the shared bus's) did.  The engine name stays
+selectable so recorded runs and sweeps that name it keep working.
 
 Engine choice is explicit and per call (``make_simulator(engine=...)``,
 ``build_architecture(engine=...)``, ``repro sweep --engine``); the
@@ -17,7 +15,7 @@ default is the object kernel.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.sim.engine import SimError, Simulator
 
@@ -38,38 +36,12 @@ def resolve_engine(engine: Optional[str]) -> str:
 
 
 class VecSimulator(Simulator):
-    """A :class:`Simulator` whose architectures vectorize themselves.
-
-    ``vectorized`` is the single flag the rest of the system keys on
-    (always True here; a plain :class:`Simulator` has no such
-    attribute).  ``vec_kernels`` records the installed batch kernels
-    for introspection and tests.
-    """
+    """A :class:`Simulator` flagged ``vectorized`` (a plain
+    :class:`Simulator` has no such attribute)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.vectorized = True
-        self.vec_kernels: List[object] = []
-
-    def register_vec_kernel(self, kernel: object) -> None:
-        """Record a batch kernel installed by an architecture."""
-        self.vec_kernels.append(kernel)
-
-    def flush_kernels(self) -> None:
-        """Replay every kernel's deferred per-cycle accounting through
-        the last executed cycle (see :meth:`BatchKernel.flush`), so a
-        snapshot taken now equals the object path's."""
-        for kernel in self.vec_kernels:
-            kernel.flush(self.cycle)
-
-    def run(self, cycles: int) -> None:
-        super().run(cycles)
-        self.flush_kernels()
-
-    def run_until(self, predicate, max_cycles=None) -> int:
-        result = super().run_until(predicate, max_cycles=max_cycles)
-        self.flush_kernels()
-        return result
 
 
 def make_simulator(name: str = "sim", engine: Optional[str] = None,

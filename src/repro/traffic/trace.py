@@ -45,7 +45,7 @@ def replay_trace(arch: CommArchitecture, trace: Sequence[TraceTuple],
     ]
     arch.sim.add_all(replayers)
     horizon = max((c for c, *_ in trace), default=0) + 1
-    arch.sim.run_until(lambda s: s.cycle >= horizon)
+    arch.sim.run(max(0, horizon - arch.sim.cycle))
     arch.sim.run_until(
         lambda s: arch.log.all_delivered() and arch.idle(),
         max_cycles=max_cycles,

@@ -5,13 +5,17 @@ DyNoC, staticmesh and CoNoChi once kept header arrivals, deliveries and
 link-occupancy intervals in lists that every tick scanned in full.  The
 references below are those scans; random interleavings of appends,
 pops and queries must give the same answers, late pops (several ready
-cycles at once) included.
+cycles at once) included.  The fabrics now sleep across busy-link
+cycles, so the replay of a skipped stretch must equal per-cycle
+``active()`` calls.
 """
+
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.transport import DueQueue, LinkOccupancy, quiescence
+from repro.arch.transport import DueQueue, LinkOccupancy, TransportHorizon
 from repro.sim import SLEEP
 
 
@@ -76,18 +80,26 @@ def _scan_active(intervals, now):
     return len({m for s, e, m in intervals if s <= now < e})
 
 
-def _scan_hint(intervals, now):
-    """The old quiescence scan over link intervals alone: None while a
-    link is busy next cycle, else the earliest later start, else
-    SLEEP."""
-    nxt = None
-    for start, end, _ in intervals:
-        if end <= now + 1:
+def _scan_first_busy(intervals, cycle):
+    """The first cycle from ``cycle`` an interval covers, by scan."""
+    covering = [max(start, cycle) for start, end, _ in intervals
+                if end > cycle]
+    return min(covering, default=None)
+
+
+def _scan_runs(intervals, first, last):
+    """Per-cycle scans of ``first`` .. ``last`` as (count, cycles) runs,
+    zeros dropped and equal neighbours merged."""
+    runs = []
+    for cycle in range(first, last + 1):
+        count = _scan_active(list(intervals), cycle)
+        if not count:
             continue
-        if start <= now + 1:
-            return None
-        nxt = start if nxt is None else min(nxt, start)
-    return SLEEP if nxt is None else nxt
+        if runs and runs[-1][0] == count and runs[-1][2] == cycle - 1:
+            runs[-1] = (count, runs[-1][1] + 1, cycle)
+        else:
+            runs.append((count, 1, cycle))
+    return runs
 
 
 @st.composite
@@ -108,6 +120,10 @@ def link_scripts(draw):
 @given(script=link_scripts())
 @settings(max_examples=200, deadline=None)
 def test_occupancy_matches_list_scans(script):
+    """After each query the cycles up to the next one are skipped: the
+    first busy one and the replayed runs match per-cycle scans (a
+    replay merges equal counts only across busy cycles, so the scan
+    runs split at idle gaps are merged the same way before comparing)."""
     links, intervals = LinkOccupancy(), []
     now = 0
     for adds, step in script:
@@ -116,7 +132,16 @@ def test_occupancy_matches_list_scans(script):
             start = now + offset
             links.add(start, start + length, ident)
             intervals.append((start, start + length, ident))
-        assert quiescence(links) == _scan_hint(intervals, now)
+        assert links.first_busy(now + 1) == _scan_first_busy(intervals,
+                                                             now + 1)
+        expect = []
+        for count, cycles, _ in _scan_runs(intervals, now + 1,
+                                           now + step - 1):
+            if expect and expect[-1][0] == count:
+                expect[-1] = (count, expect[-1][1] + cycles)
+            else:
+                expect.append((count, cycles))
+        assert links.replay(now + 1, now + step - 1) == expect
         now += step
 
 
@@ -127,13 +152,36 @@ def test_one_packet_on_two_links_counts_once():
     assert [links.active(t) for t in (2, 4, 5, 8, 10)] == [1, 2, 2, 1, 0]
 
 
+class _Fabric(TransportHorizon):
+    FABRIC_QUEUE = "test.fabric"
+
+    def __init__(self):
+        self._links = LinkOccupancy()
+        self._arrivals = DueQueue()
+        self._deliveries = DueQueue()
+
+
 def test_quiescence_wakes_for_earliest_of_links_and_queues():
-    links, arrivals, deliveries = LinkOccupancy(), DueQueue(), DueQueue()
+    """A busy link alone keeps nobody awake: the fabric wakes for the
+    next due item, and with alert rules attached for the first busy
+    cycle from the next evaluation if that comes first."""
+    fabric = _Fabric()
+    plain = SimpleNamespace(telemetering=False)
+    links = fabric._links
     links.active(10)
-    assert quiescence(links, arrivals, deliveries) == SLEEP
-    links.add(20, 24, 1)
-    arrivals.push(15, "header")
-    deliveries.push(30, "msg")
-    assert quiescence(links, arrivals, deliveries) == 15
+    assert fabric._horizon(plain, 10) == SLEEP
     links.add(11, 13, 2)
-    assert quiescence(links, arrivals, deliveries) is None
+    links.add(20, 24, 1)
+    assert fabric._horizon(plain, 10) == SLEEP
+    fabric._arrivals.push(35, "header")
+    fabric._deliveries.push(30, "msg")
+    assert fabric._horizon(plain, 10) == 30
+    alerts = SimpleNamespace(telemetering=True, telemetry=SimpleNamespace(
+        engine=object(), next_eval=14))
+    # links idle on 14..19: the evaluation runs on busy cycle 20
+    assert fabric._horizon(alerts, 10) == 20
+    assert fabric._depth_stash == 1
+    alerts.telemetry.next_eval = 12
+    assert fabric._horizon(alerts, 10) == 12
+    alerts.telemetry.next_eval = 25
+    assert fabric._horizon(alerts, 10) == 30

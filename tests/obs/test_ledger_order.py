@@ -8,6 +8,9 @@ ledger's own code.  Per scenario the fixture pins:
 * ``run_id`` — the content address returned by the store;
 * ``canonical`` — ``canonical_bytes`` of the in-memory record;
 * ``stored`` — the parsed stored file, wall-clock section removed;
+* ``simulated`` — the same without the ``kernel`` section, whose
+  scheduler self-metrics (cycles stepped, sleeps, wakes, fast-forward
+  jumps) describe how the kernel ran, not what it simulated;
 * ``stats`` — ``stats.snapshot()`` of every simulator the run built.
 
 The scenarios drive the paths whose cost the ledger pays:
@@ -17,8 +20,8 @@ The scenarios drive the paths whose cost the ledger pays:
   rules keep reading its p99, the latency and saturation alerts fire,
   and the per-cycle parallelism histogram passes its 4,096-sample cap
   while ``observed_dmax`` is read mid-run;
-* ``overload_vec`` — the same on the vec engine, whose shared-bus
-  kernel back-fills the parallelism samples in batches;
+* ``overload_vec`` — the same on the vec engine, which must record
+  the same statistics;
 * ``mesh`` — DyNoC under random all-to-all traffic: twelve flows with
   interpolated exact percentiles and a parallelism histogram spread
   over several values.
@@ -54,21 +57,24 @@ SCENARIOS = ("overload", "overload_vec", "mesh")
 
 GOLDEN: Dict[str, Dict[str, str]] = {
     "overload": {
-        "run_id": "c8ecf04e695bee4c",
-        "canonical": "c8ecf04e695bee4c1851b7f3b4496caf92334a7fcc2f6b0dad9de4586927b0c7",
-        "stored": "e1afb9db99b1b837839cc2caca6fc0dcb1c40335d8e014fae491e05634346bdf",
+        "run_id": "0faaea79c8c93661",
+        "canonical": "0faaea79c8c93661105c3e39ce80c6bafd6587f665216cd665e8a76b658e38e6",
+        "stored": "5428f753c368a7a201b8abf766486e642fd9f58958b4a1711bb00d26644231de",
+        "simulated": "bb9cedf2fab1bdfe518947fe3b7cef97fe15e859146b93bc14d5fe283120eb05",
         "stats": "297abd4dba055a6cde79cc3e66e3d8016a80e1c344d5c82e05664b6203ae1a02",
     },
     "overload_vec": {
-        "run_id": "fa7ead540c5eb406",
-        "canonical": "fa7ead540c5eb4067a5746c7892e318860d811d22fd94027a2fb61ce338d6b89",
-        "stored": "a7d61ac3e4afc8738fb2137293a6ddc5aff9a829aecda0e564df8dde649b00f8",
+        "run_id": "61eff5227ef0462d",
+        "canonical": "61eff5227ef0462d48e8e39da33fc94e3ce02cbcd25f2dc3589d1f0f01b78d7f",
+        "stored": "d84f67fccdfa01c9db391a47a09a8a2890f6b98b357d91ec40a69bc6102df9bd",
+        "simulated": "3d249ee5cf311f90d206c15533c2d1fff8169ec059e68676448694a8d4b3d037",
         "stats": "297abd4dba055a6cde79cc3e66e3d8016a80e1c344d5c82e05664b6203ae1a02",
     },
     "mesh": {
-        "run_id": "947e1779d0576952",
-        "canonical": "947e1779d05769521cdcc757ffeeffd88de92fef449ae18a49fb207bb80e19b4",
-        "stored": "39aa97680ef5673043ce839ea57ee172326681699a1c68fba31c10bfe18e0ecc",
+        "run_id": "5c706c45282b0ed2",
+        "canonical": "5c706c45282b0ed2c52e476671914995742f9397940418f609eaa70f752a4e20",
+        "stored": "6f3d23caaa54e78620f30b3a47a3b0559255bc016e76227298396b589528e567",
+        "simulated": "c773d7a4eb8ccdc9375fabe5e9a4f3feca561eb347d32486ecf14c75742cc0f8",
         "stats": "bea8b0d8b8b61ec913dba782df08a804ad0b3bd5665ff0d40a66dafd216ad48f",
     },
 }
@@ -213,6 +219,7 @@ def _digests(record, run_id, stored, sims) -> Dict[str, str]:
         "run_id": run_id,
         "canonical": hashlib.sha256(canonical_bytes(record)).hexdigest(),
         "stored": _sha(body),
+        "simulated": _sha({k: v for k, v in body.items() if k != "kernel"}),
         "stats": _sha([s.stats.snapshot() for s in sims]),
     }
 

@@ -136,9 +136,16 @@ class TestEvents:
 
 class TestRunUntil:
     def test_run_until_predicate(self):
+        """The predicate reads simulated state only: the quiescent
+        stretch before the event that changes it is jumped."""
         sim = Simulator()
-        cycle = sim.run_until(lambda s: s.cycle >= 12)
-        assert cycle == 12
+        done = []
+        sim.at(11, lambda s: done.append(s.cycle))
+        cycle = sim.run_until(lambda s: bool(done))
+        assert cycle == 12  # the event ran in cycle 11
+        assert done == [11]
+        if sim.fast_path:
+            assert sim.kmetrics.cycles_stepped == 1
 
     def test_run_until_raises_on_bound(self):
         sim = Simulator()

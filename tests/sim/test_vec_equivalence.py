@@ -1,11 +1,10 @@
 """Golden equivalence: vec engine vs object engine, bit for bit.
 
-The SoA backend is a pure optimization — for every architecture,
-workload, telemetry setting and fault script, a ``VecSimulator`` run
-must produce exactly the same statistics, telemetry and traces as the
-plain object kernel.  Components without a batch kernel (RMBoC,
-BUS-COM, CoNoChi) must fall back transparently inside the same hybrid
-cycle loop.
+No architecture installs a batch kernel any more, but the ``vec``
+engine name stays selectable: for every architecture, workload,
+telemetry setting and fault script, a ``VecSimulator`` run must
+produce exactly the same statistics, telemetry and traces as the plain
+object kernel.
 """
 
 import json
@@ -18,11 +17,8 @@ from repro.obs.flows import FlowTelemetry
 from repro.sim import SimError, Tracer
 from repro.sim.vec import make_simulator
 
-#: architectures with a compiled-tick batch kernel installed
-VEC_ARCHS = ("sharedbus",)
-#: hybrid-fallback architectures: object tick inside VecSimulator
-HYBRID_ARCHS = ("rmboc", "buscom", "conochi", "dynoc", "staticmesh")
-ALL_ARCHS = VEC_ARCHS + HYBRID_ARCHS
+ALL_ARCHS = ("sharedbus", "rmboc", "buscom", "conochi", "dynoc",
+             "staticmesh")
 
 
 def _fingerprint(sim):
@@ -81,10 +77,6 @@ def _drive(key, engine, telemetry=False, faults=False, tracing=False,
     if telemetry:
         FlowTelemetry().attach(sim)
     arch = build_architecture(key, sim=sim, seed=seed)
-    if engine == "vec" and key in VEC_ARCHS:
-        assert sim.vec_kernels, f"{key}: no batch kernel installed"
-    if engine == "vec" and key in HYBRID_ARCHS:
-        assert not sim.vec_kernels  # hybrid fallback: object tick only
     mods = list(arch.modules)
     rng = random.Random(seed)
     t = 0
@@ -178,7 +170,7 @@ def test_buscom_utilization_read_mid_sleep_equivalent():
         reads, slept = [], []
 
         def read(s):
-            slept.append(arch._last_ticked < s.cycle - 1)
+            slept.append(arch._settled < s.cycle - 1)
             reads.append(arch.bus_utilization())
 
         for at in range(400, 1_400, 7):
@@ -200,7 +192,6 @@ def test_engine_is_chosen_per_call():
 
     arch = build_architecture("sharedbus", engine="vec")
     assert isinstance(arch.sim, VecSimulator)
-    assert arch.sim.vec_kernels
     arch = build_architecture("sharedbus")
     assert not isinstance(arch.sim, VecSimulator)
 
