@@ -64,13 +64,13 @@ class SharedBus(CommArchitecture, Component):
         # current transfer: (message, done_at cycle)
         self._current: Optional[Message] = None
         self._done_at = -1
-        self._grant_at = -1
+        # last busy cycle telemetry recorded for the burst at its grant
+        self._busy_to = -1
         self._halted = False  # fault state: arbitration stopped
         # a granted burst changes nothing until _done_at, so the bus
-        # sleeps through it; settle() replays the skipped cycles from
-        # what the last tick stashed (see tick)
+        # sleeps through it; settle() replays the skipped cycles' d_max
+        # samples if the last tick left a burst on the bus (see tick)
         self._in_burst = False
-        self._depth_stash: Optional[int] = None
 
     # ------------------------------------------------------------------
     def _attach_impl(self, module: str, **_: object) -> None:
@@ -91,6 +91,8 @@ class SharedBus(CommArchitecture, Component):
         if msg.src not in self._queues:
             raise KeyError(f"source module {msg.src!r} is not attached")
         self._queues[msg.src].append(msg)
+        if self.sim.telemetering:
+            self._note_depth()
         self.wake()  # new traffic ends any quiescent stretch
 
     def idle(self) -> bool:
@@ -125,10 +127,21 @@ class SharedBus(CommArchitecture, Component):
         victims: List[Message] = []
         if self._current is not None:
             victims.append(self._current)
+            if self.sim.telemetering:
+                self._take_back_busy()
             self._current = None
             self._done_at = -1
         self.wake()
         return victims
+
+    def _take_back_busy(self) -> None:
+        """Telemetry: the halted burst's busy cycles from this one on,
+        recorded at its grant, were never carried (a fault halts the
+        bus at event phase, before this cycle's tick)."""
+        now = self.sim.cycle
+        if self._busy_to >= now:
+            self.sim.telemetry.link_busy(
+                now, "sharedbus.bus", now - self._busy_to - 1, first=now)
 
     def resume_bus(self) -> None:
         if not self._halted:
@@ -176,32 +189,23 @@ class SharedBus(CommArchitecture, Component):
     def words(self, payload_bytes: int) -> int:
         return -(-payload_bytes * 8 // self.width)
 
+    def _note_depth(self) -> None:
+        """Telemetry: the arbiter's queued total changed."""
+        self.sim.telemetry.queue_depth(
+            self.sim.cycle, "sharedbus.arbiter",
+            sum(len(q) for q in self._queues.values()))
+
     def settle(self, through: int) -> None:
         """Replay the in-burst cycles skipped through ``through``: one
-        parallelism sample each and, with telemetry on, their per-cycle
-        bus-busy and arbiter-depth samples.  The burst flag and depth
-        come from the last tick: ``halt_bus`` may clear the live burst
-        at event phase, but every cycle before that still carried it."""
+        parallelism sample each.  The burst flag comes from the last
+        tick: ``halt_bus`` may clear the live burst at event phase, but
+        every cycle before that still carried it."""
         first = self._settled + 1
         if through < first:
             return
         self._settled = through
-        if not self._in_burst:
-            return
-        cycles = through - first + 1
-        self._note_parallelism_run(1, cycles)
-        if self._depth_stash is not None:
-            link = self.sim.telemetry.link("sharedbus.bus")
-            window = link.window
-            cycle = first
-            while cycle <= through:
-                # one note per utilization window, as per-cycle notes
-                # would fill it
-                end = min(through, (cycle // window + 1) * window - 1)
-                link.note_busy(cycle, end - cycle + 1)
-                cycle = end + 1
-            self.sim.telemetry.link("sharedbus.arbiter").note_queue_depth(
-                self._depth_stash)
+        if self._in_burst:
+            self._note_parallelism_run(1, through - first + 1)
 
     def tick(self, sim: Simulator):
         now = sim.cycle
@@ -211,21 +215,14 @@ class SharedBus(CommArchitecture, Component):
         self._in_burst = False
         if self._halted:
             return SLEEP  # dead bus: resume_bus() wakes us
-        if sim.telemetering:
-            tel = sim.telemetry
-            if self._current is not None:
-                tel.link_busy(now, "sharedbus.bus")
-            tel.queue_depth(
-                now, "sharedbus.arbiter",
-                sum(len(q) for q in self._queues.values()),
-            )
         if self._current is not None:
             self._note_parallelism(1)
             if now >= self._done_at:
                 self._deliver(self._current)
                 self._current = None
             else:
-                return self._sleep_through_burst(sim, now)
+                self._in_burst = True
+                return self._done_at
         # arbitration: round-robin over modules with queued traffic
         # whose destination is attached
         n = len(self._rr_order)
@@ -251,29 +248,22 @@ class SharedBus(CommArchitecture, Component):
                     jr.stamp_to(msg.mid, "arbitration_wait", now)
                     jr.stamp_to(msg.mid, "link_transit", self._done_at)
                 self.sim.stats.counter("sharedbus.grants").inc()
+                self._busy_to = -1
                 if sim.telemetering:
-                    sim.telemetry.backpressure(
-                        now, "sharedbus.bus", now - msg.created_cycle
-                    )
-                return self._sleep_through_burst(sim, now)
+                    tel = sim.telemetry
+                    # the burst holds the bus from the cycle after its
+                    # grant through its delivery
+                    self._busy_to = max(self._done_at, now + 1)
+                    tel.link_busy(now, "sharedbus.bus",
+                                  self._busy_to - now, first=now + 1)
+                    tel.backpressure(now, "sharedbus.bus",
+                                     now - msg.created_cycle)
+                    self._note_depth()
+                self._in_burst = True
+                return self._done_at
         if any(self._queues.values()):
             return None  # queued traffic waiting on a detached destination
         return SLEEP  # bus and queues empty: wait for the next submit
-
-    def _sleep_through_burst(self, sim: Simulator, now: int):
-        """Sleep to the burst's last cycle (or, with alert rules
-        attached, to the next evaluation cycle if that comes first);
-        settle() replays the cycles between."""
-        wake = self._done_at
-        if sim.telemetering:
-            tel = sim.telemetry
-            self._depth_stash = sum(len(q) for q in self._queues.values())
-            if tel.engine is not None and tel.next_eval < wake:
-                wake = max(tel.next_eval, now + 1)
-        else:
-            self._depth_stash = None
-        self._in_burst = True
-        return wake
 
 
 def build_sharedbus(num_modules: int = 4, width: int = 32, seed: int = 1,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 from repro.arch.base import CommArchitecture, Message
 from repro.arch.buscom.config import BusComConfig
@@ -88,8 +88,6 @@ class BusCom(CommArchitecture, Component):
         self._stash_busy = False
         self._stash_frames: List[bool] = []
         self._stash_active = 0
-        self._stash_tel = False
-        self._stash_depths: List[Tuple[str, int]] = []
         #: (table version, idle slot durations and dynamic flags per
         #: bus, idle round length per bus, dyn_budget after a round)
         self._idle_cache: Optional[tuple] = None
@@ -100,16 +98,13 @@ class BusCom(CommArchitecture, Component):
     RT_TAGS = ("stream", "rt", "ctrl")
 
     def _attach_impl(self, module: str, **_: object) -> None:
-        self._settle_now()  # skipped ticks sampled the old module set
         self._queues[module] = deque()
         self._bulk[module] = deque()
         self._priority.append(module)
         self._frozen[module] = False
         self._ni_names[module] = f"buscom.ni.{module}"
-        self._replan()
 
     def _detach_impl(self, module: str) -> None:
-        self._settle_now()
         q = self._queues.pop(module)
         b = self._bulk.pop(module)
         if q or b:
@@ -121,7 +116,6 @@ class BusCom(CommArchitecture, Component):
             )
         self._priority.remove(module)
         del self._frozen[module], self._ni_names[module]
-        self._replan()
 
     def _submit(self, msg: Message) -> None:
         if msg.src not in self._queues:
@@ -129,6 +123,8 @@ class BusCom(CommArchitecture, Component):
         queue = (self._queues if msg.tag in self.RT_TAGS
                  else self._bulk)[msg.src]
         queue.append(_SendItem(msg, msg.payload_bytes))
+        if self.sim.telemetering:
+            self._note_ni_depth(msg.src)
         self.wake()  # new traffic ends any quiescent stretch
 
     def idle(self) -> bool:
@@ -193,7 +189,6 @@ class BusCom(CommArchitecture, Component):
             else:
                 self.table.set_static(bus, slot, owner)
             self.sim.stats.counter("buscom.slots.reassigned").inc()
-            self._replan()
 
         self.sim.after(self.cfg.reassign_latency, apply)
 
@@ -231,12 +226,16 @@ class BusCom(CommArchitecture, Component):
     def purge_message(self, msg: Message) -> None:
         """Remove a dropped message's queued fragments from its source
         interface so they are not transmitted pointlessly."""
+        purged = False
         for queues in (self._queues, self._bulk):
             q = queues.get(msg.src)
             if q is not None:
                 stale = [item for item in q if item.msg.mid == msg.mid]
                 for item in stale:
                     q.remove(item)
+                purged = purged or bool(stale)
+        if purged and self.sim.telemetering:
+            self._note_ni_depth(msg.src)
 
     def migrate_slots_off_bus(self, bus: int):
         """Fault response at detection: move the dead bus's static slots
@@ -275,12 +274,6 @@ class BusCom(CommArchitecture, Component):
         if self._settled < now - 1:
             self.settle(now - 1)
         self._settled = now
-        if sim.telemetering:
-            tel = sim.telemetry
-            names = self._ni_names
-            for module, q in self._queues.items():
-                tel.queue_depth(now, names[module],
-                                len(q) + len(self._bulk[module]))
         active = 0
         for bus in self._buses:
             bus.total_cycles += 1
@@ -297,33 +290,28 @@ class BusCom(CommArchitecture, Component):
                 # be shorter than the config default
                 bus.slot_idx = (bus.slot_idx + 1) % self.table.slots_per_bus
         self._note_parallelism(active)
-        return self._horizon(sim, now)
+        return self._horizon(now)
 
     # ------------------------------------------------------------------
     # event horizons
     # ------------------------------------------------------------------
-    def _horizon(self, sim: Simulator, now: int):
+    def _horizon(self, now: int):
         """The next cycle a tick changes protocol state, stashing what
         the ticks before it would record.
 
         With traffic queued or on a wire, every tick counts each bus's
-        cycle, runs down its slot and samples parallelism and the
-        interface queues; only slot starts and frame landings change
-        anything else, so the fabric wakes for the earliest of those.
-        Idle, a tick can only start an empty slot, which
-        :meth:`_replay_idle` replays arithmetically, so it sleeps.  With
-        alert rules attached it wakes where the next evaluation runs:
-        the first cycle from it on which it would tick (every cycle
-        while busy, a slot start while idle).
+        cycle, runs down its slot and samples parallelism; only slot
+        starts and frame landings change anything else, so the fabric
+        wakes for the earliest of those.  Idle, a tick can only start
+        an empty slot, which :meth:`_replay_idle` replays
+        arithmetically, so it sleeps.
         """
         buses = self._buses
-        self._stash_tel = tel = sim.telemetering
-        engine = tel and sim.telemetry.engine is not None
         busy = (any(b.frame_msg is not None for b in buses)
                 or any(self._queues.values()) or any(self._bulk.values()))
         self._stash_busy = busy
         if not busy:
-            return self._idle_wake(now) if engine else SLEEP
+            return SLEEP
         self._stash_frames = frames = [b.frame_msg is not None
                                        for b in buses]
         self._stash_active = sum(frames)
@@ -331,13 +319,6 @@ class BusCom(CommArchitecture, Component):
         for bus in buses:
             if bus.frame_msg is not None and bus.frame_done_at < nxt:
                 nxt = bus.frame_done_at
-        if tel:
-            names, bulk = self._ni_names, self._bulk
-            self._stash_depths = [(names[m], len(q) + len(bulk[m]))
-                                  for m, q in self._queues.items()]
-            due = sim.telemetry.next_eval
-            if engine and due < nxt:
-                nxt = due if due > now else now + 1
         return nxt
 
     def settle(self, through: int) -> None:
@@ -349,11 +330,7 @@ class BusCom(CommArchitecture, Component):
         self._settled = through
         gap = through - first + 1
         if not self._stash_busy:
-            if self._replay_idle(first - 1, through) and self._stash_tel:
-                # every slot start ticked, sampling empty queues
-                link, names = self.sim.telemetry.link, self._ni_names
-                for module in self._queues:
-                    link(names[module]).note_queue_depth(0)
+            self._replay_idle(first - 1, through)
             return
         slots = self.table.slots_per_bus
         for bus, framed in zip(self._buses, self._stash_frames):
@@ -364,10 +341,6 @@ class BusCom(CommArchitecture, Component):
             if bus.slot_remaining == 0:
                 bus.slot_idx = (bus.slot_idx + 1) % slots
         self._note_parallelism_run(self._stash_active, gap)
-        if self._stash_tel:
-            link = self.sim.telemetry.link
-            for name, depth in self._stash_depths:
-                link(name).note_queue_depth(depth)
 
     def _idle_schedule(self) -> tuple:
         """Per bus: idle slot durations and dynamic flags, the idle
@@ -396,15 +369,13 @@ class BusCom(CommArchitecture, Component):
                                     rounds, budgets)
         return cache
 
-    def _replay_idle(self, last: int, through: int) -> bool:
+    def _replay_idle(self, last: int, through: int) -> None:
         """Advance every bus from the end of cycle ``last`` to the end
         of ``through`` as idle ticks would: empty slots start and run
-        down (whole rounds at once), nothing is sent.  Returns whether
-        any slot started, i.e. whether any tick was skipped."""
+        down (whole rounds at once), nothing is sent."""
         _, durations, dynamic, rounds, budgets = self._idle_schedule()
         slots = self.table.slots_per_bus
         reset = self.cfg.dynamic_segment_cycles
-        started = False
         for bus in self._buses:
             bus.total_cycles += through - last
             durs, kinds, round_len = (durations[bus.index],
@@ -413,7 +384,6 @@ class BusCom(CommArchitecture, Component):
             cycle = last + 1
             while cycle <= through:
                 if left == 0:
-                    started = True
                     if idx == 0:
                         whole = (through - cycle + 1) // round_len
                         if whole:
@@ -430,53 +400,20 @@ class BusCom(CommArchitecture, Component):
                 if left == 0:
                     idx = (idx + 1) % slots
             bus.slot_idx, bus.slot_remaining = idx, left
-        return started
-
-    def _idle_wake(self, now: int) -> int:
-        """The first idle slot start, on any bus, from the next alert
-        evaluation cycle (and after ``now``)."""
-        _, durations, _, rounds, _ = self._idle_schedule()
-        slots = self.table.slots_per_bus
-        due = self.sim.telemetry.next_eval
-        target = due if due > now else now + 1
-        best = None
-        for bus in self._buses:
-            durs, round_len = durations[bus.index], rounds[bus.index]
-            # the slot in progress ends first; at 0 left the index has
-            # already moved on to the slot that starts next cycle
-            idx, left = bus.slot_idx, bus.slot_remaining
-            if left:
-                idx = (idx + 1) % slots
-            start = now + left + 1
-            while start < target:
-                if idx == 0 and target - start >= round_len:
-                    start += (target - start) // round_len * round_len
-                    continue
-                start += durs[idx]
-                idx = (idx + 1) % slots
-            if best is None or start < best:
-                best = start
-        return best
 
     def _settle_now(self) -> None:
         """Replay the skipped ticks before an event-phase hook changes
-        what later ones would do (the slot table, the module set)."""
+        what later ones would do (the slot table)."""
         if self._sim is not None:
             self.settle(self._sim.cycle - 1)
 
-    def _replan(self) -> None:
-        """After such a hook: asleep in busy traffic, the fabric would
-        tick this cycle anyway, so it wakes; idle, its wake for the next
-        alert evaluation moves to the new first slot start."""
-        sim = self._sim
-        if sim is None or not self._asleep:
-            return
-        if self._stash_busy:
-            self.wake()
-        elif self._stash_tel and sim.telemetry.engine is not None:
-            sim.reschedule(self, self._idle_wake(sim.cycle - 1))
-
     # ------------------------------------------------------------------
+    def _note_ni_depth(self, module: str) -> None:
+        """Telemetry: the module's interface queue depth changed."""
+        self.sim.telemetry.queue_depth(
+            self.sim.cycle, self._ni_names[module],
+            len(self._queues[module]) + len(self._bulk[module]))
+
     def _queue_for(self, module: str) -> Optional[Deque[_SendItem]]:
         """The queue the module's next frame comes from: rt first."""
         for queues in (self._queues, self._bulk):
@@ -502,6 +439,8 @@ class BusCom(CommArchitecture, Component):
             item.msg.accepted_cycle = self.sim.cycle
         if item.bytes_left == 0:
             q.popleft()
+            if self.sim.telemetering:
+                self._note_ni_depth(module)
         return _SendItem(item.msg, frag)  # bytes_left field reused as size
 
     def _start_slot(self, bus: _BusState, now: int) -> None:

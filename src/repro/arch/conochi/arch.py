@@ -182,6 +182,8 @@ class CoNoChi(TransportHorizon, CommArchitecture, Component):
                             start + self.cfg.link_latency)
             self._arrivals.push(start + self.cfg.link_latency,
                                 (pkt, src_switch))
+        if self.sim.telemetering:
+            self._note_depth()
         self.sim.stats.counter("conochi.packets").inc(nfrag)
         self.sim.stats.counter("conochi.header_words").inc(
             nfrag * self.cfg.header_words
@@ -349,15 +351,15 @@ class CoNoChi(TransportHorizon, CommArchitecture, Component):
             self.settle(now - 1)
         self._settled = now
         self._note_parallelism(self._links.active(now))
-        if sim.telemetering:
-            # packets awaiting switch routing = the fabric's input queue
-            sim.telemetry.queue_depth(now, self.FABRIC_QUEUE,
-                                      len(self._arrivals))
         for msg in self._deliveries.pop_due(now):
             self._deliver(msg)
-        for pkt, at in self._arrivals.pop_due(now):
+        arrived = self._arrivals.pop_due(now)
+        for pkt, at in arrived:
             self._route(pkt, at, now)
-        return self._horizon(sim, now)
+        if arrived and sim.telemetering:
+            # packets awaiting switch routing = the fabric's input queue
+            self._note_depth()
+        return self._horizon()
 
     def _reserve(self, key: Tuple[object, object], now: int, words: int,
                  mid: int) -> int:

@@ -313,6 +313,8 @@ class DyNoC(TransportHorizon, CommArchitecture, Component):
                 self.sim.cycle + self.cfg.link_latency)
         self._arrivals.push(self.sim.cycle + self.cfg.link_latency,
                             (pkt, src_access))
+        if self.sim.telemetering:
+            self._note_depth()
         self.sim.stats.counter("dynoc.packets").inc()
         self.sim.stats.counter("dynoc.header_words").inc(self.cfg.header_words)
         self.wake()  # new traffic ends any quiescent stretch
@@ -341,15 +343,15 @@ class DyNoC(TransportHorizon, CommArchitecture, Component):
             self.settle(now - 1)
         self._settled = now
         self._note_parallelism(self._links.active(now))
-        if sim.telemetering:
-            # headers awaiting routing = the fabric's input queue
-            sim.telemetry.queue_depth(now, self.FABRIC_QUEUE,
-                                      len(self._arrivals))
         for msg in self._deliveries.pop_due(now):
             self._deliver(msg)
-        for pkt, at in self._arrivals.pop_due(now):
+        arrived = self._arrivals.pop_due(now)
+        for pkt, at in arrived:
             self._route(pkt, at, now)
-        return self._horizon(sim, now)
+        if arrived and sim.telemetering:
+            # headers awaiting routing = the fabric's input queue
+            self._note_depth()
+        return self._horizon()
 
     def _reserve_port(self, router: Coord, target: object,
                       now: int, words: int, mid: int) -> int:

@@ -86,7 +86,6 @@ class RMBoC(CommArchitecture, Component):
         # last tick stashed for settle() to replay (see _horizon)
         self._acted = False
         self._stash_active = 0
-        self._stash_depths: List[Tuple[str, int]] = []
 
     # ==================================================================
     # CommArchitecture interface
@@ -123,6 +122,8 @@ class RMBoC(CommArchitecture, Component):
         if queue is None:
             queue = queues[msg.dst] = deque()
         queue.append(msg)
+        if self.sim.telemetering:
+            self._note_ni_depth(msg.src)
         self._kick()  # new traffic ends any quiescent stretch
 
     def idle(self) -> bool:
@@ -285,36 +286,33 @@ class RMBoC(CommArchitecture, Component):
         self._tick_data(now)
         self._tick_control(now)
         self._tick_ni(now)
-        return self._horizon(sim, now)
+        return self._horizon(now)
 
     def _kick(self) -> None:
         """A hook changed what the NI may do: tick at the next chance.
-        Called from inside a tick (an alert's control action), it keeps
-        the fabric hot for the next cycle instead."""
+        Called from inside the fabric's own tick, it keeps the fabric
+        hot for the next cycle instead."""
         self._acted = True
         self.wake()
 
-    def _horizon(self, sim: Simulator, now: int):
+    def _horizon(self, now: int):
         """The next cycle a tick changes protocol state, stashing what
         the ticks before it would record.
 
         While anything is in flight or queued, every tick moves each
-        streaming transfer one word, samples parallelism and samples
-        the non-empty NI queues.  Protocol state changes only at a
-        transfer's last word, a control message's ``ready_at``, a
-        queued pair's retry time or an idle circuit's linger deadline,
-        and the NI acts again only after one of those or after an
-        external hook (submit, establish, unfreeze, repair, channel
-        cap, attach), which wakes the fabric.  An NI action changes
-        what the next tick's NI sees, so the fabric stays hot one more
-        cycle after one.  With alert rules attached it also wakes for
-        the next evaluation cycle, on which it would tick anyway.
+        streaming transfer one word and samples parallelism.  Protocol
+        state changes only at a transfer's last word, a control
+        message's ``ready_at``, a queued pair's retry time or an idle
+        circuit's linger deadline, and the NI acts again only after
+        one of those or after an external hook (submit, establish,
+        unfreeze, repair, channel cap, attach), which wakes the
+        fabric.  An NI action changes what the next tick's NI sees, so
+        the fabric stays hot one more cycle after one.
         """
         transfers = self._transfers
         queued = any(self._queues.values())
         if not (self._ctrl or transfers or queued):
             self._stash_active = 0
-            self._stash_depths = []
             return self._quiescence(now)
         if self._acted:
             return None
@@ -340,25 +338,14 @@ class RMBoC(CommArchitecture, Component):
             if deadline > now and (nxt is None or deadline < nxt):
                 nxt = deadline
         self._stash_active = len(transfers)
-        if sim.telemetering:
-            names = self._ni_names
-            self._stash_depths = [
-                (names[module], sum(map(len, queues.values())))
-                for module, queues in self._queues.items() if queues]
-            tel = sim.telemetry
-            if tel.engine is not None and (nxt is None
-                                           or tel.next_eval < nxt):
-                nxt = tel.next_eval
-        else:
-            self._stash_depths = []
         if nxt is None:
             return SLEEP
         return nxt if nxt > now else now + 1
 
     def settle(self, through: int) -> None:
         """Replay the ticks skipped through ``through``: each moved every
-        transfer one word and sampled parallelism and the NI queues as
-        the last tick left them (see :meth:`_horizon`)."""
+        transfer one word and sampled parallelism as the last tick
+        left them (see :meth:`_horizon`)."""
         first = self._settled + 1
         if through < first:
             return
@@ -368,10 +355,6 @@ class RMBoC(CommArchitecture, Component):
             for tr in self._transfers:
                 tr.words_left -= gap
             self._note_parallelism_run(self._stash_active, gap)
-        if self._stash_depths:
-            link = self.sim.telemetry.link
-            for name, depth in self._stash_depths:
-                link(name).note_queue_depth(depth)
 
     def _quiescence(self, now: int):
         """Quiescence hint for the activity-driven kernel.
@@ -614,11 +597,14 @@ class RMBoC(CommArchitecture, Component):
                 self._ni_for(module, queues, busy, now)
         self._retire_idle_channels(now, busy)
 
+    def _note_ni_depth(self, module: str) -> None:
+        """Telemetry: the module's NI queue depth changed."""
+        self.sim.telemetry.queue_depth(
+            self.sim.cycle, self._ni_names[module],
+            sum(map(len, self._queues[module].values())))
+
     def _ni_for(self, module: str, queues: Dict[str, Deque[Message]],
                 busy: Set[int], now: int) -> None:
-        if self.sim.telemetering:
-            self.sim.telemetry.queue_depth(
-                now, self._ni_names[module], sum(map(len, queues.values())))
         xp = self._module_xp[module]
         if self._frozen[xp]:
             return  # slot under reconfiguration: hold traffic
@@ -653,9 +639,11 @@ class RMBoC(CommArchitecture, Component):
         # and each later one may open a circuit (retry backoff,
         # attachment and budget permitting).
         actions: List[Tuple[Message, Optional[Channel]]] = []
+        served = False
         for dst, queue in list(queues.items()):
             free, pending = circuits.get(dst, ((), 0))
             if free:
+                served = True
                 for ch in free[:len(queue)]:
                     actions.append((queue.popleft(), ch))
                 if not queue:
@@ -668,6 +656,8 @@ class RMBoC(CommArchitecture, Component):
         if not actions:
             return
         self._acted = True
+        if served and self.sim.telemetering:
+            self._note_ni_depth(module)
         # Across destinations, act in arrival (mid) order: it fixes cid
         # numbering, the control-message order and so lane allocation,
         # and decides which destinations the budget goes to.

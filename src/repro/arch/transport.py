@@ -17,8 +17,7 @@ what falls due in it, not what is in flight:
 A busy link changes no protocol state, so the fabrics sleep to their
 event horizon, the next due item (:meth:`TransportHorizon._horizon`),
 and :meth:`TransportHorizon.settle` replays the busy cycles they skipped:
-one parallelism sample per busy cycle (:meth:`LinkOccupancy.replay`)
-and the queue-depth sample each of those ticks would have recorded.
+one parallelism sample per busy cycle (:meth:`LinkOccupancy.replay`).
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ class LinkOccupancy:
     answers equal scans of a plain list holding every interval added.
     """
 
-    __slots__ = ("_now", "_pending", "_ends", "_live", "_max_end")
+    __slots__ = ("_now", "_pending", "_ends", "_live")
 
     def __init__(self) -> None:
         self._now = -1
@@ -100,8 +99,6 @@ class LinkOccupancy:
         self._ends: List[Tuple[int, int]] = []
         #: id -> live intervals carrying it
         self._live: Dict[int, int] = {}
-        #: the latest end of any interval that went live
-        self._max_end = -1
 
     def add(self, start: int, end: int, ident: int) -> None:
         heappush(self._pending, (start, end, ident))
@@ -115,8 +112,6 @@ class LinkOccupancy:
             if end > now:
                 heappush(ends, (end, ident))
                 live[ident] = live.get(ident, 0) + 1
-                if end > self._max_end:
-                    self._max_end = end
         while ends and ends[0][0] <= now:
             ident = heappop(ends)[1]
             left = live[ident] - 1
@@ -149,34 +144,19 @@ class LinkOccupancy:
             cycle = nxt
         return runs
 
-    def first_busy(self, cycle: int) -> Optional[int]:
-        """The first cycle from ``cycle`` (after the last :meth:`active`
-        call) that an interval covers, or None.  A live interval
-        covers ``cycle`` exactly when the latest live end lies beyond
-        it (the interval holding it is still live)."""
-        if self._max_end > cycle:
-            return cycle
-        best = None
-        for start, end, _ in self._pending:
-            if end > cycle:
-                at = start if start > cycle else cycle
-                if best is None or at < best:
-                    best = at
-        return best
-
 
 class TransportHorizon:
     """Event horizon and replay shared by the NoC models.
 
     A tick routes the headers that arrived, lands the packets whose
-    tails cleared their ejection port, records one parallelism sample
-    and, with telemetry on, one queue-depth sample of the fabric's
-    header queue (:attr:`FABRIC_QUEUE`).  Only the pops change protocol
-    state, so the fabric sleeps to the next due item; the busy-link
-    cycles in between, on which the same fabric would otherwise tick,
-    are replayed by :meth:`settle`.  With alert rules attached it also
-    wakes on the first busy cycle from the next evaluation cycle, so
-    that the evaluation runs inside the same tick.
+    tails cleared their ejection port and records one parallelism
+    sample.  Only the pops change protocol state, so the fabric sleeps
+    to the next due item; the busy-link cycles in between, on which the
+    same fabric would otherwise tick, are replayed by :meth:`settle`.
+    With telemetry on, the depth of the header queue
+    (:attr:`FABRIC_QUEUE`) is recorded where it changes: after an
+    injection and after a tick that routed arrivals
+    (:meth:`_note_depth`).
     """
 
     #: telemetry name of the header-arrival queue
@@ -186,9 +166,6 @@ class TransportHorizon:
     _arrivals: DueQueue
     _deliveries: DueQueue
     _settled: int
-    #: header-queue depth at the last tick's end, or None when telemetry
-    #: was off (nothing to replay)
-    _depth_stash: Optional[int] = None
 
     def settle(self, through: int) -> None:
         """Replay the busy-link cycles skipped through ``through``."""
@@ -202,26 +179,17 @@ class TransportHorizon:
         note = self._note_parallelism_run
         for count, cycles in runs:
             note(count, cycles)
-        if self._depth_stash is not None:
-            self.sim.telemetry.link(self.FABRIC_QUEUE).note_queue_depth(
-                self._depth_stash)
 
-    def _horizon(self, sim, now: int):
-        """The hint at the end of a tick: the next due item, or with
-        alert rules attached the first busy cycle from the next
-        evaluation, whichever comes first; SLEEP when neither exists."""
+    def _horizon(self):
+        """The hint at the end of a tick: the next due item, or SLEEP
+        when nothing is due."""
         nxt = self._arrivals.next_ready()
         ready = self._deliveries.next_ready()
         if ready is not None and (nxt is None or ready < nxt):
             nxt = ready
-        if sim.telemetering:
-            tel = sim.telemetry
-            self._depth_stash = len(self._arrivals)
-            if tel.engine is not None:
-                due = tel.next_eval
-                busy = self._links.first_busy(due if due > now else now + 1)
-                if busy is not None and (nxt is None or busy < nxt):
-                    nxt = busy
-        else:
-            self._depth_stash = None
         return SLEEP if nxt is None else nxt
+
+    def _note_depth(self) -> None:
+        """Telemetry: the header queue's depth changed."""
+        self.sim.telemetry.queue_depth(self.sim.cycle, self.FABRIC_QUEUE,
+                                       len(self._arrivals))

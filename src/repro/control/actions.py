@@ -276,14 +276,15 @@ class DyNoCActionPolicy(ActionPolicy):
         new_rect = Rect(nx, ny, 1, 1)
 
         def move(rect: Rect, access) -> None:
+            here = arch.placement_of(dst)
             arch.remove_module(dst)
             try:
                 arch.place_module(dst, rect, access)
             except Exception:
-                # keep the fabric consistent: restore the old site
-                # before re-raising so the loop's retry sees the
-                # pre-action placement
-                arch.place_module(dst, old_rect, old_access)
+                # keep the fabric consistent: put the module back where
+                # this move found it (for a rollback, the new site: its
+                # old one may have been taken since) before re-raising
+                arch.place_module(dst, here.rect, here.access)
                 raise
 
         return Action(

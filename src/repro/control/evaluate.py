@@ -28,10 +28,10 @@ paper's point about static architectures.
 
 Every run is deterministic: traffic schedules are fixed functions of
 the seed, the controller is RNG-free, and the emitted ``repro.adapt/1``
-document reproduces bit for bit.  It is *not* invariant under
-``REPRO_SIM_FASTPATH=0`` — the always-tick reference scheduler gives
-the lazy alert evaluator more sampling points, which can shift episode
-edges (the improved/regression verdicts stay stable; see
+document reproduces bit for bit.  Under ``REPRO_SIM_FASTPATH=0`` only
+its ``run_id`` changes (the ledger record's ``kernel`` section
+describes how the kernel ran): alert rules run on the telemetry's
+fixed evaluation grid, whatever cycles the kernel steps (see
 docs/adaptive.md).
 """
 

@@ -106,7 +106,7 @@ class ControlLoop:
             raise ValueError(
                 "ControlLoop needs telemetry attached to the simulator "
                 "(FlowTelemetry().attach(sim)) — the loop is driven by "
-                "the lazy alert stream, never a per-cycle poll"
+                "the alert stream, never a per-cycle poll"
             )
         engine = self.tel.engine
         if engine is None:
@@ -247,7 +247,7 @@ class ControlLoop:
         now = self.sim.cycle
         record.checked_cycle = now
         # force a fresh evaluation so the episode state reflects this
-        # cycle, not the last record-path eval
+        # cycle, not the last grid evaluation
         self.tel.evaluate_now(now)
         still_burning = record.rule in self.engine.active(now)
         improved = not still_burning

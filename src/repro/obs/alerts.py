@@ -32,12 +32,13 @@ Metric selectors:
 ``counter:<name>``     a telemetry counter's running total
 =====================  ==================================================
 
-Rules are evaluated lazily from the telemetry record paths (see
-:meth:`FlowTelemetry._maybe_eval`), so a quiescent fabric costs
-nothing and the kernel's fast-forward is preserved.  Fired alerts are
-kept on the engine, emitted as span events (source ``"alerts"``) into
-an attached tracer — so they land on the Perfetto timeline — and
-exported as ``repro_alert_*`` series by :mod:`repro.obs.prom`.
+Rules run on the collector's fixed evaluation grid (the multiples of
+:attr:`FlowTelemetry.eval_interval`, see :mod:`repro.obs.flows`),
+armed by telemetry activity, so a quiescent fabric costs nothing and
+the kernel's fast-forward is preserved.  Fired alerts are kept on the
+engine, emitted as span events (source ``"alerts"``) into an attached
+tracer — so they land on the Perfetto timeline — and exported as
+``repro_alert_*`` series by :mod:`repro.obs.prom`.
 
 Every fired episode also gets an explicit edge-down **clear** event
 when its metric drops back under the threshold (``Alert.event ==
@@ -245,11 +246,11 @@ class AlertEngine:
         """Register ``listener(event, alert)`` for ``"fire"``/``"clear"``
         edges.
 
-        Listeners run inside the (lazy) evaluation pass, in
-        subscription order — this is how the control plane closes the
-        loop without any eager per-cycle walk.  Cooldown-deduped
-        refires are *not* delivered: the episode is still burning and
-        the listener already saw its edge-up.
+        Listeners run inside the evaluation pass, in subscription
+        order — this is how the control plane closes the loop without
+        any eager per-cycle walk.  Cooldown-deduped refires are *not*
+        delivered: the episode is still burning and the listener
+        already saw its edge-up.
         """
         self._listeners.append(listener)
 
@@ -380,7 +381,10 @@ class AlertEngine:
                         now: int) -> Optional[Alert]:
         ring = self._rate_state.get(rule.name)
         if ring is None:
-            ring = self._rate_state[rule.name] = deque()
+            # the counter starts from zero: growth before the rule's
+            # first evaluation falls in the window that ends there
+            ring = self._rate_state[rule.name] = deque(
+                [(max(now - rule.window, 0), 0.0)])
         ring.append((now, total))
         horizon = now - rule.window
         while len(ring) > 1 and ring[1][0] <= horizon:
@@ -498,6 +502,25 @@ class AlertEngine:
         return alert
 
     # ------------------------------------------------------------------
+    @property
+    def time_driven(self) -> bool:
+        """Whether an evaluation with nothing newly recorded could still
+        change an open breach episode: a sustained rule counting toward
+        ``for_cycles``, a burn-rate window sliding past old growth, or
+        a link's utilization decaying.  Every other open episode moves
+        only when its metric does, which takes a record call."""
+        open_ = self._breach_since
+        if not open_:
+            return False
+        for rule in self.rules:
+            if rule.name in open_ and (
+                    rule.kind == "burn_rate"
+                    or rule.metric == "link_utilization"
+                    or (rule.kind == "sustained"
+                        and rule.name not in self._fired_episode)):
+                return True
+        return False
+
     def active(self, now: int) -> List[str]:
         """Rules currently in a fired, un-cleared breach episode."""
         return sorted(self._fired_episode)

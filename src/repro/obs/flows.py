@@ -26,16 +26,24 @@ Telemetry observes model state but **never writes to** ``sim.stats``:
 equivalence comparator — is bit-identical with telemetry on or off.
 
 When an :class:`~repro.obs.alerts.AlertEngine` is attached
-(:attr:`FlowTelemetry.engine`), rules are evaluated lazily from the
-record paths at most once per ``eval_interval`` cycles — *not* from an
-eager sequential, which would defeat the kernel's fast-forward over
-quiescent stretches (and a quiescent fabric records nothing, so there
-is nothing new to alert on).  A fabric asleep to its event horizon
-owes the samples of the ticks it skipped: the collector settles the
-simulator (``Simulator.settle``) before it evaluates rules or takes a
-snapshot, and fabrics wake for :attr:`FlowTelemetry.next_eval` so that
-each evaluation runs at the record call it would run at if they ticked
-every busy cycle.
+(:attr:`FlowTelemetry.engine`) to a collector bound to a simulator,
+its rules run on a fixed grid: at the multiples of ``eval_interval``,
+from one timed kernel event that runs at event phase, before the
+cycle's ticks.  The first record call after a quiet stretch arms the
+event for the next grid cycle, and it re-arms itself while the
+interval before it recorded something or the clock alone can still
+move an open breach episode (a sustained rule counting toward
+``for_cycles``, a sliding burn-rate window, a decaying link
+utilization).  A quiescent fabric therefore costs no evaluations, and
+the kernel still fast-forwards over quiet stretches.
+
+Every record call is a protocol event: a delivery, a frame launch or
+burst grant, an enqueue or dequeue, a blocked request, a fault, a
+reconfiguration step or a control action.  No fabric records a
+per-tick sample, and no ``settle`` replays one.  So telemetry, the
+grid, and every alert, clear and control action it drives are the
+same whichever cycles the kernel steps, and
+``Simulator(fast_path=False)`` reproduces them.
 """
 
 from __future__ import annotations
@@ -88,12 +96,15 @@ class LinkStats:
     accumulates busy cycles into the current window, and crossing a
     window boundary closes it into a bounded ring buffer of
     ``(window_start_cycle, utilization)`` points — a backpressure-proof
-    time series that never grows past ``series_len`` entries.
+    time series that never grows past ``series_len`` entries.  A busy
+    run recorded with its first cycle (``note_busy(..., first=)``)
+    lands in the windows it occupies: the part past the current window
+    is carried, and each later window takes its share when it opens.
     """
 
     __slots__ = ("name", "window", "busy_cycles", "stalls", "wait",
                  "queue_depth", "queue_watermark", "series",
-                 "_win_start", "_win_busy", "_prev_busy")
+                 "_win_start", "_win_busy", "_prev_busy", "_carry")
 
     def __init__(self, name: str, window: int = 1024,
                  series_len: int = 64, exact_cap: int = 512):
@@ -113,28 +124,58 @@ class LinkStats:
         #: busy count of the window immediately before the current one
         #: (0 after an idle gap); None before the first window closes
         self._prev_busy: Optional[int] = None
+        #: window start -> busy cycles carried into that later window
+        self._carry: Dict[int, int] = {}
 
     def _roll(self, now: int) -> None:
         start = (now // self.window) * self.window
-        if start > self._win_start:
+        while start > self._win_start:
             if self._win_busy:
                 self.series.append(
                     (self._win_start,
                      min(1.0, self._win_busy / self.window))
                 )
-            # the window preceding `start` is either the one just
-            # closed (contiguous) or an idle one that never rolled
+            # open the next window: `start`, or a carried one before it
+            nxt = min(start, min(self._carry)) if self._carry else start
+            # the window preceding it is either the one just closed
+            # (contiguous) or an idle one that never rolled
             self._prev_busy = (
                 self._win_busy
-                if start == self._win_start + self.window else 0
+                if nxt == self._win_start + self.window else 0
             )
-            self._win_start = start
-            self._win_busy = 0
+            self._win_start = nxt
+            self._win_busy = self._carry.pop(nxt, 0)
 
-    def note_busy(self, now: int, cycles: int = 1) -> None:
+    def note_busy(self, now: int, cycles: int = 1,
+                  first: Optional[int] = None) -> None:
+        """Count ``cycles`` busy cycles, recorded at ``now``.
+
+        Without ``first`` they all count in ``now``'s window.  With it
+        they are the run ``first, first + 1, ...`` (``first >= now``),
+        each counted in the window it falls in; a negative ``cycles``
+        takes such a run back (a burst cut short after it was
+        recorded whole).
+        """
         self._roll(now)
         self.busy_cycles += cycles
-        self._win_busy += cycles
+        if first is None:
+            self._win_busy += cycles
+            return
+        sign = 1 if cycles > 0 else -1
+        end = first + abs(cycles)
+        window = self.window
+        start = (first // window) * window
+        while start < end:
+            part = sign * (min(end, start + window) - max(first, start))
+            if start == self._win_start:
+                self._win_busy += part
+            else:
+                left = self._carry.get(start, 0) + part
+                if left:
+                    self._carry[start] = left
+                else:
+                    del self._carry[start]
+            start += window
 
     def note_queue_depth(self, depth: int) -> None:
         self.queue_depth = depth
@@ -153,8 +194,8 @@ class LinkStats:
         preceding one (weighted by how much of it still lies inside the
         trailing span).  The naive ``busy / elapsed`` over the partial
         window alone reads 100% whenever a single busy cycle lands just
-        after a window boundary — a guaranteed false saturation alert,
-        since rule evaluation is driven from the record paths.
+        after a window boundary — a false saturation alert whenever a
+        grid evaluation follows it closely.
         """
         self._roll(now)
         elapsed = min(max(now - self._win_start, 0), self.window)
@@ -210,9 +251,12 @@ class FlowTelemetry:
         self.quiesce = StreamingHistogram(exact_cap)
         #: fault mean-time-to-recovery distribution (cycles)
         self.mttr = StreamingHistogram(exact_cap)
-        #: optional repro.obs.alerts.AlertEngine, evaluated lazily
+        #: optional repro.obs.alerts.AlertEngine, run on the grid
         self.engine = None
-        self._next_eval = 0
+        #: a grid evaluation is scheduled on the simulator
+        self._armed = False
+        #: something was recorded since the last grid evaluation
+        self._recorded = False
 
     # ------------------------------------------------------------------
     def attach(self, sim) -> "FlowTelemetry":
@@ -231,7 +275,7 @@ class FlowTelemetry:
             flow = self.flows[(src, dst)] = FlowStats(src, dst,
                                                       self.exact_cap)
         flow.record(latency, payload_bytes)
-        self._maybe_eval(now)
+        self._note()
 
     def link(self, name: str) -> LinkStats:
         stats = self.links.get(name)
@@ -242,68 +286,71 @@ class FlowTelemetry:
             )
         return stats
 
-    def link_busy(self, now: int, name: str, cycles: int = 1) -> None:
-        self.link(name).note_busy(now, cycles)
-        self._maybe_eval(now)
+    def link_busy(self, now: int, name: str, cycles: int = 1,
+                  first: Optional[int] = None) -> None:
+        """Busy cycles on a link (see :meth:`LinkStats.note_busy`)."""
+        self.link(name).note_busy(now, cycles, first)
+        self._note()
 
     def queue_depth(self, now: int, name: str, depth: int) -> None:
         self.link(name).note_queue_depth(depth)
-        self._maybe_eval(now)
+        self._note()
 
     def backpressure(self, now: int, name: str, wait_cycles: int) -> None:
         self.link(name).note_wait(now, wait_cycles)
-        self._maybe_eval(now)
+        self._note()
 
     def count(self, now: int, key: str, n: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + n
-        self._maybe_eval(now)
+        self._note()
 
     def record_quiesce(self, now: int, cycles: int) -> None:
         self.quiesce.add(cycles)
-        self._maybe_eval(now)
+        self._note()
 
     def gauge(self, now: int, key: str, value: float) -> None:
         """Record the current value of an instantaneous signal."""
         self.gauges[key] = value
-        self._maybe_eval(now)
+        self._note()
 
     def record_fault_recovery(self, now: int, mttr: int) -> None:
         """One fault recovered; ``mttr`` is injection -> recovered."""
         self.mttr.add(mttr)
-        self._maybe_eval(now)
+        self._note()
 
     # ------------------------------------------------------------------
-    @property
-    def next_eval(self) -> int:
-        """The first cycle on which a record call runs the alert rules."""
-        return self._next_eval
+    def _note(self) -> None:
+        """A record call: arm the grid if it is idle (see module doc)."""
+        self._recorded = True
+        sim = self.sim
+        if not self._armed and self.engine is not None and sim is not None:
+            self._armed = True
+            interval = self.eval_interval
+            sim.at((sim.cycle // interval + 1) * interval, self._on_grid)
 
-    def _settle(self) -> None:
-        """Bring in the samples sleeping fabrics owe (see module doc)."""
-        if self.sim is not None:
-            self.sim.settle()
-
-    def _maybe_eval(self, now: int) -> None:
-        """Run attached alert rules at most once per ``eval_interval``.
-
-        Driven from the record paths (i.e. from commit-visible fabric
-        activity), never from a registered sequential: an eager
-        sequential would disable the kernel's quiescence fast-forward.
-        """
-        if self.engine is not None and now >= self._next_eval:
-            self._next_eval = now + self.eval_interval
-            self._settle()
-            self.engine.evaluate(self, now)
+    def _on_grid(self, sim) -> None:
+        """The grid event: run the rules as of this cycle, then re-arm
+        one interval on while anything was recorded since the last
+        grid cycle (a control action may record inside this one) or
+        the clock alone can still move an open breach episode
+        (:attr:`AlertEngine.time_driven`)."""
+        engine = self.engine
+        recorded, self._recorded = self._recorded, False
+        if engine is not None:
+            engine.evaluate(self, sim.cycle)
+            if recorded or self._recorded or engine.time_driven:
+                sim.at(sim.cycle + self.eval_interval, self._on_grid)
+                return
+        self._armed = False
 
     def evaluate_now(self, now: Optional[int] = None) -> None:
-        """Force one rule evaluation (end-of-run flush)."""
+        """Run the rules once off the grid (an end-of-run flush or a
+        post-action check); the grid stays where it is."""
         if self.engine is not None:
             at = now if now is not None else (
-                self.sim.cycle if self.sim is not None else self._next_eval
+                self.sim.cycle if self.sim is not None else 0
             )
-            self._settle()
             self.engine.evaluate(self, at)
-            self._next_eval = at + self.eval_interval
 
     # ------------------------------------------------------------------
     def snapshot(self, now: Optional[int] = None) -> Dict[str, Any]:
@@ -311,7 +358,6 @@ class FlowTelemetry:
         at = now if now is not None else (
             self.sim.cycle if self.sim is not None else 0
         )
-        self._settle()
         out: Dict[str, Any] = {
             "cycle": at,
             "flows": [self.flows[k].as_dict() for k in sorted(self.flows)],

@@ -28,7 +28,7 @@ stretches straight to the next scheduled event or timed wake.
 A component's hint is its *event horizon*: the next cycle on which its
 protocol state can change, even while traffic is in flight.  The ticks
 it skips until then may still have per-cycle effects (statistics
-samples, counters, telemetry); the component replays those exactly in
+samples, cycle counters); the component replays those exactly in
 ``settle(through)``, registered with :meth:`Simulator.register_settler`.
 :meth:`Simulator.settle` runs every replay through the last cycle whose
 ticks have run; the component's next tick, every read of a replayed
@@ -478,9 +478,8 @@ class Simulator:
         cycle whose tick phase has run (``cycle - 1``).
 
         Called before anything reads state that skipped ticks would
-        have written: the parallelism histogram, telemetry snapshots
-        and alert evaluations, and the end of :meth:`run` and
-        :meth:`run_until`.
+        have written: the parallelism histogram, and the end of
+        :meth:`run` and :meth:`run_until`.
         """
         through = self.cycle - 1
         for settler in self._settlers:
@@ -556,23 +555,6 @@ class Simulator:
             pending = component._pending_wake
             if pending is None or cycle < pending:
                 component._pending_wake = cycle
-
-    def reschedule(self, component: "Component",
-                   cycle: Optional[int]) -> None:
-        """Move a sleeping component's timed wake to ``cycle``, earlier
-        or later (None: until woken); a no-op for an awake component,
-        whose next tick returns a fresh hint.  For a model whose event
-        horizon moved at event phase without a reason to tick now."""
-        if not component._asleep:
-            return
-        if cycle is not None and cycle <= self.cycle:
-            self._wake(component, WAKE_EXPLICIT)
-            return
-        # a stale heap entry is skipped: it no longer matches _wake_at
-        component._wake_at = cycle
-        if cycle is not None:
-            component._wake_reason = WAKE_TIMED
-            heappush(self._wake_heap, (cycle, component._order, component))
 
     def _request_sleep(self, component: "Component", hint: object) -> None:
         """Apply a quiescence hint returned by ``tick``."""
@@ -655,7 +637,7 @@ class Simulator:
         """Whether the last run loop ended because of a :meth:`stop` request."""
         return self._stopped
 
-    def emit(self, source: str, kind: str, **data: object) -> None:
+    def emit(self, source: str, kind: str, /, **data: object) -> None:
         """Record a trace event when a tracer is attached (else no-op).
 
         Hot emit sites additionally guard on :attr:`tracing` so the
@@ -670,28 +652,28 @@ class Simulator:
     # ------------------------------------------------------------------
     # spans (duration events; see repro.sim.trace and repro.obs)
     # ------------------------------------------------------------------
-    def span_begin(self, source: str, kind: str, key: Hashable = None,
+    def span_begin(self, source: str, kind: str, /, key: Hashable = None,
                    **data: object) -> None:
         """Open a span at the current cycle; close it with
         :meth:`span_end` using the same (source, kind, key)."""
         if self._tracer is not None:
             self._tracer.begin_span(self.cycle, source, kind, key, data)
 
-    def span_end(self, source: str, kind: str, key: Hashable = None,
+    def span_end(self, source: str, kind: str, /, key: Hashable = None,
                  **data: object) -> None:
         """Close an open span at the current cycle (no-op without a
         matching :meth:`span_begin`; the tracer counts the mismatch)."""
         if self._tracer is not None:
             self._tracer.end_span(self.cycle, source, kind, key, data)
 
-    def span_event(self, source: str, kind: str, begin: int, end: int,
+    def span_event(self, source: str, kind: str, /, begin: int, end: int,
                    **data: object) -> None:
         """Record a span whose begin/end cycles are already known."""
         if self._tracer is not None:
             self._tracer.add_span(begin, end, source, kind, data)
 
     @contextmanager
-    def span(self, source: str, kind: str, **data: object):
+    def span(self, source: str, kind: str, /, **data: object):
         """Context manager form: the span covers the cycles the body
         advanced the clock over (e.g. wrapping a ``run`` call)."""
         if self._tracer is None:
@@ -949,12 +931,9 @@ class Simulator:
         ``docs/performance.md``.  Skipped ticks are settled before it
         returns.
         """
-        return self._run_until(predicate, max_cycles, self.fast_path)
-
-    def _run_until(self, predicate: Callable[["Simulator"], bool],
-                   max_cycles: Optional[int], jump: bool) -> int:
         bound = self.max_cycles if max_cycles is None else self.cycle + max_cycles
         self._stopped = False
+        jump = self.fast_path
         step = self.step
         while not predicate(self):
             if self._stopped:
@@ -970,22 +949,6 @@ class Simulator:
         if self._settlers:
             self.settle()
         return self.cycle
-
-    def drain(self, idle_predicate: Callable[["Simulator"], bool], patience: int = 64,
-              max_cycles: Optional[int] = None) -> int:
-        """Run until ``idle_predicate`` holds for ``patience`` consecutive cycles.
-
-        Useful to flush in-flight packets after a workload stops
-        injecting.  Patience counts cycles, so every cycle is stepped.
-        """
-        streak = 0
-
-        def _pred(sim: "Simulator") -> bool:
-            nonlocal streak
-            streak = streak + 1 if idle_predicate(sim) else 0
-            return streak >= patience
-
-        return self._run_until(_pred, max_cycles, False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -11,6 +11,10 @@ all three peers under a lowered-then-restored channel cap, a dead and
 repaired cross-point and a frozen slot, with every observer attached.
 The digests below were recorded with an NI that kept one queue per
 module in arrival order, the reference for the per-destination FIFOs.
+The ``telemetry`` digest moved once, on purpose, when NI queue depth
+came to be recorded at enqueue and dequeue instead of sampled on each
+tick with traffic queued: each module's final ``queue_depth`` reads 0
+(its queue drained) where the last sample read 1.
 
 Regenerate only for an intended behaviour change::
 
@@ -41,14 +45,14 @@ GOLDEN = {
         "stats": "43a64135bdb34b885d0ad6c0d7f9f3a7f9a3846b42662942de5de352a14f6cfe",
         "trace": "bc7ad82064e9fde8064b809ea3f9438afcb7ca79787eb9ad4e9d578daa4b8a56",
         "journeys": "7ac106430d2253a3d5568652dd418908074c57e7725d3b6abd4c932a5cddbad5",
-        "telemetry": "87eea3d616db4bdec2ed451bc9b0c9561efebd4d82366749f1807d52efdc473d",
+        "telemetry": "e002e0c2872bca8346aa6d5d03f820a00dafe701499b7120dbd86ba3ca035de9",
     },
     "linger": {
         "messages": "dfd1d51fa5286e9095ef34f7a95de2a6cc1f234107359987e68b37d0cf0cb4e7",
         "stats": "a0fe480974dd26789f300914161d685c577fc771c84333fe8a96e6b1d38f87a4",
         "trace": "ad93c4da1b7e8a91ca1472c5d9dddca1bce6fd3eafa5fcd4d745ecd7ba2729f8",
         "journeys": "83fc4bdc9eaa94cae23b800dbf56b2f438ca45f40acbe53a811b35f49deaa4e5",
-        "telemetry": "80f799f0b3bf33796afef6d903d8fe6e577c06362b57de879212744fcaab789b",
+        "telemetry": "8ca449850186209183ca33c4a7c1f6e3ce9b745220bbda94864fd982d520ab0d",
     },
 }
 

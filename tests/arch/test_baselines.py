@@ -1,10 +1,13 @@
 """Static baseline tests: shared bus and static mesh."""
 
+from collections import Counter
+
 import pytest
 
 from repro.arch import build_architecture
 from repro.arch.baselines import build_sharedbus, build_staticmesh
 from repro.core.metrics import probe_single_message
+from repro.obs.flows import FlowTelemetry
 
 
 class TestSharedBus:
@@ -31,6 +34,23 @@ class TestSharedBus:
         probe = probe_single_message(arch, "m0", "m1", 64)
         # 2 grant + 1 addr + 16 words, minus 1 (delivery on last word)
         assert probe.total_cycles == 2 + 1 + 16 - 1
+
+    def test_telemetry_counts_the_cycles_a_halted_burst_held(self):
+        arch = build_sharedbus()
+        sim = arch.sim
+        tel = FlowTelemetry(window=64).attach(sim)
+        msg = arch.ports["m0"].send("m1", 2048)  # 515 bus cycles
+        sim.at(300, lambda _s: arch.halt_bus())
+        sim.run(1_000)
+        link = tel.links["sharedbus.bus"]
+        link.utilization(sim.cycle)  # close the windows
+        # the burst held the bus from the cycle after its grant to the
+        # halt; each window counts the cycles that fall in it
+        held = Counter(c // 64 * 64
+                       for c in range(msg.accepted_cycle + 1, 300))
+        assert link.busy_cycles == sum(held.values())
+        assert list(link.series) == [(w, n / 64)
+                                     for w, n in sorted(held.items())]
 
     def test_round_robin_fairness(self):
         arch = build_sharedbus()

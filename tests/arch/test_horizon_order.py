@@ -2,12 +2,12 @@
 frames at fixed cycles, and reads between cycles see fixed values.
 
 Both buses keep per-cycle side effects while traffic is in flight:
-the d_max parallelism sample, BUS-COM's per-bus busy and total cycle
-counters and TDMA position, the shared bus's per-cycle link-busy
-telemetry, and per-tick queue-depth samples whose record calls decide
-the cycles at which alert rules are evaluated.  The scenarios drive
-congested and idle traffic through every hook that changes what a
-later cycle does:
+the d_max parallelism sample and BUS-COM's per-bus busy and total
+cycle counters and TDMA position.  Their telemetry is recorded at
+protocol events only: interface and arbiter queue depth at enqueue
+and dequeue, a frame's or burst's busy cycles at its launch or grant.
+The scenarios drive congested and idle traffic through every hook
+that changes what a later cycle does:
 
 * BUS-COM: real-time and bulk queues, dynamic-segment overruns, idle
   gaps spanning several TDMA rounds, a bus fault with slot migration
@@ -18,7 +18,7 @@ later cycle does:
   ``set_arbitration_order``;
 * BUS-COM idle on one bus with a long ``eval_interval``, while slot
   rewrites shorten and lengthen the round between two evaluations,
-  which moves the slot start the next evaluation runs on.
+  so the idle replay crosses table versions.
 
 At event phase the scenarios read ``observed_dmax``,
 ``bus_utilization()`` (BUS-COM), ``FlowTelemetry.snapshot()``, and
@@ -27,7 +27,15 @@ loop's post-action check).  Every scenario runs in several ``run``
 calls, and some calls end in the middle of a frame or burst.  A
 tracer, telemetry with alert rules on a short ``eval_interval`` and
 journeys are attached.  The digests were recorded with fabrics that
-ticked on every cycle they carried data.
+ticked on every cycle they carried data.  The ``telemetry``, ``trace``
+and ``reads`` digests moved once, on purpose, when alert rules moved
+onto ``FlowTelemetry``'s fixed evaluation grid and queue depth came
+to be recorded where it changes: evaluation cycles, alert and clear
+cycles, queue-depth values and, at mid-run reads, the shared bus's
+busy count (a burst counts whole from its grant) changed; messages,
+statistics, journeys, legs and the final utilization windows did
+not.  The
+every-cycle kernel (``REPRO_SIM_FASTPATH=0``) reproduces every digest.
 
 Regenerate only for an intended behaviour change::
 
@@ -56,37 +64,37 @@ GOLDEN = {
     "buscom": {
         "messages": "1b2a40ba00f6c5b99e4976a1716331d9d51528377a8f21c9838b6c8a93221f1c",
         "stats": "7f4503995e7c6c433feb6d6e321d677f7da595b947d14ddd62337ba0877a5810",
-        "trace": "24b826d67e36f3c2f3de6ab2225bd428e3cd65f468f52be29232b0cb5fc3c03a",
-        "telemetry": "7e0413fdf8a9b763102419bccb6ba8487c4d5f665536d2957fec775448955a8d",
+        "trace": "983543cf502b920c39fefecae9b4e5e6ec36fc16e384fdb400c429d8a55ba504",
+        "telemetry": "6fc093354ae9ac5bd54383cca77b6e37ea948bd1d8edc19cb4751f8b712a8142",
         "journeys": "db81a978594abfa6a6ecfe0205788a189bbf83a8b0a02a4d70e86ae929fc7d7e",
-        "reads": "ddb38c9abac4cfeb9d1dc39e59e253bec4d4d5276cf7c34a677e35fcbe9c5409",
+        "reads": "76461a8376d553111e9c75d8908ab074e411f28a32563e545eede649d7c89110",
         "legs": "cef7ca03ab2101ba6bf9d6856fbd93941fd3bb88508388aecee97702414dccdd",
     },
     "buscom_idle": {
         "messages": "37ff4b5bc9d00be7476a3c1ce0fed471dded44e3a44d8829ec97917b2beaf20f",
         "stats": "5227470905441780fc6bc4777bb8480382fcf28583abda7ca1ebbe7a28be2ce5",
-        "trace": "38455b10939b23d6868524365ac484cc032edd75b7094fde54d4cbfc794f907c",
-        "telemetry": "c3bda306787da6461ffdf7d4776bb999121c9cb09e6002bbbe19917b5a891544",
+        "trace": "36c205f740b6377174ae319ee5aac16fb2df4557aa779ac1e587b3784427549b",
+        "telemetry": "42b331412e0372ff4f40d5d0398c43a6d90dba05ee1a687a8b8dc738007ca3e7",
         "journeys": "62114b8a5cceb5d5e0dbeb0be96c1aecb3cbc52a2136bffc86e3684332e3cdf3",
-        "reads": "443be0336aae46f2c2a5bff12867f87ebe04b8b165d47956a9270cac157329c1",
+        "reads": "6afb0d15f84e9fb5e0d420b7e1038dee56260340576a0439765c54b6e5c2cb3b",
         "legs": "59e55a3d7b4b52a355cc3f72f50cacd0410be1f46b4bcf48b1c2251b64e4ff4a",
     },
     "sharedbus": {
         "messages": "4c854ee1e419730545965e49cbc080284842dd5d40170bfe0e463b413658da5b",
         "stats": "6da1243447469797521f519a426fe3059d9e1891bcf2c73230a594f192004551",
-        "trace": "08dac64aba9fc4db4ffb82b9efe9fd3d6106b574be36dbacf7d7600283a13ceb",
-        "telemetry": "39bc680b04278d617a4ff362d2332b326abf91da35a98b89bb88c0e12fbfb024",
+        "trace": "38db77c14881f9ffe166a9f043c74485b524da166c17edf8a189e44978a03ba9",
+        "telemetry": "b735af38c3ff66bdbcce04a681d52bc3bea62585aaea0a36bdc24d71b2c46f3e",
         "journeys": "6ac24ac45f1fd956e62f71f96e332751117d9d17ec591ad0c2b84b36da1d823c",
-        "reads": "f2c65658b52f9ae66a99572535aec67a17bbba5264e6adf3c7beebf7557cc520",
+        "reads": "1c399ca3408fe2c04cd87d3b9595aa8d3b3d439891a82bdfb151b2fb3ca2af8b",
         "legs": "972f5563281a38fc5274b992304f13a94cc2015b29998cb057f72108106490b5",
     },
     "buscom_rewrite": {
         "messages": "e1bc4187df381f56e284dcc0a61d648f4d743d1c2a26ddead467b2b9cf528f35",
         "stats": "6fdc80e459d635850fb25623a913decdf237ba24f60867e56125917746f927aa",
         "trace": "498715dd7e4bf004e73179b1f075848fe42d27de158a36489bcacadf3d157d83",
-        "telemetry": "66165f96939fe3937b4ab1926d312117a8579f7873cc74e4cba6c08aacb24b25",
+        "telemetry": "c5b5cdbff0360023627485974e914cca7ae08a87dd72af9f81dad38e784186ad",
         "journeys": "7af392cca55adb694f7b8b25f15d23f914797400efda804f649191850a18d420",
-        "reads": "c62dd9ecb290c0a2aa7c773f0fa6be2e443f85ffa48efef284235cb664577718",
+        "reads": "31e5dff2b28345228e2b9ec9d9c0e7ace22b517a558099e44e3cf44b5182a4e8",
         "legs": "96b6bcfcc919c9f21f7dc3d771740d1c6d25981b5ca70601cc0ef375028dc953",
     },
 }

@@ -10,8 +10,6 @@ cycles, so the replay of a skipped stretch must equal per-cycle
 ``active()`` calls.
 """
 
-from types import SimpleNamespace
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,13 +78,6 @@ def _scan_active(intervals, now):
     return len({m for s, e, m in intervals if s <= now < e})
 
 
-def _scan_first_busy(intervals, cycle):
-    """The first cycle from ``cycle`` an interval covers, by scan."""
-    covering = [max(start, cycle) for start, end, _ in intervals
-                if end > cycle]
-    return min(covering, default=None)
-
-
 def _scan_runs(intervals, first, last):
     """Per-cycle scans of ``first`` .. ``last`` as (count, cycles) runs,
     zeros dropped and equal neighbours merged."""
@@ -121,9 +112,9 @@ def link_scripts(draw):
 @settings(max_examples=200, deadline=None)
 def test_occupancy_matches_list_scans(script):
     """After each query the cycles up to the next one are skipped: the
-    first busy one and the replayed runs match per-cycle scans (a
-    replay merges equal counts only across busy cycles, so the scan
-    runs split at idle gaps are merged the same way before comparing)."""
+    replayed runs match per-cycle scans (a replay merges equal counts
+    only across busy cycles, so the scan runs split at idle gaps are
+    merged the same way before comparing)."""
     links, intervals = LinkOccupancy(), []
     now = 0
     for adds, step in script:
@@ -132,8 +123,6 @@ def test_occupancy_matches_list_scans(script):
             start = now + offset
             links.add(start, start + length, ident)
             intervals.append((start, start + length, ident))
-        assert links.first_busy(now + 1) == _scan_first_busy(intervals,
-                                                             now + 1)
         expect = []
         for count, cycles, _ in _scan_runs(intervals, now + 1,
                                            now + step - 1):
@@ -161,27 +150,18 @@ class _Fabric(TransportHorizon):
         self._deliveries = DueQueue()
 
 
-def test_quiescence_wakes_for_earliest_of_links_and_queues():
+def test_quiescence_wakes_for_the_next_due_item_only():
     """A busy link alone keeps nobody awake: the fabric wakes for the
-    next due item, and with alert rules attached for the first busy
-    cycle from the next evaluation if that comes first."""
+    next due arrival or delivery."""
     fabric = _Fabric()
-    plain = SimpleNamespace(telemetering=False)
     links = fabric._links
     links.active(10)
-    assert fabric._horizon(plain, 10) == SLEEP
+    assert fabric._horizon() == SLEEP
     links.add(11, 13, 2)
     links.add(20, 24, 1)
-    assert fabric._horizon(plain, 10) == SLEEP
+    assert fabric._horizon() == SLEEP
     fabric._arrivals.push(35, "header")
     fabric._deliveries.push(30, "msg")
-    assert fabric._horizon(plain, 10) == 30
-    alerts = SimpleNamespace(telemetering=True, telemetry=SimpleNamespace(
-        engine=object(), next_eval=14))
-    # links idle on 14..19: the evaluation runs on busy cycle 20
-    assert fabric._horizon(alerts, 10) == 20
-    assert fabric._depth_stash == 1
-    alerts.telemetry.next_eval = 12
-    assert fabric._horizon(alerts, 10) == 12
-    alerts.telemetry.next_eval = 25
-    assert fabric._horizon(alerts, 10) == 30
+    assert fabric._horizon() == 30
+    fabric._deliveries.pop_due(30)
+    assert fabric._horizon() == 35

@@ -121,6 +121,31 @@ class TestRMBoCRoundTrip:
         assert policy.plan(_alert(rule="backoff-storm"), None, 100) is None
 
 
+class TestDyNoCRoundTrip:
+    def test_rollback_onto_a_taken_site_keeps_the_module_placed(self):
+        from repro.fabric.geometry import Rect
+        from repro.obs.flows import FlowTelemetry
+
+        arch = build_architecture("dynoc", num_modules=6)  # 3x3 mesh
+        tel = FlowTelemetry()
+        tel.record_flow(0, "m3", "m2", 500)
+        action = make_action_policy(arch).plan(
+            _alert(rule="flow-latency-p99"), tel, 100)
+        assert action is not None and action.kind == "replace-module"
+        action.apply()
+        moved = arch.placement_of("m2").rect
+        assert moved != Rect(2, 0, 1, 1)
+        # another module takes m2's old site before the rollback
+        arch.remove_module("m5")
+        arch.place_module("m5", Rect(2, 0, 1, 1))
+        with pytest.raises(ValueError, match="already used"):
+            action.rollback()
+        assert arch.placement_of("m2").rect == moved
+        arch.ports["m2"].send("m0", 16)
+        arch.run_to_completion()
+        assert arch.log.all_delivered()
+
+
 class TestSharedBusBacklogs:
     def test_backlogs_reflect_queued_sends(self):
         arch = build_architecture("sharedbus", num_modules=3)

@@ -118,3 +118,34 @@ class TestCLI:
         monkeypatch.setenv("REPRO_LEDGER", "0")
         rc = main(["adapt", "nonesuch"])
         assert rc == 2
+
+
+class TestTracedControlLoop:
+    def test_action_events_carry_their_kind(self):
+        """``ControlLoop`` traces each action with a ``kind`` field,
+        which must land in the event's data rather than collide with
+        ``Simulator.emit``'s own ``kind`` argument."""
+        from repro.control.evaluate import run_adaptive_pair
+        from repro.sim import Tracer
+        from repro.sim.engine import set_new_sim_hook
+
+        sims = []
+
+        def trace(sim):
+            sim.tracer = Tracer()
+            sims.append(sim)
+
+        prev = set_new_sim_hook(trace)
+        try:
+            pair = run_adaptive_pair("rmboc", seed=7)
+        finally:
+            set_new_sim_hook(prev)
+        actions = pair["adaptive"]["control"]["actions"]
+        assert actions
+        events = [e for sim in sims for e in sim.tracer.events
+                  if e.source == "control"]
+        assert ({(e.data["aid"], e.data["kind"]) for e in events}
+                == {(a["aid"], a["kind"]) for a in actions})
+        # each action's last event names its final status
+        last = {e.data["aid"]: e.kind for e in events}
+        assert last == {a["aid"]: a["status"] for a in actions}

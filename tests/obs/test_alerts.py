@@ -116,6 +116,16 @@ class TestBurnRateRules:
         assert alert.kind == "burn_rate"
         assert alert.value > 10
 
+    def test_first_evaluation_counts_from_zero(self):
+        # a storm before the rule's first evaluation still fires: the
+        # counter's zero is the base one window back
+        eng = _engine(AlertRule("b", "counter:evt", 10,
+                                kind="burn_rate", window=100))
+        tel = FlowTelemetry()
+        tel.count(140, "evt", 50)
+        (alert,) = eng.evaluate(tel, 150)
+        assert alert.value == 50 and alert.since == 50
+
     def test_window_slides(self):
         eng = _engine(AlertRule("b", "counter:evt", 5,
                                 kind="burn_rate", window=10))

@@ -68,6 +68,27 @@ class TestLinkStats:
         assert ln.stalls == 1
         assert ln.wait.max == 4
 
+    def test_busy_run_lands_in_the_windows_it_occupies(self):
+        ln = LinkStats("l", window=10)
+        ln.note_busy(7, 25, first=8)  # cycles 8..32
+        assert ln.busy_cycles == 25
+        ln.note_busy(45)
+        assert list(ln.series) == [(0, 0.2), (10, 1.0), (20, 1.0),
+                                   (30, 0.3)]
+        # one busy cycle in window 40 plus half of window 30's three
+        assert ln.utilization(45) == pytest.approx(0.25)
+
+    def test_taken_back_cycles_leave_every_window(self):
+        cut = LinkStats("l", window=10)
+        cut.note_busy(7, 25, first=8)
+        cut.note_busy(15, -18, first=15)  # the run stops after 14
+        whole = LinkStats("l", window=10)
+        whole.note_busy(7, 7, first=8)
+        for ln in (cut, whole):
+            ln.note_busy(45)
+        assert cut.series == whole.series
+        assert cut.busy_cycles == whole.busy_cycles == 8
+
     def test_invalid_window_raises(self):
         with pytest.raises(ValueError):
             LinkStats("l", window=0)
@@ -102,15 +123,74 @@ class TestFlowTelemetry:
         tel.record_quiesce(2, 100)
         assert sim.stats.snapshot() == before
 
-    def test_lazy_eval_respects_interval(self):
+    def test_grid_runs_rules_on_interval_multiples(self):
         from repro.obs import AlertEngine
 
-        tel = FlowTelemetry(eval_interval=100)
+        sim = Simulator(name="t")
+        tel = FlowTelemetry(eval_interval=100).attach(sim)
         tel.engine = AlertEngine(rules=[])
-        tel.record_flow(0, "a", "b", 1)
-        tel.record_flow(50, "a", "b", 1)  # within interval: no eval
-        tel.record_flow(100, "a", "b", 1)
-        assert tel.engine.evaluations == 2
+        seen = []
+        evaluate = tel.engine.evaluate
+        tel.engine.evaluate = (
+            lambda t, now: seen.append(now) or evaluate(t, now))
+        sim.at(30, lambda s: tel.record_flow(s.cycle, "a", "b", 1))
+        sim.at(60, lambda s: tel.record_flow(s.cycle, "a", "b", 1))
+        sim.at(250, lambda s: tel.record_flow(s.cycle, "a", "b", 1))
+        sim.at(260, lambda s: tel.evaluate_now())  # off the grid
+        sim.run(2_000)
+        # the first record arms the next multiple; the grid re-arms
+        # while the interval before recorded something, so one quiet
+        # evaluation follows each burst; evaluate_now moves nothing
+        assert seen == [100, 200, 260, 300, 400]
+        assert tel.engine.evaluations == 5
+
+    def test_grid_runs_while_time_can_move_an_episode(self):
+        from repro.obs import AlertEngine, AlertRule
+
+        sim = Simulator(name="t")
+        tel = FlowTelemetry(eval_interval=100).attach(sim)
+        tel.engine = AlertEngine(rules=[AlertRule(
+            "q", "queue_current", 5, kind="sustained", for_cycles=250)])
+        sim.at(10, lambda s: tel.queue_depth(s.cycle, "l", 9))
+        sim.at(710, lambda s: tel.queue_depth(s.cycle, "l", 0))
+        sim.run(2_000)
+        # nothing is recorded from cycle 11 to 709, yet the episode
+        # opened at 100 fires once it has lasted for_cycles; fired, it
+        # can only clear after a record, so the grid stops until 710
+        (alert,) = tel.engine.alerts
+        assert (alert.since, alert.cycle) == (100, 400)
+        (clear,) = tel.engine.clears
+        assert clear.cycle == 800
+        assert tel.engine.evaluations == 6  # 100..400, 800, 900
+
+    def test_sliding_burn_window_keeps_the_grid_running(self):
+        from repro.obs import AlertEngine, AlertRule
+
+        sim = Simulator(name="t")
+        tel = FlowTelemetry(eval_interval=100).attach(sim)
+        tel.engine = AlertEngine(rules=[AlertRule(
+            "storm", "counter:evt", 2, kind="burn_rate", window=300)])
+        for at in (10, 20, 30):
+            sim.at(at, lambda s: tel.count(s.cycle, "evt"))
+        sim.run(2_000)
+        # fired at 100; the growth leaves the window at 400 and clears
+        (alert,) = tel.engine.alerts
+        assert alert.cycle == 100
+        (clear,) = tel.engine.clears
+        assert clear.cycle == 400
+        assert tel.engine.evaluations == 4
+
+    def test_grid_needs_an_engine_and_a_simulator(self):
+        from repro.obs import AlertEngine
+
+        sim = Simulator(name="t")
+        FlowTelemetry(eval_interval=10).attach(sim).count(0, "evt")
+        detached = FlowTelemetry(eval_interval=10)
+        detached.engine = AlertEngine(rules=[])
+        detached.count(0, "evt")
+        sim.run(100)
+        assert sim.kmetrics.ff_jumps == 1  # no grid event on the way
+        assert detached.engine.evaluations == 0
 
     def test_snapshot_shape(self):
         tel = FlowTelemetry()

@@ -27,7 +27,13 @@ runs the integrity check, so the armed corruption hits it.  The swap
 ``stats`` digests moved once, on purpose, when ``reconfig.cycles`` came
 to count the rollback's rewrite too; only that counter changed (RMBoC
 19,663 -> 22,472, BUS-COM 13,811 -> 15,784, DyNoC 15,484 -> 17,696,
-CoNoChi 15,274 -> 17,456 cycles).
+CoNoChi 15,274 -> 17,456 cycles).  The ``telemetry`` and swap
+``trace`` digests moved once, on purpose, when alert rules moved onto
+``FlowTelemetry``'s fixed evaluation grid and queue depth came to be
+recorded where it changes (evaluation counts, the mttr-budget and
+quiesce-budget fire cycles and final queue depths changed); since then
+the every-cycle kernel (``REPRO_SIM_FASTPATH=0``) reproduces every
+digest.
 
 Regenerate only for an intended behaviour change::
 
@@ -61,8 +67,8 @@ GOLDEN = {
             "records": "5e9bdbaff60ca3cb939b8271a31c074cfbd371424077c41a5a34d51db5cb9107",
             "messages": "eb28bec6fb486561e2da096e7a0d74001edc3340a53907dbdcdc96273fabfa49",
             "stats": "4391d87488c4a2e8f894482fd89e5227dfdba12647babedc965cdc2d18918f4b",
-            "trace": "259a1dde3ad85042da1c58ce8d48c4cd3e0f238b314f873dc064c3c0dc5bd50c",
-            "telemetry": "f04fa966577ee5b3eca6db4bd92f12af5e679d8a277f5e96648ad75dc1ea4b43",
+            "trace": "e1aea8d6e3646436b7772881a528f95178701f52fad55aa29460475442a0ee9b",
+            "telemetry": "7488c9353a27d0b033ed332a7f294f42d27ec7c9686122e9a112527ea8255817",
             "journeys": "19a5655cdccf415ff121cba10b21bcf714038194958e9a613391f1c81d0c28bb",
         },
         "install_remove": {
@@ -70,7 +76,7 @@ GOLDEN = {
             "messages": "296719d01871574a492c5f31211264c529a30d425e1f7b77ce695e6b8e768148",
             "stats": "9c3dd489eff6c8ddeb22132be9ab30c2a9330e2c29510bc5186f35a59b4f11e8",
             "trace": "74163c68da52f800e4741b5f0ffa677a87f69091fb83c476e80e6c0c1caaf51e",
-            "telemetry": "8199c4543dbe86f10a8c9259f3202ff2815007e8b818d7b0b19a7244f8c585a7",
+            "telemetry": "569434ccb038db00ffeb081160496f33ce502a9e99b31faf631b6c8845250363",
             "journeys": "1d7b478220ee19da4e7ca9315bfac2313a53e68b2109c9443f1671e211fd35d5",
         },
     },
@@ -79,8 +85,8 @@ GOLDEN = {
             "records": "ef35ea6ac6beacc57a696ecdf07620eb8bbdb61354072513b12cdad54a0d60f0",
             "messages": "a3500d918d31e2882f1bda073276e6297fd410b9b6d907b8de3b2b0c0f83eae6",
             "stats": "68d1abdc6507e9153187c27125b2c76635e142ec6e07c26f4537666ba779f904",
-            "trace": "161573ec5f9307ff276eba0a36a666e88b7bd8811c9d01a0dd0b3f0895445181",
-            "telemetry": "b5608de818063525dc4e63ae51bc30fcd64f5be0c0d65126b265e21b9c9c7dfc",
+            "trace": "40cfcce2a0102eee78b108c4d35b2973905cac0e2a87bc0a27e4703f9f83c3a4",
+            "telemetry": "db12139a93bc692d53c96fa19a3c4feae9933742c8828c70e403426b0d348e18",
             "journeys": "3b267789d4b00a12a930b6d8f43c38812b38f1f4a36461e1f578e194b4959011",
         },
         "install_remove": {
@@ -88,7 +94,7 @@ GOLDEN = {
             "messages": "dadb98d6f6aa9515dd61805b9b9519b32979aa44496c9174de657069f1187a35",
             "stats": "d66a47236c263e6f997ae3a4c8331099e551ab9fe40cff6ae0757c0f477539c7",
             "trace": "e9f53f197be95af1cbe0d2ab77a9e7839919cddf6d0af2942306a152eaec385e",
-            "telemetry": "3703664579f85c51903cbd6b0fd206044c149316d6c63063dc873dec92059594",
+            "telemetry": "a20a1fdab5514f5721b701e538a4d52f0d7e4ba433fcd27b45e48bbfe021e0e5",
             "journeys": "c9e6c9d890b8d59a52680c73d2917d107c86215c3647f0e159603c24be60de2a",
         },
     },
@@ -97,8 +103,8 @@ GOLDEN = {
             "records": "abcdd2ba591367f43077ab884d8b87baf581dd163cb56d3644aa16835afd61a1",
             "messages": "bdd86f2e5c3d6e79630cf97a7fdecc47c39499986045a6307b1e8e07bfe78dad",
             "stats": "24e5edb76bef3b9d215a37c82fe4394af58ccbdcd5d4b0897872ef13a70d6029",
-            "trace": "22084045f927ba5f6604763f2a63e7ef1231876e4d97a5828ab98d93c88b9923",
-            "telemetry": "a8c4b7a733ea1f52ed2cbfc29c9f38d108eb04db7cc16d845f633116a48a730a",
+            "trace": "7cae0755b7724ea2842977c8548812cce61639c68678183ebea793583e799050",
+            "telemetry": "804915b11cdb867ce9215ae046c686a689a265843bfeba4b074148d3de5ab770",
             "journeys": "4f80638d15a9e38f7b1a21cab2e5301b5a1ec1d99165f3b116f84add52a9c3a9",
         },
         "install_remove": {
@@ -106,7 +112,7 @@ GOLDEN = {
             "messages": "60768fcf9509e7a435b2973d9716334b620b76f97875f5e876703831b0e51fff",
             "stats": "08122553e3fce765d7f3c3f32edaecf0e93410603978e3fcdad771ae70641169",
             "trace": "7d578f98354af71d3bd7524a587228e7b59619f45614f42b636a6dffd1c10277",
-            "telemetry": "79249194841eb945ac557e158e29edfd5b48029acd37ae0b407af8e4ae7b5a42",
+            "telemetry": "b14c0af733d1f14ee794d7f690ce5805469b6f93b9e89924863d3694cb4d6c78",
             "journeys": "1073be742c48daae9164fcc6738cce1b6775a302b5630611a49d5c33cc990af1",
         },
     },
@@ -115,8 +121,8 @@ GOLDEN = {
             "records": "2a4669928803fd89d4572a74bd00fedfc84a8cc954d3718bd220df54492f90ad",
             "messages": "9fa07272bc4704d25be81a1b36804f12536d744a26410722696be065f422ad1a",
             "stats": "d908cd24867dd64312b8a38a13f9355ae262bad0031be88e5cf491d55cdb2f30",
-            "trace": "08a07ee6e86bd19a4b8fcbf01adaff63f94387b04d4e3bfc148de08e3470000a",
-            "telemetry": "a828b56d4fa97d69814891601c8f0efd97161bd8a6e3aa498248e07bb6a70529",
+            "trace": "1da1219bdce4922bade5ea225100facf901ddd2f936e6efa05535e0c42eb4caf",
+            "telemetry": "780f35404b008314f852d3a4deb84f5b432321d8e787327362850beeac8bc7d1",
             "journeys": "7196a144b2845b2f33f55b5a0da395c2f6572deb883ae20746fbc53c1329ab56",
         },
         "install_remove": {
@@ -124,7 +130,7 @@ GOLDEN = {
             "messages": "5b2791d2d39b1db6370f6aa1703b457f794e1bd7d9ac5ae223a3274994782183",
             "stats": "a60ae326933882d0d195fabe90636fea9a370473f9a6c04741b3680196531f58",
             "trace": "dbc8ebef43b81ece344ffbd1508dbb9a87b699099338df2afa4609bad9b0495f",
-            "telemetry": "dbcfce333ee0fafacbf32f91c19603d219d1bb787e6ddcf199b65906e7ff231a",
+            "telemetry": "f9ddaba626cdd111ad02060e6374abcee2f9421dba14e1a34726e3c33c6e5d03",
             "journeys": "e92de121101a431da77e29afcf4f38dcfbd5e1e1c0163d9c69305cc0dfe2c116",
         },
     },

@@ -162,13 +162,6 @@ class TestRunUntil:
         sim.run(100)
         assert sim.cycle == 5  # the stopping cycle completes
 
-    def test_drain_requires_patience(self):
-        sim = Simulator()
-        # idle predicate true from cycle 10 onward; 5th consecutive
-        # idle evaluation happens at cycle 14
-        end = sim.drain(lambda s: s.cycle >= 10, patience=5)
-        assert end == 14
-
     def test_reentrant_step_raises(self):
         sim = Simulator()
 

@@ -96,8 +96,8 @@ def _generator_fingerprint(key, fast):
     sim.add(stream)
     sim.add(noise)
     sim.run(2_500)
-    sim.drain(lambda s: stream.all_delivered() and noise.all_delivered(),
-              patience=100, max_cycles=100_000)
+    sim.run_until(lambda s: stream.all_delivered() and noise.all_delivered(),
+                  max_cycles=100_000)
     return {
         "cycle": sim.cycle,
         "stream": tuple(stream.latencies()),
