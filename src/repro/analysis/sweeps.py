@@ -69,15 +69,9 @@ class SweepPoint:
         )
 
 
-def run_sweep(grid: SweepGrid, max_cycles: int = 1_000_000,
-              engine: str = None) -> List[SweepPoint]:
-    """Run the minimal scenario at every grid point.
-
-    ``engine`` selects the simulation backend for every point
-    (``"object"``/``"vec"``; None keeps each builder's own object
-    simulator).
-    Results are engine-independent — the vec backend is bit-identical.
-    """
+def run_sweep(grid: SweepGrid,
+              max_cycles: int = 1_000_000) -> List[SweepPoint]:
+    """Run the minimal scenario at every grid point."""
     out: List[SweepPoint] = []
     for params in grid.points():
         build_kwargs = {
@@ -87,8 +81,7 @@ def run_sweep(grid: SweepGrid, max_cycles: int = 1_000_000,
         scenario_kwargs = {
             k: v for k, v in params.items() if k in _SCENARIO_KEYS
         }
-        arch = build_architecture(params["arch"], engine=engine,
-                                  **build_kwargs)
+        arch = build_architecture(params["arch"], **build_kwargs)
         result = minimal_scenario(arch, max_cycles=max_cycles,
                                   **scenario_kwargs)
         out.append(SweepPoint(

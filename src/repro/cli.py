@@ -255,7 +255,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
         seeds = range(args.seed_start, args.seed_start + args.seeds)
         for arch in args.archs:
-            fleet = run_seed_fleet(arch, seeds, engine=args.engine)
+            fleet = run_seed_fleet(arch, seeds)
             print(render_fleet(fleet))
             if fleet.run_id:
                 print(f"  ledger: fleet run {fleet.run_id}"
@@ -271,11 +271,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         payload_bytes=args.payloads,
     )
     points, run_id = ledgered_call(
-        lambda: run_sweep(grid, engine=args.engine),
+        lambda: run_sweep(grid),
         kind="sweep", name="grid",
         config={"arch": args.archs, "width": args.widths,
-                "payload_bytes": args.payloads},
-        engine=args.engine)
+                "payload_bytes": args.payloads})
     print(render_sweep(grid, points))
     if run_id:
         print(f"ledger: sweep run {run_id}")
@@ -686,9 +685,6 @@ def make_parser() -> argparse.ArgumentParser:
                    default=["rmboc", "buscom", "dynoc", "conochi"])
     p.add_argument("--widths", nargs="+", type=int, default=[8, 16, 32])
     p.add_argument("--payloads", nargs="+", type=int, default=[64])
-    p.add_argument("--engine", choices=["object", "vec"], default=None,
-                   help="simulation backend (default: object; results "
-                        "are bit-identical)")
     p.add_argument("--seeds", type=int, default=0, metavar="N",
                    help="fleet mode: run N seeded Monte-Carlo runs per "
                         "architecture in one batched process instead of "

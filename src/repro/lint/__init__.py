@@ -6,10 +6,10 @@ Two halves, one contract (see ``docs/linting.md``):
 
   - :mod:`repro.lint.static_rules` — an AST pass over every
     :class:`~repro.sim.component.Component` subclass (rules
-    QL001–QL006);
+    QL001–QL005 and QL012);
   - :mod:`repro.lint.graph` + :mod:`repro.lint.race` — a whole-program
     component↔channel access graph and the race/topology rules on it
-    (QL007–QL011), dumped by ``repro lint --graph``;
+    (QL007–QL009 and QL011), dumped by ``repro lint --graph``;
   - :mod:`repro.lint.sarif` / :mod:`repro.lint.baseline` — SARIF 2.1.0
     export, inline ``# simlint: disable=...`` suppressions, baseline
     files, and per-directory rule policies;

@@ -7,7 +7,7 @@ analyzer wholesale:
 
 * ``# simlint: disable=QL005`` on the offending line,
 * ``# simlint: disable-next-line=QL005,QL009`` on the line above,
-* ``# simlint: disable-file=QL010`` anywhere in the file, or
+* ``# simlint: disable-file=QL002`` anywhere in the file, or
 * ``disable=all`` to suppress every rule at that site.
 
 Comments are found with :mod:`tokenize`, so strings that merely contain
@@ -61,7 +61,7 @@ class SuppressionIndex:
 
 
 def _parse_directive(comment: str) -> List[Tuple[str, Set[str]]]:
-    """``# simlint: disable=QL001,QL002 disable-file=QL010`` ->
+    """``# simlint: disable=QL001,QL004 disable-file=QL002`` ->
     ``[("disable", {...}), ("disable-file", {...})]``."""
     text = comment.lstrip("#").strip()
     marker = text.find(_MARKER)

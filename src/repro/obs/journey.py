@@ -16,10 +16,10 @@ therefore contiguous by construction — the attributed cycles of a
 delivered message sum to ``delivered - created`` minus an explicit
 residual, which is reported, never silently dropped.
 
-Sampling is deterministic and engine-independent: the keep/skip
-decision for message ``mid`` is a pure function of ``(seed, mid)`` (a
-CRC32 threshold test), so the same seed samples the same messages on
-the object and the vec engine, and across reruns.  ``max_records``
+Sampling is deterministic: the keep/skip decision for message ``mid``
+is a pure function of ``(seed, mid)`` (a CRC32 threshold test), so the
+same seed samples the same messages on every rerun, with the kernel's
+fast path on or off.  ``max_records``
 additionally caps memory (keep-first; the overflow count is reported).
 
 On top of the raw records:
@@ -61,7 +61,7 @@ _CRC_DENOM = float(2 ** 32)
 
 def sampled(seed: int, mid: int, rate: float) -> bool:
     """Pure keep/skip decision for message ``mid`` — identical across
-    engines and reruns because it depends only on ``(seed, mid)``."""
+    reruns because it depends only on ``(seed, mid)``."""
     if rate >= 1.0:
         return True
     if rate <= 0.0:

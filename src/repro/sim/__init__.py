@@ -34,14 +34,10 @@ from repro.sim.stats import (
     TimeSeries,
 )
 from repro.sim.trace import SpanEvent, TraceEvent, Tracer
-from repro.sim.vec import ENGINES, VecSimulator, make_simulator
 
 __all__ = [
     "Channel",
     "Component",
-    "ENGINES",
-    "VecSimulator",
-    "make_simulator",
     "Counter",
     "CounterSnapshot",
     "FIFO",

@@ -14,12 +14,11 @@ from repro.obs.alerts import AlertEngine
 from repro.obs.flows import FlowTelemetry
 from repro.control.actions import adaptive_rules
 from repro.sim import Simulator
-from repro.sim.vec import make_simulator
 
 
-def _wired(scenario, seed=7, guard=None, name="loop-test", engine=None):
+def _wired(scenario, seed=7, guard=None, name="loop-test", fast_path=None):
     """Scenario + telemetry + adaptive alert engine + control loop."""
-    sim = make_simulator(name=name, engine=engine)
+    sim = Simulator(name=name, fast_path=fast_path)
     tel = FlowTelemetry()
     tel.engine = AlertEngine(rules=adaptive_rules())
     tel.attach(sim)
@@ -36,9 +35,11 @@ class TestDeterminism:
                 == json.dumps(b, sort_keys=True))
 
     def test_action_log_identical_across_engines(self):
+        """The simulation engine acts the same with its fast path on
+        and with it off (every cycle ticked)."""
         runs = []
-        for engine in ("object", "vec"):
-            sim, _arch, loop = _wired(_scenario_buscom, engine=engine)
+        for fast_path in (True, False):
+            sim, _arch, loop = _wired(_scenario_buscom, fast_path=fast_path)
             sim.run(ADAPT_HORIZON)
             assert loop.actions
             runs.append(json.dumps([loop.action_log(sim.cycle),

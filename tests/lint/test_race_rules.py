@@ -1,4 +1,4 @@
-"""Graph-rule tests (QL007–QL011): each rule gets a buggy/fixed twin.
+"""Graph-rule tests (QL007–QL009, QL011): each rule gets a buggy/fixed twin.
 
 The twins are deliberately minimal — the same topology with only the
 contract-relevant detail changed — so a rule that starts matching on
@@ -222,53 +222,6 @@ class TestQL009:
         src = self.build("self._peers").replace(
             "self.out.drive(peer)", "self.rng.randint(0, peer)")
         assert len(findings_for(src, "QL009")) == 1
-
-
-# ----------------------------------------------------------------------
-# QL010 — vec/object divergence hazard
-# ----------------------------------------------------------------------
-class TestQL010:
-    def build(self, body):
-        return f"""
-            from repro.sim import Component
-
-            class Arch(Component):
-                VEC_FIELDS = ("_inflight",)
-
-                def __init__(self, name):
-                    super().__init__(name)
-                    self._inflight = []
-
-                def tick(self, sim):
-                    self._inflight.append(sim.cycle)
-                    return None
-
-                def snapshot(self):
-                    {body}
-        """
-
-    def test_unflushed_read_flagged(self):
-        findings = findings_for(self.build("return len(self._inflight)"),
-                                "QL010")
-        assert len(findings) == 1
-        assert findings[0].symbol == "Arch.snapshot"
-
-    def test_flush_dominator_clean(self):
-        src = self.build("""self.sim.flush_kernels()
-                    return len(self._inflight)""")
-        assert findings_for(src, "QL010") == []
-
-    def test_tick_path_read_clean(self):
-        # reads on the tick path are replayed by the kernel itself
-        src = self.build("return 0").replace(
-            "self._inflight.append(sim.cycle)",
-            "self._inflight.append(len(self._inflight))")
-        assert findings_for(src, "QL010") == []
-
-    def test_undeclared_class_unaffected(self):
-        src = self.build("return len(self._inflight)").replace(
-            'VEC_FIELDS = ("_inflight",)', "pass")
-        assert findings_for(src, "QL010") == []
 
 
 # ----------------------------------------------------------------------

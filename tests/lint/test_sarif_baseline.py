@@ -59,7 +59,7 @@ class TestSeverityAndDedupe:
 # ----------------------------------------------------------------------
 class TestSarif:
     def test_export_is_valid_and_indexed(self):
-        findings = [mk(), mk(rule="QL010", severity=Severity.WARNING,
+        findings = [mk(), mk(rule="QL002", severity=Severity.WARNING,
                              line=3)]
         doc = to_sarif(findings, ALL_RULES)
         assert validate_sarif(doc) == []
@@ -70,7 +70,7 @@ class TestSarif:
         for result in run["results"]:
             assert ids[result["ruleIndex"]] == result["ruleId"]
         levels = {r["ruleId"]: r["level"] for r in run["results"]}
-        assert levels == {"QL007": "error", "QL010": "warning"}
+        assert levels == {"QL007": "error", "QL002": "warning"}
 
     def test_fingerprints_are_line_independent(self):
         doc1 = to_sarif([mk(line=10)], ALL_RULES)
@@ -99,14 +99,14 @@ class TestSarif:
 class TestSuppressions:
     def test_three_verbs(self):
         index = scan_suppressions(textwrap.dedent("""
-            # simlint: disable-file=QL010
-            x = 1  # simlint: disable=QL001,QL002
+            # simlint: disable-file=QL002
+            x = 1  # simlint: disable=QL001,QL004
             # simlint: disable-next-line=QL005
             y = 2
         """))
-        assert index.suppresses("QL010", 999)
+        assert index.suppresses("QL002", 999)
         assert index.suppresses("QL001", 3)
-        assert index.suppresses("QL002", 3)
+        assert index.suppresses("QL004", 3)
         assert not index.suppresses("QL001", 4)
         assert index.suppresses("QL005", 5)
 
@@ -126,17 +126,17 @@ class TestSuppressions:
 class TestBaseline:
     def test_round_trip_filters_and_reports_stale(self, tmp_path):
         path = str(tmp_path / "base.json")
-        old = [mk(), mk(rule="QL010", symbol="B.snap",
+        old = [mk(), mk(rule="QL002", symbol="B.snap",
                         severity=Severity.WARNING)]
         write_baseline(path, old, justification="known issues")
         entries = load_baseline(path)
-        assert {e.rule for e in entries} == {"QL007", "QL010"}
+        assert {e.rule for e in entries} == {"QL007", "QL002"}
         assert all(e.justification == "known issues" for e in entries)
-        # the QL010 finding was fixed; a new line for QL007 appears
+        # the QL002 finding was fixed; a new line for QL007 appears
         current = [mk(line=42)]
         kept, stale = apply_baseline(current, entries)
         assert kept == []          # line moved, still baselined
-        assert [e.rule for e in stale] == ["QL010"]
+        assert [e.rule for e in stale] == ["QL002"]
 
     def test_count_bounds_absorb_regressions(self):
         findings = [mk(line=1), mk(line=2), mk(line=3)]

@@ -346,92 +346,6 @@ class TestTickSignature:
 
 
 # ----------------------------------------------------------------------
-# QL006: batch-kernel tick mutating undeclared state
-# ----------------------------------------------------------------------
-class TestVecContract:
-    BUGGY = """
-    from repro.sim import Component
-
-    class Batched(Component):
-        VEC_FIELDS = ("_transfers",)
-        VEC_SHARED = ("_queues",)
-
-        def _make_vec_kernel(self):
-            return object()
-
-        def tick(self, sim):
-            self._transfers.append(1)      # declared: fine
-            self._queues["a"] = []         # declared: fine
-            self._cursor += 1              # undeclared AugAssign
-            del self._pending[0]           # undeclared Delete
-            self._advance(sim)
-            return None
-
-        def _advance(self, sim):
-            self._table["x"][0] = sim.cycle  # undeclared, via helper
-    """
-
-    def test_flags_undeclared_mutations_in_tick_path(self):
-        hits = findings_for(self.BUGGY, "QL006")
-        assert len(hits) == 3
-        assert all(f.severity is Severity.ERROR for f in hits)
-        flagged = {f.message.split("self.")[1].split()[0] for f in hits}
-        assert flagged == {"_cursor", "_pending", "_table"}
-        # the helper-reached mutation is attributed to the helper
-        assert any(f.symbol == "Batched._advance" for f in hits)
-
-    def test_full_declaration_is_clean(self):
-        fixed = self.BUGGY.replace(
-            'VEC_SHARED = ("_queues",)',
-            'VEC_SHARED = ("_queues", "_cursor", "_pending", "_table")')
-        assert findings_for(fixed, "QL006") == []
-
-    def test_components_without_kernels_are_exempt(self):
-        src = """
-        from repro.sim import Component
-
-        class Plain(Component):
-            def tick(self, sim):
-                self._cursor += 1
-                del self._pending[0]
-                return None
-        """
-        assert findings_for(src, "QL006") == []
-
-    def test_mutations_off_the_tick_path_are_exempt(self):
-        src = """
-        from repro.sim import Component
-
-        class Batched(Component):
-            VEC_FIELDS = ("_transfers",)
-
-            def tick(self, sim):
-                self._transfers.append(1)
-                return None
-
-            def halt(self):
-                # fault hook, not reachable from tick: out of scope
-                self._halted = True
-        """
-        assert findings_for(src, "QL006") == []
-
-    def test_kernel_method_alone_opts_in(self):
-        src = """
-        from repro.sim import Component
-
-        class Batched(Component):
-            def _make_vec_kernel(self):
-                return object()
-
-            def tick(self, sim):
-                self._cursor += 1
-                return None
-        """
-        hits = findings_for(src, "QL006")
-        assert hits and "_cursor" in hits[0].message
-
-
-# ----------------------------------------------------------------------
 # drivers, output plumbing, self-check
 # ----------------------------------------------------------------------
 class TestDrivers:
@@ -461,7 +375,7 @@ class TestDrivers:
 
     def test_every_documented_rule_exists(self):
         assert set(RULES) == {"QL000", "QL001", "QL002", "QL003",
-                              "QL004", "QL005", "QL006", "QL012"}
+                              "QL004", "QL005", "QL012"}
 
     def test_repository_sources_are_strict_clean(self):
         """The acceptance gate: `repro lint --strict` over the package."""

@@ -6,6 +6,7 @@ and an injected slowdown must be attributed to the right journey
 segment and link.
 """
 
+import json
 import os
 import tempfile
 
@@ -28,22 +29,27 @@ from repro.obs.ledger import LEDGER_DIR_ENV, RunLedger, build_run_record
 
 WORKLOAD = dict(cycles=3_000, bursts=2, burst_size=10, burst_gap=900)
 
+#: a DyNoC fleet record written with ``engine: "vec"``
+VEC_FLEET_RECORD = os.path.join(
+    os.path.dirname(__file__), os.pardir, "data", "regress-baseline",
+    "runs", "d5", "d5a5ab28f3fa1718.json")
+
 #: records built once per module run (real simulations are the slow
 #: part); each entry holds the fully instrumented per-seed record
 _RECORDS = {}
 
 
-def _seed_record(arch, seed, engine="vec", payload=64):
+def _seed_record(arch, seed, payload=64):
     """The instrumented per-seed ``repro.run/1`` record for one run,
     built in a throwaway ledger and cached in memory."""
-    key = (arch, seed, engine, payload)
+    key = (arch, seed, payload)
     if key not in _RECORDS:
         with tempfile.TemporaryDirectory() as tmp:
             saved = os.environ.get(LEDGER_DIR_ENV)
             os.environ[LEDGER_DIR_ENV] = tmp
             try:
-                fleet = run_seed_fleet(arch, [seed], engine=engine,
-                                       payloads=(payload,), **WORKLOAD)
+                fleet = run_seed_fleet(arch, [seed], payloads=(payload,),
+                                       **WORKLOAD)
                 ledger = RunLedger()
                 _RECORDS[key] = ledger.load(fleet.seed_run_ids[0])
             finally:
@@ -71,8 +77,7 @@ class TestWithinNoise:
 
 class TestAlignment:
     def _rec(self, **kw):
-        base = dict(config={"cycles": 100}, seed=0, engine="vec",
-                    stats={"v": 1.0})
+        base = dict(config={"cycles": 100}, seed=0, stats={"v": 1.0})
         base.update(kw)
         return build_run_record("fleet", kw.pop("name", "buscom"),
                                 **base)
@@ -92,8 +97,12 @@ class TestAlignment:
         assert align(a, b)["mode"] == "seed"
 
     def test_engine(self):
-        assert align(self._rec(engine="object"),
-                     self._rec(engine="vec"))["mode"] == "engine"
+        """Records written before the engine name was retired carry
+        one; it never splits an alignment."""
+        a, b = self._rec(), self._rec()
+        a["engine"], b["engine"] = "object", "vec"
+        assert align(a, b)["mode"] == "identical"
+        assert align(b, self._rec())["mode"] == "identical"
 
     def test_config(self):
         out = align(self._rec(), self._rec(config={"cycles": 999}))
@@ -113,7 +122,7 @@ class TestSignificance:
         def rec(seed, latency):
             return build_run_record(
                 "fleet", "buscom", config={"cycles": 100}, seed=seed,
-                engine="vec", stats={"mean_latency": latency},
+                stats={"mean_latency": latency},
                 seed_stats={"mean_latency": {
                     "count": 4, "mean": latency, "std": std,
                     "min": latency - std, "max": latency + std}})
@@ -166,7 +175,9 @@ class TestSignificance:
         # ignored metrics stay informational: reported, never flagged
         assert [r["metric"] for r in rows] == ["kernel.ticks"]
         assert not rows[0]["significant"] and rows[0]["floor"] is None
-        assert any(b.ignore for b in DEFAULT_BUDGETS["engine"])
+        # every alignment mode has its budgets
+        assert set(DEFAULT_BUDGETS) == {"identical", "version", "seed",
+                                        "config", "mixed"}
 
 
 class TestRealPairs:
@@ -179,11 +190,20 @@ class TestRealPairs:
         assert doc["significant"] == 0 and doc["regressions"] == []
 
     def test_engine_pair_is_fully_quiet(self):
-        a = _seed_record("dynoc", 5, engine="object")
-        b = _seed_record("dynoc", 5, engine="vec")
-        doc = diff_runs(a, b)
-        assert doc["alignment"]["mode"] == "engine"
-        assert doc["significant"] == 0
+        """A fleet recorded under the retired ``vec`` engine name diffs
+        against a fresh run of its configuration without a delta."""
+        with open(VEC_FLEET_RECORD, encoding="utf-8") as fh:
+            old = json.load(fh)
+        config = dict(old["config"])
+        seeds = config.pop("seeds")
+        fleet = run_seed_fleet(old["name"], seeds, **config)
+        fresh = RunLedger().load(fleet.run_id)
+        doc = diff_runs(old, fresh)
+        assert doc["alignment"]["mode"] == "version"
+        assert doc["compared"] > 0
+        assert doc["deltas"] == [] and doc["significant"] == 0
+        assert doc["a"]["run_id"] == "d5a5ab28f3fa1718"
+        assert "engine" not in doc["a"]
 
     def test_injected_slowdown_attributed_to_right_segment(self):
         """Fatter payloads on the shared buses must show up as bus

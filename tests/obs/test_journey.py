@@ -1,15 +1,15 @@
-"""Message journeys: attribution, determinism and engine equivalence.
+"""Message journeys: attribution, determinism and fast-path equivalence.
 
 The load-bearing contracts from ``docs/observability.md``:
 
-* journey records are **bit-identical** between the object and the vec
-  engine under the same seed (stamp sites live on object-code paths
-  both backends execute at identical cycles — the rule added to
-  :mod:`repro.sim.vec.kernels`);
+* journey records are **bit-identical** with the simulation engine's
+  fast path on and off (every cycle ticked) under the same seed: every
+  stamp is a protocol event, stamped at the cycle it happens whether
+  the fabric ticked through the cycles before it or slept;
 * a journeys-off run is bit-identical to a pre-journey run (the stats
   fingerprint must not move when a recorder attaches);
 * sampling is a pure function of ``(seed, mid)`` — same records on
-  every engine and rerun, lower rates sample subsets of higher rates;
+  every rerun, lower rates sample subsets of higher rates;
 * ``repro explain`` attributes >= 95% of measured per-flow latency to
   named segments on every architecture, residual always explicit.
 """
@@ -35,18 +35,17 @@ from repro.obs.journey import (
     flow_slowest_segments,
     sampled,
 )
-from repro.sim import Tracer
-from repro.sim.vec import make_simulator
+from repro.sim import Simulator, Tracer
 from tests.faults.scenarios import fault_scenario
 
 ALL_ARCHS = ("dynoc", "staticmesh", "sharedbus", "buscom", "rmboc",
              "conochi")
 
 
-def _drive(key, engine, journeys=True, telemetry=False, rate=1.0,
-           jseed=0, seed=7, sends=150, cycles=2_500):
+def _drive(key, journeys=True, telemetry=False, rate=1.0, jseed=0, seed=7,
+           sends=150, cycles=2_500, fast_path=None):
     """The golden-equivalence workload with a journey recorder attached."""
-    sim = make_simulator(name=f"{key}-{engine}", engine=engine)
+    sim = Simulator(name=key, fast_path=fast_path)
     if telemetry:
         FlowTelemetry().attach(sim)
     if journeys:
@@ -159,46 +158,48 @@ class TestStamping:
 
 
 # ----------------------------------------------------------------------
-# engine equivalence + determinism (the tentpole contract)
+# fast-path equivalence + determinism
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("key", ALL_ARCHS)
 def test_journey_records_identical_across_engines(key):
-    obj = _drive(key, "object")
-    vec = _drive(key, "vec")
-    assert _journey_fp(obj) == _journey_fp(vec)
-    assert _stats_fp(obj) == _stats_fp(vec)
+    """The engine's fast path stamps what ticking every cycle stamps."""
+    fast = _drive(key, fast_path=True)
+    stepped = _drive(key, fast_path=False)
+    assert _journey_fp(fast) == _journey_fp(stepped)
+    assert _stats_fp(fast) == _stats_fp(stepped)
 
 
 @pytest.mark.parametrize("key", ("dynoc", "rmboc"))
 def test_equivalence_with_journeys_and_telemetry(key):
-    """Journeys + telemetry together must not split the engines."""
-    obj = _drive(key, "object", telemetry=True)
-    vec = _drive(key, "vec", telemetry=True)
-    assert _journey_fp(obj) == _journey_fp(vec)
-    assert (json.dumps(obj.telemetry.snapshot(obj.cycle), sort_keys=True,
-                       default=str)
-            == json.dumps(vec.telemetry.snapshot(vec.cycle),
+    """Journeys + telemetry together must not split the fast path from
+    the every-cycle reference."""
+    fast = _drive(key, telemetry=True, fast_path=True)
+    stepped = _drive(key, telemetry=True, fast_path=False)
+    assert _journey_fp(fast) == _journey_fp(stepped)
+    assert (json.dumps(fast.telemetry.snapshot(fast.cycle),
+                       sort_keys=True, default=str)
+            == json.dumps(stepped.telemetry.snapshot(stepped.cycle),
                           sort_keys=True, default=str))
 
 
 @pytest.mark.parametrize("key", ("sharedbus", "conochi"))
 def test_same_seed_rerun_is_deterministic(key):
-    assert _journey_fp(_drive(key, "object")) \
-        == _journey_fp(_drive(key, "object"))
+    assert _journey_fp(_drive(key)) \
+        == _journey_fp(_drive(key))
 
 
 @pytest.mark.parametrize("key", ALL_ARCHS)
 def test_journeys_off_stats_bit_identical(key):
     """Attaching a recorder must not perturb the simulation; not
     attaching one must cost nothing but a dead boolean test."""
-    on = _drive(key, "object", journeys=True)
-    off = _drive(key, "object", journeys=False)
+    on = _drive(key, journeys=True)
+    off = _drive(key, journeys=False)
     assert _stats_fp(on) == _stats_fp(off)
 
 
 def test_sampled_run_records_subset_of_full_run():
-    full = _drive("dynoc", "object", rate=1.0)
-    part = _drive("dynoc", "object", rate=0.3)
+    full = _drive("dynoc", rate=1.0)
+    part = _drive("dynoc", rate=0.3)
     full_recs = full.journey.snapshot()["records"]
     part_recs = part.journey.snapshot()["records"]
     assert 0 < len(part_recs) < len(full_recs)
@@ -211,7 +212,7 @@ def test_sampled_run_records_subset_of_full_run():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("key", ALL_ARCHS)
 def test_attribution_coverage_at_least_95_percent(key):
-    sim = _drive(key, "object")
+    sim = _drive(key)
     rows = aggregate_flows(sim.journey)
     assert rows, f"{key}: no delivered journeys"
     total = sum(r["latency"]["total"] for r in rows)
@@ -227,7 +228,7 @@ def test_attribution_coverage_at_least_95_percent(key):
 
 
 def test_critical_path_chain_in_time_order():
-    sim = _drive("dynoc", "object")
+    sim = _drive("dynoc")
     rec = max(sim.journey.delivered_records(), key=lambda r: r.latency)
     cp = critical_path(rec)
     assert cp["latency"] == rec.latency
@@ -239,7 +240,7 @@ def test_critical_path_chain_in_time_order():
 
 
 def test_flow_slowest_segments_for_watch():
-    sim = _drive("sharedbus", "object")
+    sim = _drive("sharedbus")
     slowest = flow_slowest_segments(sim.journey)
     assert slowest
     assert all(kind in SEGMENT_KINDS for kind in slowest.values())
@@ -303,7 +304,7 @@ def test_perfetto_export_links_journeys_and_faults():
 
 
 def test_journey_meta_in_trace_export():
-    sim = _drive("dynoc", "object", rate=0.5)
+    sim = _drive("dynoc", rate=0.5)
     doc = to_chrome_trace(sim)
     meta = doc["otherData"]["simulators"][0]["journeys"]
     assert meta["records"] == len(sim.journey)

@@ -20,8 +20,6 @@ The scenarios drive the paths whose cost the ledger pays:
   rules keep reading its p99, the latency and saturation alerts fire,
   and the per-cycle parallelism histogram passes its 4,096-sample cap
   while ``observed_dmax`` is read mid-run;
-* ``overload_vec`` — the same on the vec engine, which must record
-  the same statistics;
 * ``mesh`` — DyNoC under random all-to-all traffic: twelve flows with
   interpolated exact percentiles and a parallelism histogram spread
   over several values.
@@ -30,7 +28,9 @@ The ``run_id``, ``canonical`` and ``stored`` digests moved once, on
 purpose, when alert rules moved onto ``FlowTelemetry``'s fixed
 evaluation grid: fabrics stopped waking for alert evaluations, which
 lowers the ``kernel`` section's tick, sleep and wake counts.  The
-``simulated`` digest and statistics did not move.
+``simulated`` digest and statistics did not move.  Every digest but
+``stats`` moved once more when records stopped carrying an ``engine``
+key; nothing else in the stored records changed.
 
 Each result also carries the value types the record encoder treats
 specially (dataclasses, enums, numpy scalars, tuples, non-finite
@@ -59,28 +59,21 @@ from repro.obs.ledger import canonical_bytes, ledgered_call
 from repro.sim.rng import make_rng
 from repro.traffic.generators import PeriodicStream, RandomTraffic
 
-SCENARIOS = ("overload", "overload_vec", "mesh")
+SCENARIOS = ("overload", "mesh")
 
 GOLDEN: Dict[str, Dict[str, str]] = {
     "overload": {
-        "run_id": "a024fa9b1379c6b1",
-        "canonical": "a024fa9b1379c6b1df502d986e8e38add02ad3a4a4510dc91028ed20397628f5",
-        "stored": "c1c31d4e11c105911b5ca808b9bd543aa5d3e841e006c0966e305fe75a8331ea",
-        "simulated": "bb9cedf2fab1bdfe518947fe3b7cef97fe15e859146b93bc14d5fe283120eb05",
-        "stats": "297abd4dba055a6cde79cc3e66e3d8016a80e1c344d5c82e05664b6203ae1a02",
-    },
-    "overload_vec": {
-        "run_id": "f6f7e0a86ce41996",
-        "canonical": "f6f7e0a86ce419969b76196221ae2b3a4b02ece0e76592d8ae959337b334f3de",
-        "stored": "82d7665375dae726873467f459fede9d09b08188d3606c2ef0cd92f790b5bb09",
-        "simulated": "3d249ee5cf311f90d206c15533c2d1fff8169ec059e68676448694a8d4b3d037",
+        "run_id": "fe8a2aca1fbf40de",
+        "canonical": "fe8a2aca1fbf40deaed2d1736fdcc7e9d342d0a42544ca95a39237aee0d64d1f",
+        "stored": "35d134a656b0beb422feead276cacd8d73c59af48243bc132e77ff2df11be85a",
+        "simulated": "f0fe65be1772738fe60402372715b80c25d245d5bf933f4e3141cae2f2fc82ef",
         "stats": "297abd4dba055a6cde79cc3e66e3d8016a80e1c344d5c82e05664b6203ae1a02",
     },
     "mesh": {
-        "run_id": "c37fc33088dc64f5",
-        "canonical": "c37fc33088dc64f52da18e68b107d651b56fe2d9a921af903fe237aaabc206f4",
-        "stored": "ecb6d3c1eec88740c414bd0de4bd9749e251dd0de37e21aaffc7d249a805c7dd",
-        "simulated": "c773d7a4eb8ccdc9375fabe5e9a4f3feca561eb347d32486ecf14c75742cc0f8",
+        "run_id": "3c0ebc133addc710",
+        "canonical": "3c0ebc133addc710dffd7800bbf31d960abd62d1f52e5da4e9b558b38b45b286",
+        "stored": "ae2b78a19c5c3d3415e2b5ba4c5c2b97184793193368d64b769623f471ae1e1f",
+        "simulated": "298467beda4e87d743c9aa9352c6386aeb9544b804fb19be67d5d266e6892f83",
         "stats": "bea8b0d8b8b61ec913dba782df08a804ad0b3bd5665ff0d40a66dafd216ad48f",
     },
 }
@@ -142,8 +135,8 @@ def _spy_evaluations(sim, seen: List[bool]) -> None:
     engine.evaluate = spy
 
 
-def _overload(engine, built, seen):
-    arch = build_architecture("sharedbus", engine=engine)
+def _overload(built, seen):
+    arch = build_architecture("sharedbus")
     sim = arch.sim
     _spy_evaluations(sim, seen)
     sim.add(PeriodicStream("hot", arch.ports["m0"], "m1", period=HOT_PERIOD,
@@ -196,20 +189,18 @@ def _run(name: str, root: str):
         records.append(record)
         return record
 
-    engine = "vec" if name == "overload_vec" else "object"
     if name == "mesh":
         fn = lambda: _mesh(built, seen)  # noqa: E731
         config = {"rate": MESH_RATE, "stop": MESH_STOP}
     else:
-        fn = lambda: _overload(engine, built, seen)  # noqa: E731
+        fn = lambda: _overload(built, seen)  # noqa: E731
         config = {"period": HOT_PERIOD, "stop": HOT_STOP}
     saved = (ledger_mod.build_run_record, ledger_mod.versions_block)
     ledger_mod.build_run_record = capture
     ledger_mod.versions_block = lambda: dict(VERSIONS)
     try:
         _, run_id = ledgered_call(fn, kind="experiment", name=name,
-                                  config=config, seed=7, engine=engine,
-                                  ledger=root)
+                                  config=config, seed=7, ledger=root)
     finally:
         ledger_mod.build_run_record, ledger_mod.versions_block = saved
     (record,) = records

@@ -1,10 +1,12 @@
-"""Golden equivalence: vec engine vs object engine, bit for bit.
+"""The benchmark's engine entry point: ``build_architecture(engine=)``.
 
-No architecture installs a batch kernel any more, but the ``vec``
-engine name stays selectable: for every architecture, workload,
-telemetry setting and fault script, a ``VecSimulator`` run must
-produce exactly the same statistics, telemetry and traces as the plain
-object kernel.
+There is one simulator.  ``build_architecture`` still accepts
+``engine="object"`` and ``engine="vec"`` because the benchmark's
+``dense`` workload runs every fabric under both names; ``"vec"``
+builds a :class:`~repro.arch.VecSimulator`, the same kernel flagged
+``vectorized``.  For every architecture, workload, observation setting
+and fault script the two names must give exactly the same statistics,
+telemetry, traces and journeys.
 """
 
 import json
@@ -12,10 +14,10 @@ import random
 
 import pytest
 
-from repro.arch import build_architecture
-from repro.obs.flows import FlowTelemetry
-from repro.sim import SimError, Tracer
-from repro.sim.vec import make_simulator
+from repro.arch import VecSimulator, build_architecture
+from repro.obs.session import ObservationSession
+from repro.sim import SimError, Simulator
+from repro.sim.engine import FASTPATH_ENV
 
 ALL_ARCHS = ("sharedbus", "rmboc", "buscom", "conochi", "dynoc",
              "staticmesh")
@@ -29,7 +31,9 @@ def _fingerprint(sim):
     if sim.tracing:
         parts.append(json.dumps([repr(e) for e in sim.tracer.events],
                                 default=str))
-    return "|".join(parts)
+    if sim.journeying:
+        parts.append(json.dumps(sim.journey.snapshot(), sort_keys=True))
+    return parts
 
 
 def _mask_one_router(arch):
@@ -70,13 +74,12 @@ _FAULT_SCRIPTS = {
 
 
 def _drive(key, engine, telemetry=False, faults=False, tracing=False,
-           seed=7, sends=150, cycles=2_500):
-    sim = make_simulator(name=f"{key}-{engine}", engine=engine)
-    if tracing:
-        sim.tracer = Tracer(max_events=1_000_000)
-    if telemetry:
-        FlowTelemetry().attach(sim)
-    arch = build_architecture(key, sim=sim, seed=seed)
+           journeys=False, seed=7, sends=150, cycles=2_500):
+    with ObservationSession(trace=tracing, telemetry=telemetry,
+                            journeys=journeys, max_events=1_000_000):
+        arch = build_architecture(key, engine=engine, seed=seed)
+    sim = arch.sim
+    assert getattr(sim, "vectorized", False) is (engine == "vec")
     mods = list(arch.modules)
     rng = random.Random(seed)
     t = 0
@@ -101,6 +104,16 @@ def test_engines_bit_identical(key, telemetry):
     assert obj == vec
 
 
+@pytest.mark.parametrize("key", ALL_ARCHS)
+def test_engines_bit_identical_observed(key):
+    """Telemetry with the default alert rules, a tracer and journeys."""
+    obj = _drive(key, "object", telemetry=True, tracing=True,
+                 journeys=True)
+    vec = _drive(key, "vec", telemetry=True, tracing=True, journeys=True)
+    assert len(obj) == 4
+    assert obj == vec
+
+
 @pytest.mark.parametrize("key", sorted(_FAULT_SCRIPTS))
 def test_engines_bit_identical_under_faults(key):
     obj = _drive(key, "object", faults=True)
@@ -118,12 +131,12 @@ def test_engines_bit_identical_with_tracing(key):
 def test_rmboc_reconfiguration_mid_run_equivalent():
     """Detach/attach during traffic, with messages queued for the
     unattached destination (attach does not wake the fabric), runs the
-    same under the hybrid vec engine as under the object engine."""
+    same under both engine names."""
 
     def drive(engine):
-        sim = make_simulator(name=f"rmboc-{engine}", engine=engine)
-        arch = build_architecture("rmboc", sim=sim, seed=3,
+        arch = build_architecture("rmboc", engine=engine, seed=3,
                                   num_modules=6)
+        sim = arch.sim
         rng = random.Random(3)
         mods = list(arch.modules)
         t = 0
@@ -154,15 +167,16 @@ def test_rmboc_reconfiguration_mid_run_equivalent():
     assert drive("object") == drive("vec")
 
 
-def test_buscom_utilization_read_mid_sleep_equivalent():
+def test_buscom_utilization_read_mid_sleep_equivalent(monkeypatch):
     """``bus_utilization`` read at event phase while BUS-COM sleeps
     between slot starts replays the slept cycles first, so every read
-    matches a run that ticked every cycle, under both engines."""
+    matches a run that ticked every cycle, under both engine names."""
+    # the reads must land inside sleep stretches, so the simulators the
+    # engine names build take the fast path whatever the environment says
+    monkeypatch.setenv(FASTPATH_ENV, "1")
 
-    def drive(engine, fast_path):
-        sim = make_simulator(name=f"buscom-{engine}", engine=engine,
-                             fast_path=fast_path)
-        arch = build_architecture("buscom", sim=sim, seed=5)
+    def drive(arch):
+        sim = arch.sim
         for t, (src, dst, payload) in enumerate(
                 [("m0", "m1", 64), ("m2", "m3", 256), ("m1", "m0", 16)]):
             sim.at(1 + 5 * t, lambda _s, s=src, d=dst, p=payload:
@@ -178,20 +192,25 @@ def test_buscom_utilization_read_mid_sleep_equivalent():
         sim.run(1_500)
         return reads, any(slept)
 
-    reference, _ = drive("object", fast_path=False)
+    reference, _ = drive(build_architecture(
+        "buscom", sim=Simulator(fast_path=False), seed=5))
     for engine in ("object", "vec"):
-        reads, slept = drive(engine, fast_path=True)
+        reads, slept = drive(build_architecture("buscom", engine=engine,
+                                                seed=5))
         assert slept, "no read landed inside a sleep stretch"
         assert reads == reference
 
 
 def test_engine_is_chosen_per_call():
-    """``engine="vec"`` builds a vectorizing simulator; without
-    ``engine`` the builder keeps its own object simulator."""
-    from repro.sim.vec import VecSimulator
-
+    """``engine="vec"`` builds a vectorized simulator and
+    ``engine="object"`` a plain one, both named after the architecture;
+    without ``engine`` the builder keeps its own simulator."""
     arch = build_architecture("sharedbus", engine="vec")
-    assert isinstance(arch.sim, VecSimulator)
+    assert isinstance(arch.sim, VecSimulator) and arch.sim.vectorized
+    assert arch.sim.name == "sharedbus"
+    arch = build_architecture("sharedbus", engine="object")
+    assert type(arch.sim) is Simulator and arch.sim.name == "sharedbus"
+    assert not hasattr(arch.sim, "vectorized")
     arch = build_architecture("sharedbus")
     assert not isinstance(arch.sim, VecSimulator)
 
@@ -205,6 +224,6 @@ def test_misspelled_engine_raises():
 
 
 def test_explicit_engine_conflicts_with_sim():
-    sim = make_simulator(name="x", engine="object")
     with pytest.raises(ValueError):
-        build_architecture("sharedbus", sim=sim, engine="vec")
+        build_architecture("sharedbus", sim=Simulator(name="x"),
+                           engine="vec")
