@@ -223,6 +223,9 @@ class CommArchitecture:
         # one dead boolean test (mirrors sim.tracing/sim.telemetering)
         self.faulting = False
         self.fault_injector: Optional[Any] = None
+        #: the ReconfigurationManager exchanging this architecture's
+        #: modules, once one is built (repro.reconfig)
+        self.reconfig: Optional[Any] = None
         if _NEW_ARCH_HOOK is not None:
             _NEW_ARCH_HOOK(self)
 

@@ -240,6 +240,17 @@ class DyNoCActionPolicy(ActionPolicy):
                 return action
         return None
 
+    def _held_cells(self) -> set:
+        """PEs a queued or running reconfiguration will attach a module
+        into (a swap's vacated region during its rewrite, an install's
+        target, a rollback's restore): not free until that attach."""
+        manager = self.arch.reconfig
+        if manager is None:
+            return set()
+        return {cell for placement in manager.attach_targets()
+                if "rect" in placement
+                for cell in placement["rect"].cells()}
+
     def _plan_relocation(self, src: str, dst: str) -> Optional[Action]:
         arch = self.arch
         try:
@@ -253,7 +264,7 @@ class DyNoCActionPolicy(ActionPolicy):
         old_rect = dst_pl.rect
         old_access = dst_pl.access
         cur_dist = abs(old_rect.x - ax) + abs(old_rect.y - ay)
-        used = set()
+        used = self._held_cells()
         for name in arch.modules:
             try:
                 used.update(arch.placement_of(name).rect.cells())
@@ -277,6 +288,8 @@ class DyNoCActionPolicy(ActionPolicy):
 
         def move(rect: Rect, access) -> None:
             here = arch.placement_of(dst)
+            if not self._held_cells().isdisjoint(rect.cells()):
+                raise ValueError(f"{rect} is held by a reconfiguration")
             arch.remove_module(dst)
             try:
                 arch.place_module(dst, rect, access)

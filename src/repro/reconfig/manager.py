@@ -121,6 +121,7 @@ class ReconfigurationManager:
                  quiesce_timeout: int = 100_000,
                  max_retries: int = 3):
         self.arch = arch
+        arch.reconfig = self
         self.sim: Simulator = arch.sim
         self.timing = ReconfigTimingModel(device, port or ConfigPort())
         self.quiesce_timeout = quiesce_timeout
@@ -173,6 +174,15 @@ class ReconfigurationManager:
     @property
     def busy(self) -> bool:
         return self._active is not None or bool(self._pending)
+
+    def attach_targets(self) -> List[Dict[str, object]]:
+        """``attach`` keywords of every queued or running operation not
+        attached yet, a rollback's restore included: the regions these
+        operations will attach modules into, which nothing else may
+        take before they do."""
+        ops = [self._active] if self._active is not None else []
+        ops.extend(self._pending)
+        return [p for op in ops for p in (op.placement, op.restore) if p]
 
     # ------------------------------------------------------------------
     # operations

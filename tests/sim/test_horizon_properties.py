@@ -181,23 +181,13 @@ def _fabric_run(key, case, fast_path):
             port=ConfigPort("SelectMAP", width_bits=32, clock_hz=100e6))
         sim.at(swap_at, lambda _s: manager.swap(
             "m5", ModuleSpec("n5"), Rect(0, 0, 1, 40)))
-    race = None
-    try:
-        sim.run(9_000)
-        arch.run_to_completion(max_cycles=400_000)
-    except ValueError as exc:
-        # the one known failure (see RACE): it must end the run
-        # identically under both kernels; any other error fails the test
-        if not (key == "dynoc" and control and swap_at is not None
-                and "already used" in str(exc)):
-            raise
-        race = str(exc)
+    sim.run(9_000)
+    arch.run_to_completion(max_cycles=400_000)
     return ([(m.mid, m.src, m.dst, m.accepted_cycle, m.delivered_cycle,
               m.dropped) for m in arch.log.messages],
             sim.stats.snapshot(), sim.cycle, tel.snapshot(),
             tel.engine.evaluations, tel.calls,
-            [r.to_dict() for r in sim.control.actions] if control else None,
-            race)
+            [r.to_dict() for r in sim.control.actions] if control else None)
 
 
 #: congested bursts under a short grid with a control loop that acts:
@@ -211,11 +201,10 @@ ACTING = (3, [(100, 12), (140, 12), (1_500, 12), (3_000, 12)], None, 200,
 ROLLBACK = (3, [(100, 12), (140, 12), (1_500, 12), (3_000, 12)], 600, 900,
             2_000, 48, True)
 
-#: a known defect: DyNoCActionPolicy relocates a module onto the PEs a
-#: swap has vacated for its rewrite, so the swap's attach raises
-#: ``ValueError: PE ... already used`` when the rewrite ends (one
-#: message at cycle 0, a swap of m5 at cycle 100, a control loop on a
-#: 16-cycle grid)
+#: a DyNoC swap of m5 at cycle 100 under a control loop on a 16-cycle
+#: grid (one message at cycle 0): the loop acts during the swap's
+#: rewrite, and its relocation must leave the PEs the swap vacated
+#: free for the incoming module
 RACE = (84, [(0, 1)], None, 50, 100, 16, True)
 
 
@@ -228,13 +217,6 @@ RACE = (84, [(0, 1)], None, 50, 100, 16, True)
 @settings(max_examples=40, deadline=None)
 def test_fast_path_matches_ticking_every_cycle(key, case):
     assert _fabric_run(key, case, True) == _fabric_run(key, case, False)
-
-
-def test_known_race_still_raises():
-    """RACE still ends its run with the known error; once the policy
-    stops choosing PEs a swap holds, this fails and the allowance in
-    ``_fabric_run`` goes with it."""
-    assert "already used" in _fabric_run("dynoc", RACE, True)[-1]
 
 
 @given(key=st.sampled_from(SWAPPABLE), late=st.integers(1, 700))
