@@ -209,6 +209,14 @@ class BusCom(CommArchitecture, Component):
         victims: List[Message] = []
         if state.frame_msg is not None:
             victims.append(state.frame_msg)
+            now = self.sim.cycle
+            if self.sim.telemetering and state.frame_done_at >= now:
+                # the frame's busy cycles from this one on, recorded at
+                # its launch, were never carried (a fault fails the bus
+                # at event phase, before this cycle's tick)
+                self.sim.telemetry.link_busy(
+                    now, f"buscom.bus{bus}", now - state.frame_done_at - 1,
+                    first=now)
             # partial landings of the lost message are void
             self._delivered_bytes.pop(state.frame_msg.mid, None)
             state.frame_msg = None
@@ -518,10 +526,11 @@ class BusCom(CommArchitecture, Component):
             jr.stamp_to(frag.msg.mid, "slot_wait", now)
             jr.stamp_to(frag.msg.mid, "link_transit", bus.frame_done_at)
         if self.sim.telemetering:
-            # the frame occupies this bus from launch to its last word
+            # the frame occupies this bus from launch to its last word,
+            # in the windows those cycles fall in
             self.sim.telemetry.link_busy(
                 now, f"buscom.bus{bus.index}",
-                bus.frame_done_at - now + 1,
+                bus.frame_done_at - now + 1, first=now,
             )
         self.sim.stats.counter("buscom.frames").inc()
         self.sim.stats.counter("buscom.frame_words").inc(

@@ -34,8 +34,13 @@ to be recorded where it changes: evaluation cycles, alert and clear
 cycles, queue-depth values and, at mid-run reads, the shared bus's
 busy count (a burst counts whole from its grant) changed; messages,
 statistics, journeys, legs and the final utilization windows did
-not.  The
-every-cycle kernel (``REPRO_SIM_FASTPATH=0``) reproduces every digest.
+not.  The BUS-COM ``telemetry``, ``trace`` and ``reads`` digests moved
+once more when a frame's busy cycles came to be recorded in the
+windows they occupy and a bus fault took back the lost frame's
+remaining cycles: per-window utilization, the link-saturation alert
+cycles and bus 1's busy total (the bus that fails) changed; messages,
+statistics, journeys and legs did not.  The every-cycle kernel
+(``REPRO_SIM_FASTPATH=0``) reproduces every digest.
 
 Regenerate only for an intended behaviour change::
 
@@ -64,19 +69,19 @@ GOLDEN = {
     "buscom": {
         "messages": "1b2a40ba00f6c5b99e4976a1716331d9d51528377a8f21c9838b6c8a93221f1c",
         "stats": "7f4503995e7c6c433feb6d6e321d677f7da595b947d14ddd62337ba0877a5810",
-        "trace": "983543cf502b920c39fefecae9b4e5e6ec36fc16e384fdb400c429d8a55ba504",
-        "telemetry": "6fc093354ae9ac5bd54383cca77b6e37ea948bd1d8edc19cb4751f8b712a8142",
+        "trace": "9a9a97e7a2addd0cddb60d9a79ef202905430018bc698591259b3b54a664c577",
+        "telemetry": "94a233c4e76124748f0f7af230c64eed93b677a896a9801416c7d079a297dcfc",
         "journeys": "db81a978594abfa6a6ecfe0205788a189bbf83a8b0a02a4d70e86ae929fc7d7e",
-        "reads": "76461a8376d553111e9c75d8908ab074e411f28a32563e545eede649d7c89110",
+        "reads": "10be5cf4a80d38a2d389fdd56d5434cb17841859732957a1fffb7237b9ebbda8",
         "legs": "cef7ca03ab2101ba6bf9d6856fbd93941fd3bb88508388aecee97702414dccdd",
     },
     "buscom_idle": {
         "messages": "37ff4b5bc9d00be7476a3c1ce0fed471dded44e3a44d8829ec97917b2beaf20f",
         "stats": "5227470905441780fc6bc4777bb8480382fcf28583abda7ca1ebbe7a28be2ce5",
-        "trace": "36c205f740b6377174ae319ee5aac16fb2df4557aa779ac1e587b3784427549b",
-        "telemetry": "42b331412e0372ff4f40d5d0398c43a6d90dba05ee1a687a8b8dc738007ca3e7",
+        "trace": "88187749176c2e4e1aece49b96ce81d65c02e17b0dc4f24ecda8f2d2b41ffa02",
+        "telemetry": "662eb3ddf3aa2e763e585cf3eafddf33860bd538742bcf032051ac3ac1abd750",
         "journeys": "62114b8a5cceb5d5e0dbeb0be96c1aecb3cbc52a2136bffc86e3684332e3cdf3",
-        "reads": "6afb0d15f84e9fb5e0d420b7e1038dee56260340576a0439765c54b6e5c2cb3b",
+        "reads": "ef7509d93fcfd93c7f2dfb7a48f6568e1fc08bdad2d46b6e60aaa5713e489de5",
         "legs": "59e55a3d7b4b52a355cc3f72f50cacd0410be1f46b4bcf48b1c2251b64e4ff4a",
     },
     "sharedbus": {

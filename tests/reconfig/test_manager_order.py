@@ -33,7 +33,9 @@ CoNoChi 15,274 -> 17,456 cycles).  The ``telemetry`` and swap
 recorded where it changes (evaluation counts, the mttr-budget and
 quiesce-budget fire cycles and final queue depths changed); since then
 the every-cycle kernel (``REPRO_SIM_FASTPATH=0``) reproduces every
-digest.
+digest.  The BUS-COM ``telemetry`` digests moved once more when a
+frame's busy cycles came to be recorded in the windows they occupy:
+only per-window bus utilization changed, not any bus's busy total.
 
 Regenerate only for an intended behaviour change::
 
@@ -86,7 +88,7 @@ GOLDEN = {
             "messages": "a3500d918d31e2882f1bda073276e6297fd410b9b6d907b8de3b2b0c0f83eae6",
             "stats": "68d1abdc6507e9153187c27125b2c76635e142ec6e07c26f4537666ba779f904",
             "trace": "40cfcce2a0102eee78b108c4d35b2973905cac0e2a87bc0a27e4703f9f83c3a4",
-            "telemetry": "db12139a93bc692d53c96fa19a3c4feae9933742c8828c70e403426b0d348e18",
+            "telemetry": "77f14977a657d3c3b04c4b7c9d91b2a859932c6bd51489680f00970031637543",
             "journeys": "3b267789d4b00a12a930b6d8f43c38812b38f1f4a36461e1f578e194b4959011",
         },
         "install_remove": {
@@ -94,7 +96,7 @@ GOLDEN = {
             "messages": "dadb98d6f6aa9515dd61805b9b9519b32979aa44496c9174de657069f1187a35",
             "stats": "d66a47236c263e6f997ae3a4c8331099e551ab9fe40cff6ae0757c0f477539c7",
             "trace": "e9f53f197be95af1cbe0d2ab77a9e7839919cddf6d0af2942306a152eaec385e",
-            "telemetry": "a20a1fdab5514f5721b701e538a4d52f0d7e4ba433fcd27b45e48bbfe021e0e5",
+            "telemetry": "838476cbd195fc7d2e325905163ca6d5313806bf287cee491332a4e1049be45c",
             "journeys": "c9e6c9d890b8d59a52680c73d2917d107c86215c3647f0e159603c24be60de2a",
         },
     },
