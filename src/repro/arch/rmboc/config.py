@@ -45,6 +45,13 @@ class RMBoCConfig:
                 raise ValueError(f"{f} must be >= 1")
         if self.channel_linger < 0:
             raise ValueError("channel_linger must be >= 0")
+        # the NI budget and set_channel_cap need a cap in 1..num_buses
+        if not 0 <= self.max_channels_per_module <= self.num_buses:
+            raise ValueError(
+                f"max_channels_per_module must be in 0..{self.num_buses} "
+                f"(0 means num_buses)")
+        if self.fault_backoff_cap < 1:
+            raise ValueError("fault_backoff_cap must be >= 1")
 
     @property
     def num_segments(self) -> int:

@@ -24,6 +24,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             RMBoCConfig(**kw)
 
+    @pytest.mark.parametrize("field, value", [
+        # a negative NI budget never sends a REQUEST
+        ("max_channels_per_module", -1),
+        # set_channel_cap, which rolls a control action back to the
+        # configured cap, accepts only 1..num_buses
+        ("max_channels_per_module", 9),
+        # bounded_backoff would return it: an immediate re-request
+        ("fault_backoff_cap", -3),
+    ])
+    def test_unusable_cap_raises_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RMBoCConfig(num_buses=4, **{field: value})
+
 
 class TestDerived:
     def test_segments(self):
