@@ -1,8 +1,8 @@
 """Kernel and model micro-benchmarks (true pytest-benchmark timing).
 
 These are not paper artifacts; they track the simulator's own speed so
-performance regressions in the hot paths (kernel step, FIFO, S-XY
-decision, end-to-end scenario) are visible.
+performance regressions in the hot paths (kernel step, S-XY decision,
+end-to-end scenario) are visible.
 
 Besides the pytest-benchmark suite, the module is a CLI guarding the
 journey-recording overhead contract (``docs/observability.md``)::
@@ -18,7 +18,7 @@ simulation), or if journeys-on overhead exceeds the contract bound.
 from repro.arch import build_architecture
 from repro.arch.dynoc.routing import NORMAL, sxy_next
 from repro.core.scenario import minimal_scenario
-from repro.sim import FIFO, Component, Simulator
+from repro.sim import Component, Simulator
 
 
 class _Spin(Component):
@@ -111,19 +111,6 @@ def test_telemetry_off_overhead_within_noise():
         f"telemetry attachment slowed the idle-heavy fast path: "
         f"{attached:.4f}s vs {plain:.4f}s"
     )
-
-
-def test_perf_fifo_throughput(benchmark):
-    def run():
-        sim = Simulator()
-        f = FIFO(sim, "f")
-        for i in range(500):
-            f.push(i)
-            sim.step()
-            f.pop()
-        return sim.cycle
-
-    assert benchmark(run) == 500
 
 
 def test_perf_sxy_decision(benchmark):

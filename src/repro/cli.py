@@ -344,17 +344,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         result = run_lint(paths, with_graph=not args.no_graph,
                           baseline_path=None if args.write_baseline
                           else baseline)
-        if args.graph:
-            graph = result.graph
-            if graph is None:
-                print("lint: --graph requires the graph pass "
-                      "(remove --no-graph)", file=sys.stderr)
-                return 2
-            if args.format == "json":
-                print(json.dumps(graph.to_json(), indent=2))
-            else:
-                print(graph.to_dot())
-            return 0
         threshold = Severity.parse(args.min_severity)
         findings = [f for f in result.findings
                     if f.severity.rank >= threshold.rank]
@@ -716,8 +705,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_advise)
 
     p = sub.add_parser("lint",
-                       help="check determinism-contract rules "
-                            "(QL001-QL011) over component sources")
+                       help="check determinism-contract rules over "
+                            "component sources")
     p.add_argument("paths", nargs="*",
                    help="files/directories to lint (default: the "
                         "installed repro package plus ./examples and "
@@ -728,18 +717,15 @@ def make_parser() -> argparse.ArgumentParser:
                    default="info", help="hide findings below this level")
     p.add_argument("--strict", action="store_true",
                    help="exit non-zero on any finding, not just errors")
-    p.add_argument("--graph", action="store_true",
-                   help="dump the component-channel access graph "
-                        "instead of findings (DOT; JSON with -f json)")
     p.add_argument("--no-graph", action="store_true",
                    help="skip the whole-program graph rules "
-                        "(QL007-QL011); static per-class rules only")
+                        "(QL009, QL011); static per-class rules only")
     p.add_argument("--baseline", metavar="FILE", default=None,
                    help="baseline file of accepted findings (default: "
                         "./.simlint-baseline.json when present)")
     p.add_argument("--no-baseline", action="store_true",
                    help="ignore any baseline file (CI uses this to "
-                        "assert the seeded fixtures still trip)")
+                        "self-lint the analyzer)")
     p.add_argument("--write-baseline", metavar="FILE", default=None,
                    help="write the current findings to FILE as the new "
                         "baseline and exit 0")

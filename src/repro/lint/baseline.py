@@ -61,7 +61,7 @@ class SuppressionIndex:
 
 
 def _parse_directive(comment: str) -> List[Tuple[str, Set[str]]]:
-    """``# simlint: disable=QL001,QL004 disable-file=QL002`` ->
+    """``# simlint: disable=QL004,QL005 disable-file=QL002`` ->
     ``[("disable", {...}), ("disable-file", {...})]``."""
     text = comment.lstrip("#").strip()
     marker = text.find(_MARKER)
@@ -247,20 +247,14 @@ class DirPolicy:
 
 #: default policies; longest matching prefix wins, src/ keeps everything.
 DEFAULT_DIR_POLICIES: Tuple[DirPolicy, ...] = (
-    # examples stay illustrative: structural topology/iteration/vec rules
-    # still apply, but watch()-discipline and RNG hygiene are relaxed.
-    DirPolicy("examples", frozenset(
-        {"QL000", "QL003", "QL005", "QL007", "QL008", "QL011"}),
-        "example code is illustrative; full contract applies in src/"),
+    # examples stay illustrative: the parse, tick-signature and
+    # policy-hook rules still apply; the hygiene rules are relaxed.
+    DirPolicy("examples", frozenset({"QL000", "QL005", "QL011"}),
+              "example code is illustrative; full contract applies in src/"),
     # test helpers intentionally construct contract violations; keep the
-    # parse + topology rules so shared fixtures stay race-free...
-    DirPolicy("tests", frozenset(
-        {"QL000", "QL005", "QL007", "QL008"}),
-        "test doubles intentionally violate narrow contracts"),
-    # ...except the seeded racy fixtures, which exist to violate them:
-    # every rule fires there so CI can assert detection still works.
-    DirPolicy("tests/lint/fixtures", frozenset({"all"}),
-              "seeded fixtures must keep tripping every rule"),
+    # parse and tick-signature rules.
+    DirPolicy("tests", frozenset({"QL000", "QL005"}),
+              "test doubles intentionally violate narrow contracts"),
 )
 
 

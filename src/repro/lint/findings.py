@@ -49,7 +49,7 @@ class Severity(enum.IntEnum):
 class Finding:
     """One contract violation reported by the static pass."""
 
-    rule: str           # e.g. "QL001"
+    rule: str           # e.g. "QL002"
     severity: Severity
     path: str           # file the finding is in
     line: int           # 1-based line number

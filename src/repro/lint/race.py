@@ -1,28 +1,18 @@
-"""Graph-level determinism rules QL007–QL009 and QL011.
+"""Graph-level determinism rules QL009 and QL011.
 
-These rules run on the whole-program access graph built by
+These rules run on the whole-program class graph built by
 :mod:`repro.lint.graph` rather than on one class at a time:
 
 =======  ========  =====================================================
 rule     severity  meaning
 =======  ========  =====================================================
-QL007    error     write-write race: two distinct component classes
-                   stage the same wire on their tick paths, so the
-                   committed value depends on commit order
-QL008    error     multi-producer or multi-consumer FIFO topology —
-                   the static counterpart of the sanitizer's SAN003
-QL009    error     iteration over an unordered ``set`` of components or
-                   channels whose body stages channel state or draws
+QL009    error     iteration over an unordered ``set`` whose body draws
                    randomness — hash order leaks into simulation state
 QL011    error     a fault policy registered in ``_POLICIES`` calls a
                    ``self.arch.<hook>()`` the keyed architecture class
                    does not implement (crashes only when that fault
                    fires)
 =======  ========  =====================================================
-
-Each rule is conservative in the direction that matters for an error:
-it only fires on accesses the graph proves are on a tick path of a
-concrete component class.
 """
 
 from __future__ import annotations
@@ -31,21 +21,16 @@ import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.findings import Finding, Severity
-from repro.lint.graph import AccessGraph, Access, ClassDecl, build_graph
+from repro.lint.graph import ClassDecl, ClassGraph
 
 #: rule id -> (default severity, one-line summary)
 GRAPH_RULES: Dict[str, Tuple[Severity, str]] = {
-    "QL007": (Severity.ERROR,
-              "write-write race: multiple components stage one wire"),
-    "QL008": (Severity.ERROR,
-              "multi-producer/multi-consumer FIFO topology"),
     "QL009": (Severity.ERROR,
-              "iteration over an unordered set reaches staged state or RNG"),
+              "iteration over an unordered set reaches an RNG draw"),
     "QL011": (Severity.ERROR,
               "fault policy calls a recovery hook the architecture lacks"),
 }
 
-_STAGED_WRITE_CALLS = {"drive", "push", "try_push", "push_all"}
 _RNG_CALLS = {"random", "randint", "randrange", "choice", "choices",
               "shuffle", "sample", "uniform", "gauss", "rand"}
 _SET_CONSTRUCTORS = {"set", "frozenset"}
@@ -56,65 +41,6 @@ def _unparse(node: ast.AST) -> str:
         return ast.unparse(node)
     except Exception:  # pragma: no cover - defensive
         return ast.dump(node)
-
-
-# ----------------------------------------------------------------------
-# QL007 / QL008 — shared-channel topology rules
-# ----------------------------------------------------------------------
-def _topology_findings(graph: AccessGraph) -> List[Finding]:
-    findings: List[Finding] = []
-    for key, accesses in sorted(graph.accesses_by_channel().items()):
-        node = graph.channels.get(key)
-        kind = node.kind if node else "channel"
-        label = f"{key[0]}.{key[1]}"
-
-        def _sites(ops: Set[str], tick_only: bool = True) -> List[Access]:
-            return [a for a in accesses
-                    if a.op in ops
-                    and (a.tick_path or not tick_only)
-                    and graph.classes.get(a.component, _NOT_COMPONENT
-                                          ).is_component]
-
-        if kind in ("wire", "pulse", "channel"):
-            stagers = _sites({"stage"})
-            writers = sorted({a.component for a in stagers})
-            if len(writers) >= 2:
-                site = min(stagers, key=lambda a: (a.path, a.line))
-                findings.append(Finding(
-                    "QL007", GRAPH_RULES["QL007"][0], site.path, site.line,
-                    label,
-                    f"{kind} {label} is staged by {len(writers)} distinct "
-                    f"components on their tick paths "
-                    f"({', '.join(writers)}); the committed value depends "
-                    f"on commit order — route each driver through its own "
-                    f"wire or a FIFO"))
-        if kind in ("fifo", "channel"):
-            pushers = sorted({a.component for a in _sites({"push"})})
-            # pops act on the committed queue, so non-tick consumers
-            # (event handlers) race just the same: count them all.
-            poppers = sorted({a.component
-                              for a in _sites({"pop"}, tick_only=False)
-                              if not a.method.endswith(".__init__")})
-            for role, names in (("producer", pushers), ("consumer", poppers)):
-                if len(names) >= 2:
-                    op = "push" if role == "producer" else "pop"
-                    site = min((a for a in accesses if a.op == op),
-                               key=lambda a: (a.path, a.line))
-                    findings.append(Finding(
-                        "QL008", GRAPH_RULES["QL008"][0], site.path,
-                        site.line, label,
-                        f"fifo {label} has {len(names)} {role}s "
-                        f"({', '.join(names)}); FIFO ports are "
-                        f"single-{role} — give each its own port "
-                        f"(sanitizer counterpart: SAN003)"))
-    return findings
-
-
-class _NotComponent:
-    is_component = False
-
-
-_NOT_COMPONENT = _NotComponent()
 
 
 # ----------------------------------------------------------------------
@@ -184,17 +110,14 @@ def _iter_is_unordered(node: ast.expr, set_attrs: Set[str]) -> bool:
     return False
 
 
-def _body_reaches_state(body: Sequence[ast.stmt]) -> Optional[ast.AST]:
-    """First node in ``body`` that stages channel state or draws
-    randomness, else None."""
+def _body_draws_rng(body: Sequence[ast.stmt]) -> Optional[ast.AST]:
+    """First node in ``body`` that draws randomness, else None."""
     for stmt in body:
         for node in ast.walk(stmt):
             if not isinstance(node, ast.Call):
                 continue
             fn = node.func
             if isinstance(fn, ast.Attribute):
-                if fn.attr in _STAGED_WRITE_CALLS:
-                    return node
                 if fn.attr in _RNG_CALLS:
                     return node
                 if "rng" in _unparse(fn.value).lower().split("."):
@@ -202,7 +125,7 @@ def _body_reaches_state(body: Sequence[ast.stmt]) -> Optional[ast.AST]:
     return None
 
 
-def _iteration_findings(graph: AccessGraph) -> List[Finding]:
+def _iteration_findings(graph: ClassGraph) -> List[Finding]:
     findings: List[Finding] = []
     for name, decl in sorted(graph.classes.items()):
         set_attrs = _set_typed_attrs(decl)
@@ -214,14 +137,14 @@ def _iteration_findings(graph: AccessGraph) -> List[Finding]:
                     continue
                 if not _iter_is_unordered(node.iter, set_attrs):
                     continue
-                hit = _body_reaches_state(node.body)
+                hit = _body_draws_rng(node.body)
                 if hit is None:
                     continue
                 findings.append(Finding(
                     "QL009", GRAPH_RULES["QL009"][0], def_path,
                     node.lineno, f"{name}.{mname}",
                     f"iterates over unordered {_unparse(node.iter)!r} and "
-                    f"the loop body reaches staged state or RNG "
+                    f"the loop body draws randomness "
                     f"({_unparse(hit)!r} at line "
                     f"{getattr(hit, 'lineno', node.lineno)}); wrap the "
                     f"iterable in sorted(...) to pin the order"))
@@ -231,7 +154,7 @@ def _iteration_findings(graph: AccessGraph) -> List[Finding]:
 # ----------------------------------------------------------------------
 # QL011 — fault-policy hook completeness
 # ----------------------------------------------------------------------
-def _policy_hook_findings(graph: AccessGraph) -> List[Finding]:
+def _policy_hook_findings(graph: ClassGraph) -> List[Finding]:
     registry = graph.registries.get("_POLICIES")
     if not registry:
         return []
@@ -281,7 +204,7 @@ def _policy_hook_findings(graph: AccessGraph) -> List[Finding]:
     return findings
 
 
-def _class_has_attr(graph: AccessGraph, decl: ClassDecl, attr: str) -> bool:
+def _class_has_attr(graph: ClassGraph, decl: ClassDecl, attr: str) -> bool:
     """Does ``decl`` (or any ancestor the graph can see) bind ``attr``
     as a non-method attribute — class body or ``self.attr = ...``?"""
     seen: Set[str] = set()
@@ -313,17 +236,6 @@ def _class_has_attr(graph: AccessGraph, decl: ClassDecl, attr: str) -> bool:
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
-def run_graph_rules(graph: AccessGraph) -> List[Finding]:
-    """All QL007–QL009 and QL011 findings for a built access graph."""
-    findings: List[Finding] = []
-    findings.extend(_topology_findings(graph))
-    findings.extend(_iteration_findings(graph))
-    findings.extend(_policy_hook_findings(graph))
-    return findings
-
-
-def lint_graph_paths(paths: Sequence[str]) -> List[Finding]:
-    """Build the access graph for ``paths`` and run the graph rules;
-    parse errors surface as QL000 findings."""
-    graph, errors = build_graph(paths)
-    return list(errors) + run_graph_rules(graph)
+def run_graph_rules(graph: ClassGraph) -> List[Finding]:
+    """All QL009 and QL011 findings for a built class graph."""
+    return _iteration_findings(graph) + _policy_hook_findings(graph)

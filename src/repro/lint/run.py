@@ -2,10 +2,10 @@
 
 Order matters and is fixed here so the CLI, CI and tests agree:
 
-1. static per-class rules (QL000–QL005 and QL012,
+1. static per-class rules (QL000, QL002, QL004, QL005 and QL012,
    :mod:`repro.lint.static_rules`)
-2. whole-program graph rules (QL007–QL009 and QL011,
-   :mod:`repro.lint.race` over the :mod:`repro.lint.graph` access graph)
+2. whole-program graph rules (QL009 and QL011, :mod:`repro.lint.race`
+   over the :mod:`repro.lint.graph` class graph)
 3. dedupe by ``(rule, file, line, symbol)`` — helper attribution can
    reach one site through several paths
 4. per-directory rule policies (examples/tests allowlists)
@@ -33,7 +33,7 @@ from repro.lint.baseline import (
 )
 from repro.lint.findings import Finding, Severity, dedupe_findings, \
     sort_findings
-from repro.lint.graph import AccessGraph, build_graph
+from repro.lint.graph import build_graph
 from repro.lint.race import GRAPH_RULES, run_graph_rules
 from repro.lint.static_rules import RULES, lint_paths
 
@@ -46,7 +46,6 @@ class LintResult:
     """Everything ``repro lint`` needs to report one run."""
 
     findings: List[Finding]
-    graph: Optional[AccessGraph] = None
     suppressed: int = 0
     baselined: int = 0
     stale_baseline: List[BaselineEntry] = field(default_factory=list)
@@ -69,7 +68,6 @@ def run_lint(paths: Sequence[str], *,
     errors for unreadable inputs, never raise.
     """
     findings: List[Finding] = list(lint_paths(paths))
-    graph: Optional[AccessGraph] = None
     if with_graph:
         graph, parse_errors = build_graph(paths)
         findings.extend(parse_errors)
@@ -90,6 +88,5 @@ def run_lint(paths: Sequence[str], *,
         findings, stale = apply_baseline(findings, entries)
         baselined = before - len(findings)
 
-    return LintResult(findings=findings, graph=graph,
-                      suppressed=suppressed, baselined=baselined,
-                      stale_baseline=stale)
+    return LintResult(findings=findings, suppressed=suppressed,
+                      baselined=baselined, stale_baseline=stale)

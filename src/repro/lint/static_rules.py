@@ -2,10 +2,10 @@
 
 The activity-driven kernel's golden-equivalence guarantee (see
 ``repro.sim.engine``) rests on conventions that Python cannot enforce at
-runtime without cost: a component that sleeps must ``watch()`` every
-channel it reads, ticks must draw randomness from seeded streams, writes
-must be staged through the channel primitives, and no component may
-reach into another's private state.  This module walks every
+runtime without cost: ticks must draw randomness from seeded streams,
+``tick`` must be able to return a quiescence hint, and no component may
+reach into another's private state (where a change would bypass the
+``wake()`` that goes with it).  This module walks every
 :class:`~repro.sim.component.Component` subclass it can find and flags
 violations *before* they become silent fast-path divergences.
 
@@ -15,14 +15,9 @@ Rules
 =======  ========  =====================================================
 rule     severity  meaning
 =======  ========  =====================================================
-QL001    error     channel read in a tick path of a component that can
-                   sleep, with no matching ``watch()``/``subscribe()``
 QL002    error     nondeterministic source (``random``, ``time``,
                    ``datetime``) called from a component method
                    (warning for a bare module-level ``import random``)
-QL003    error     staged write (``drive``/``push``/...) from
-                   ``__init__`` or a ``@property`` — outside any
-                   tick/event context
 QL004    error     mutation of another object's private (underscore)
                    attribute from a component method
 QL005    error     ``tick()`` signature that cannot return a
@@ -38,12 +33,8 @@ QL012    error     control-plane code (``repro.control``) touching
 QL000    error     file failed to parse
 =======  ========  =====================================================
 
-Static analysis is necessarily approximate: channels are recognized when
-constructed (or annotated) as ``Wire``/``PulseWire``/``FIFO`` attributes
-of ``self``, "can sleep" means the class references :data:`SLEEP` or
-``tick`` returns an integer expression, and aliasing through local
-variables is not tracked.  The runtime sanitizer
-(:mod:`repro.lint.runtime`) covers the dynamic remainder.
+Static analysis is necessarily approximate: aliasing through local
+variables is not tracked.
 """
 
 from __future__ import annotations
@@ -57,12 +48,8 @@ from repro.lint.findings import Finding, Severity, sort_findings
 #: rule id -> (default severity, one-line summary)
 RULES: Dict[str, Tuple[Severity, str]] = {
     "QL000": (Severity.ERROR, "file failed to parse"),
-    "QL001": (Severity.ERROR,
-              "channel read in a sleeping component's tick path without watch()"),
     "QL002": (Severity.ERROR,
               "nondeterministic source used instead of repro.sim.rng"),
-    "QL003": (Severity.ERROR,
-              "staged write (drive/push) outside tick/event contexts"),
     "QL004": (Severity.ERROR,
               "direct mutation of another object's private state"),
     "QL005": (Severity.ERROR,
@@ -72,10 +59,6 @@ RULES: Dict[str, Tuple[Severity, str]] = {
               "state instead of a public entry point"),
 }
 
-_CHANNEL_CONSTRUCTORS = {"Wire", "PulseWire", "FIFO"}
-_CHANNEL_ANNOTATIONS = _CHANNEL_CONSTRUCTORS | {"Channel"}
-_CHANNEL_READ_CALLS = {"pop", "try_pop", "peek", "driven"}
-_STAGED_WRITE_CALLS = {"drive", "push", "try_push", "push_all"}
 _CONTAINER_MUTATORS = {"append", "extend", "add", "insert", "remove",
                        "clear", "update", "popleft", "pop", "discard",
                        "setdefault"}
@@ -130,100 +113,12 @@ def _component_closure(classmap: Dict[str, Set[str]]) -> Set[str]:
     return component
 
 
-class _ClassInfo:
-    """Everything the rules need to know about one component class."""
-
-    def __init__(self, cls: ast.ClassDef):
-        self.cls = cls
-        self.methods: List[ast.FunctionDef] = [
-            n for n in cls.body
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        self.channel_exprs = self._channel_exprs()
-        self.watched = self._watched_exprs()
-        self.can_sleep = self._can_sleep()
-
-    # -- channel attribute inference -----------------------------------
-    def _channel_exprs(self) -> Set[str]:
-        channels: Set[str] = set()
-        ann_params: Dict[str, str] = {}
-        for method in self.methods:
-            for arg in (method.args.posonlyargs + method.args.args
-                        + method.args.kwonlyargs):
-                if arg.annotation is not None:
-                    ann = _unparse(arg.annotation).strip("'\"")
-                    if ann.split("[")[0].split(".")[-1] in _CHANNEL_ANNOTATIONS:
-                        ann_params[arg.arg] = ann
-        for method in self.methods:
-            for node in ast.walk(method):
-                target: Optional[ast.expr] = None
-                value: Optional[ast.expr] = None
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    target, value = node.targets[0], node.value
-                elif isinstance(node, ast.AnnAssign):
-                    target, value = node.target, node.value
-                    ann = _unparse(node.annotation).strip("'\"")
-                    if (isinstance(target, ast.Attribute)
-                            and ann.split("[")[0].split(".")[-1]
-                            in _CHANNEL_ANNOTATIONS):
-                        channels.add(_unparse(target))
-                if not isinstance(target, ast.Attribute) or value is None:
-                    continue
-                if isinstance(value, ast.Call):
-                    fn = value.func
-                    name = fn.id if isinstance(fn, ast.Name) else (
-                        fn.attr if isinstance(fn, ast.Attribute) else "")
-                    if name in _CHANNEL_CONSTRUCTORS:
-                        channels.add(_unparse(target))
-                elif isinstance(value, ast.Name) and value.id in ann_params:
-                    channels.add(_unparse(target))
-        return channels
-
-    # -- watch()/subscribe() coverage ----------------------------------
-    def _watched_exprs(self) -> Set[str]:
-        watched: Set[str] = set()
-        for node in ast.walk(self.cls):
-            if not isinstance(node, ast.Call):
-                continue
-            fn = node.func
-            if not isinstance(fn, ast.Attribute):
-                continue
-            if fn.attr == "watch" and node.args:
-                watched.add(_unparse(node.args[0]))
-            elif fn.attr == "subscribe" and node.args:
-                arg = node.args[0]
-                if isinstance(arg, ast.Name) and arg.id == "self":
-                    watched.add(_unparse(fn.value))
-        return watched
-
-    # -- quiescence capability -----------------------------------------
-    def _can_sleep(self) -> bool:
-        for node in ast.walk(self.cls):
-            if isinstance(node, ast.Name) and node.id == "SLEEP":
-                return True
-            if isinstance(node, ast.Attribute) and node.attr == "SLEEP":
-                return True
-        tick = next((m for m in self.methods if m.name == "tick"), None)
-        if tick is not None:
-            for node in _shallow_walk(tick):
-                if isinstance(node, ast.Return) and isinstance(
-                        node.value, (ast.BinOp, ast.Constant)):
-                    value = node.value
-                    if isinstance(value, ast.Constant):
-                        if isinstance(value.value, int) and not isinstance(
-                                value.value, bool):
-                            return True
-                    else:
-                        return True
-        return False
-
-
 class _ComponentChecker:
-    """Applies QL001-QL005 to one component class."""
+    """Applies QL002, QL004 and QL005 to one component class."""
 
-    def __init__(self, path: str, info: _ClassInfo):
+    def __init__(self, path: str, cls: ast.ClassDef):
         self.path = path
-        self.info = info
+        self.cls = cls
         self.findings: List[Finding] = []
 
     def _add(self, rule: str, node: ast.AST, symbol: str, message: str,
@@ -238,61 +133,16 @@ class _ComponentChecker:
         ))
 
     def run(self) -> List[Finding]:
-        for method in self.info.methods:
-            symbol = f"{self.info.cls.name}.{method.name}"
+        for method in self.cls.body:
+            if not isinstance(method, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)):
+                continue
+            symbol = f"{self.cls.name}.{method.name}"
             self._check_nondeterminism(method, symbol)
             self._check_foreign_mutation(method, symbol)
-            if method.name != "__init__":
-                self._check_unwatched_reads(method, symbol)
-            if method.name == "__init__" or self._is_property(method):
-                self._check_staged_writes(method, symbol)
             if method.name == "tick":
                 self._check_tick_signature(method, symbol)
         return self.findings
-
-    @staticmethod
-    def _is_property(method: ast.FunctionDef) -> bool:
-        for deco in method.decorator_list:
-            if isinstance(deco, ast.Name) and deco.id in (
-                    "property", "cached_property"):
-                return True
-            if isinstance(deco, ast.Attribute) and deco.attr in (
-                    "setter", "getter", "cached_property"):
-                return True
-        return False
-
-    # -- QL001 ----------------------------------------------------------
-    def _check_unwatched_reads(self, method: ast.FunctionDef,
-                               symbol: str) -> None:
-        if not self.info.can_sleep:
-            return
-        for node in _shallow_walk(method):
-            channel: Optional[str] = None
-            kind = ""
-            if (isinstance(node, ast.Attribute) and node.attr == "value"
-                    and isinstance(node.ctx, ast.Load)):
-                base = _unparse(node.value)
-                if base in self.info.channel_exprs:
-                    channel, kind = base, ".value"
-            elif (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _CHANNEL_READ_CALLS):
-                base = _unparse(node.func.value)
-                if base in self.info.channel_exprs:
-                    channel, kind = base, f".{node.func.attr}()"
-            elif (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in ("len", "bool") and node.args):
-                base = _unparse(node.args[0])
-                if base in self.info.channel_exprs:
-                    channel, kind = base, f" via {node.func.id}()"
-            if channel is not None and channel not in self.info.watched:
-                self._add(
-                    "QL001", node, symbol,
-                    f"reads {channel}{kind} but the component can sleep and "
-                    f"never watch()es it — a commit on that channel will not "
-                    f"wake it (fast-path divergence)",
-                )
 
     # -- QL002 ----------------------------------------------------------
     def _check_nondeterminism(self, method: ast.FunctionDef,
@@ -307,24 +157,6 @@ class _ComponentChecker:
                     f"calls {fn}() — use a seeded stream from "
                     f"repro.sim.rng.make_rng so runs stay reproducible",
                 )
-
-    # -- QL003 ----------------------------------------------------------
-    def _check_staged_writes(self, method: ast.FunctionDef,
-                             symbol: str) -> None:
-        for node in _shallow_walk(method):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _STAGED_WRITE_CALLS):
-                base = _unparse(node.func.value)
-                if base in self.info.channel_exprs:
-                    where = ("__init__" if method.name == "__init__"
-                             else f"property {method.name!r}")
-                    self._add(
-                        "QL003", node, symbol,
-                        f"stages a write ({base}.{node.func.attr}) from "
-                        f"{where}; staged writes belong in tick() or a "
-                        f"scheduled event, where the commit phase follows",
-                    )
 
     # -- QL004 ----------------------------------------------------------
     @staticmethod
@@ -357,8 +189,8 @@ class _ComponentChecker:
                     self._add(
                         "QL004", node, symbol,
                         f"mutates {hit} via .{node.func.attr}() — another "
-                        f"object's private state; stage the change through "
-                        f"Wire.drive/FIFO.push or a public method instead",
+                        f"object's private state; call a public method "
+                        f"instead",
                     )
                 continue
             for target in targets:
@@ -367,8 +199,7 @@ class _ComponentChecker:
                     self._add(
                         "QL004", node, symbol,
                         f"assigns to {hit} — another object's private "
-                        f"state; stage the change through Wire.drive/"
-                        f"FIFO.push or a public method instead",
+                        f"state; call a public method instead",
                     )
 
     # -- QL005 ----------------------------------------------------------
@@ -512,8 +343,7 @@ def _lint_module(path: str, tree: ast.Module,
     for cls in classes:
         if cls.name not in component_classes:
             continue
-        findings.extend(
-            _ComponentChecker(path, _ClassInfo(cls)).run())
+        findings.extend(_ComponentChecker(path, cls).run())
     if _is_control_path(path):
         findings.extend(_lint_control_module(path, tree))
     return findings

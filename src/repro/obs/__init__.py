@@ -35,8 +35,8 @@ simulation-derived and deterministic; see ``docs/observability.md``.
 """
 
 from repro.sim.engine import WAKE_REASONS, KernelMetrics
-from repro.sim.stats import Counter, CounterSnapshot, Histogram, \
-    StatsRegistry, StreamingHistogram, TimeSeries
+from repro.sim.stats import Counter, Histogram, StatsRegistry, \
+    StreamingHistogram, TimeSeries
 from repro.sim.trace import SpanEvent, TraceEvent, Tracer
 
 from repro.obs.alerts import Alert, AlertEngine, AlertRule, default_rules
@@ -99,7 +99,6 @@ __all__ = [
     "AlertRule",
     "Budget",
     "Counter",
-    "CounterSnapshot",
     "DIFF_SCHEMA",
     "FlowStats",
     "FlowTelemetry",

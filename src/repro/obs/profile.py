@@ -1,9 +1,9 @@
 """Opt-in wall-clock profiler for the simulation kernel.
 
 Enabled with ``Simulator(profile=True)`` or ``REPRO_SIM_PROFILE=1``,
-the kernel times every component tick, every scheduled-event callback
-(bucket ``kernel.events``) and the commit phase (``kernel.commit``)
-with ``perf_counter`` and attributes the host time by name.  When
+the kernel times every component tick and every scheduled-event
+callback (bucket ``kernel.events``) with ``perf_counter`` and
+attributes the host time by name.  When
 disabled — the default — the kernel pays a single ``is None`` test per
 step, so simulation results and benchmarks are unaffected.
 

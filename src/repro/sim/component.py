@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Union, runtime_checkable
+from typing import Optional, Union
 
 from repro.sim.engine import SLEEP, SimError, Simulator
 
@@ -10,27 +10,12 @@ from repro.sim.engine import SLEEP, SimError, Simulator
 QuiescenceHint = Optional[Union[int, type(SLEEP)]]
 
 
-@runtime_checkable
-class Channel(Protocol):
-    """Anything a component may :meth:`Component.watch`: an object that
-    wakes subscribers when a write is staged on it.  The kernel's
-    :class:`~repro.sim.channel.Wire`, :class:`~repro.sim.channel.PulseWire`
-    and :class:`~repro.sim.channel.FIFO` all satisfy this protocol, and
-    type checkers verify subscriptions against it."""
-
-    def subscribe(self, component: "Component") -> None: ...
-
-    def unsubscribe(self, component: "Component") -> None: ...
-
-
 class Component:
     """A clocked hardware block.
 
-    Subclasses implement :meth:`tick`, which runs once per cycle and must
-    only *read* committed state and *stage* writes (``Wire.drive``,
-    ``FIFO.push``). Mutating plain Python attributes inside ``tick`` is
-    allowed only for state private to the component, since no other
-    component may observe it in the same cycle.
+    Subclasses implement :meth:`tick`, which runs once per cycle.
+    Components talk by method calls: code that changes what another
+    component's tick would do calls that component's :meth:`wake`.
 
     Quiescence protocol (optional)
     ------------------------------
@@ -43,13 +28,11 @@ class Component:
     * an ``int`` cycle number — quiescent until that cycle (an absolute
       wake time; earlier wake-ups may still occur).
 
-    Wake sources are: a watched channel being driven or pushed
-    (:meth:`watch`), the timed hint coming due, or an explicit
+    Wake sources are: the timed hint coming due, or an explicit
     :meth:`wake` call.  Scheduled simulator events fire regardless of
     sleep but do **not** implicitly wake components — an event that
     makes a sleeping component relevant again must call its
-    :meth:`wake` (the channel primitives and the architecture
-    backends' submit paths already do).
+    :meth:`wake` (the architecture backends' submit paths already do).
 
     **Contract:** while a component reports quiescence, its ``tick``
     must be an observable no-op — then spurious or early wake-ups are
@@ -61,8 +44,7 @@ class Component:
     # every tick, and slot access skips the instance dict. Subclasses
     # (which declare no __slots__) still get a __dict__ of their own.
     __slots__ = ("name", "_sim", "_order", "_asleep", "_wake_at",
-                 "_wake_reason", "_pending_wake", "_ticks", "_tick_base",
-                 "__weakref__")
+                 "_ticks", "_tick_base", "__weakref__")
 
     def __init__(self, name: str):
         self.name = name
@@ -71,8 +53,6 @@ class Component:
         self._order: int = -1
         self._asleep: bool = False
         self._wake_at: Optional[int] = None
-        self._wake_reason: int = 0
-        self._pending_wake: Optional[int] = None
         self._ticks: int = 0
         self._tick_base: int = 0
 
@@ -102,20 +82,12 @@ class Component:
 
     def wake(self) -> None:
         """Return this component to the runnable set (no-op when awake
-        or unbound). Safe to call from anywhere, including other
-        components' ticks — the woken component runs next cycle."""
+        or unbound).  Woken by an event, it ticks this cycle; woken by
+        another component's tick, it ticks next cycle — so that
+        component must be registered after it, or the stepped kernel
+        (which ticks it this cycle) disagrees."""
         if self._sim is not None:
             self._sim.wake(self)
-
-    def watch(self, channel: Channel) -> None:
-        """Subscribe to a channel: any ``Wire.drive``/``FIFO.push`` on it
-        wakes this component (the staged value is visible next cycle,
-        which is exactly when the woken component ticks)."""
-        channel.subscribe(self)
-
-    def unwatch(self, channel: Channel) -> None:
-        """Drop a :meth:`watch` subscription (no-op when not subscribed)."""
-        channel.unsubscribe(self)
 
     # ------------------------------------------------------------------
     def tick(self, sim: Simulator) -> "QuiescenceHint":

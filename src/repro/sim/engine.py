@@ -1,28 +1,26 @@
 """The synchronous simulator core.
 
 The :class:`Simulator` advances a global clock. Each cycle proceeds in
-three strictly ordered phases:
+two strictly ordered phases:
 
 1. **events** — callbacks scheduled for this cycle fire (configuration
    port actions, workload phase changes, test instrumentation);
-2. **tick** — every *runnable* registered component's ``tick`` runs;
-   components read only *committed* state and stage writes;
-3. **commit** — sequential elements with staged state latch it.
+2. **tick** — every *runnable* registered component's ``tick`` runs,
+   in registration order.
 
-Because components see only committed state, the result of a cycle never
-depends on component registration order; this is asserted by the
-property tests in ``tests/sim/test_engine_properties.py``.
+Components talk by method calls: code that changes what another
+component's tick would do calls that component's
+:meth:`Component.wake` (see "The quiescence contract" in
+``docs/kernel.md``).
 
 Activity-driven fast path
 -------------------------
 
 By default the kernel is *activity-driven*: a component whose ``tick``
 returns a quiescence hint (:data:`SLEEP` or a future wake cycle) leaves
-the hot tick loop until it is woken again — by a watched channel being
-driven/pushed, by an explicit :meth:`Component.wake`, or by its timed
-wake coming due.  Likewise the commit phase walks only the *dirty set*
-of elements with staged writes instead of every registered sequential,
-and :meth:`Simulator.run` fast-forwards the clock over fully quiescent
+the hot tick loop until it is woken again — by an explicit
+:meth:`Component.wake` or by its timed wake coming due — and
+:meth:`Simulator.run` fast-forwards the clock over fully quiescent
 stretches straight to the next scheduled event or timed wake.
 
 A component's hint is its *event horizon*: the next cycle on which its
@@ -61,17 +59,12 @@ from typing import (
     List,
     Optional,
     Tuple,
-    Union,
 )
 
 from repro.sim.stats import StatsRegistry
 
 #: environment switch for the activity-driven fast path ("0" disables)
 FASTPATH_ENV = "REPRO_SIM_FASTPATH"
-
-#: environment switch for the runtime contract sanitizer ("1" enables;
-#: "race"/"2" also arms the race detector, "record" its non-raising mode)
-SANITIZE_ENV = "REPRO_SIM_SANITIZE"
 
 #: environment switch for the wall-clock profiler ("1" enables)
 PROFILE_ENV = "REPRO_SIM_PROFILE"
@@ -82,22 +75,6 @@ def fastpath_default() -> bool:
     return os.environ.get(FASTPATH_ENV, "1").lower() not in (
         "0", "false", "off", "no",
     )
-
-
-def sanitize_default() -> object:
-    """The sanitizer setting used when ``Simulator(sanitize=None)``.
-
-    ``REPRO_SIM_SANITIZE=1`` enables the contract sanitizer
-    (SAN001–SAN003); ``=race`` (or ``2``) additionally arms the race
-    detector (SAN004/SAN005, see :mod:`repro.lint.runtime`);
-    ``=record`` arms it in non-raising record mode.
-    """
-    raw = os.environ.get(SANITIZE_ENV, "0").lower()
-    if raw in ("race", "2"):
-        return "race"
-    if raw == "record":
-        return "record"
-    return raw in ("1", "true", "on", "yes")
 
 
 def profile_default() -> bool:
@@ -134,9 +111,8 @@ class KernelMetrics:
     """Scheduler self-metrics: what the activity-driven kernel did.
 
     These describe the *kernel that ran* — wakes, sleeps, fast-forward
-    jumps, dirty-set commit sizes, tick counts — so they legitimately
-    differ between ``fast_path=True`` and ``fast_path=False`` runs of
-    the same model.  They are therefore kept out of
+    jumps, tick counts — so they legitimately differ between
+    ``fast_path=True`` and ``fast_path=False`` runs of the same model.  They are therefore kept out of
     :meth:`StatsRegistry.snapshot` (the golden-equivalence comparator)
     and exported separately (see :mod:`repro.obs`).
 
@@ -156,6 +132,8 @@ class KernelMetrics:
         self.sleeps = 0
         self.ff_jumps = 0
         self.ff_cycles_skipped = 0
+        # the commit counters and the channel/pending wakes always read
+        # 0; they stay for the run record's kernel digest and perfbench
         self.commit_batches = 0
         self.commit_elements = 0
         self.commit_max = 0
@@ -218,33 +196,21 @@ class Simulator:
         when the bound is exceeded, which turns livelocks in a model
         into test failures instead of hangs.
     fast_path:
-        Enable the activity-driven scheduler (sleep/wake, dirty-set
-        commits, clock fast-forward).  ``None`` (the default) reads
+        Enable the activity-driven scheduler (sleep/wake, clock
+        fast-forward).  ``None`` (the default) reads
         :data:`FASTPATH_ENV` and falls back to enabled.
-    sanitize:
-        Enable the runtime quiescence-contract sanitizer
-        (:class:`repro.lint.runtime.Sanitizer`): channel primitives
-        record per-component read/write sets and structural contract
-        violations raise :class:`repro.lint.runtime.SanitizerError`.
-        ``"race"`` additionally arms the per-cycle write-ownership race
-        detector (SAN004/SAN005); ``"record"`` arms it in non-raising,
-        violation-accumulating mode.  ``None`` (the default) reads
-        :data:`SANITIZE_ENV` (``1``/``race``/``record``) and falls back
-        to disabled.
     profile:
         Enable the opt-in wall-clock profiler
-        (:class:`repro.obs.profile.Profiler`): each component tick,
-        the event callbacks and the commit phase are timed with
-        ``perf_counter`` and attributed by name.  Wall-time results are
-        host-dependent and are never part of
-        :meth:`StatsRegistry.snapshot`.  ``None`` (the default) reads
-        :data:`PROFILE_ENV` and falls back to disabled, where the cost
-        is a single ``is None`` test per step.
+        (:class:`repro.obs.profile.Profiler`): each component tick and
+        the event callbacks are timed with ``perf_counter`` and
+        attributed by name.  Wall-time results are host-dependent and
+        are never part of :meth:`StatsRegistry.snapshot`.  ``None``
+        (the default) reads :data:`PROFILE_ENV` and falls back to
+        disabled, where the cost is a single ``is None`` test per step.
     """
 
     def __init__(self, name: str = "sim", max_cycles: int = 10_000_000,
                  fast_path: Optional[bool] = None,
-                 sanitize: Union[bool, str, None] = None,
                  profile: Optional[bool] = None):
         self.name = name
         self.cycle = 0
@@ -273,7 +239,6 @@ class Simulator:
         #: on attach; exporters discover the action log through it)
         self.control = None
         self.fast_path = fastpath_default() if fast_path is None else fast_path
-        self.sanitize = sanitize_default() if sanitize is None else sanitize
         self.profile = profile_default() if profile is None else profile
         if self.profile:
             from repro.obs.profile import Profiler
@@ -281,38 +246,21 @@ class Simulator:
             self._profiler: Optional["Profiler"] = Profiler()
         else:
             self._profiler = None
-        #: the component whose tick is currently executing (None during
-        #: events, commits, and outside step()) — read by the sanitizer
-        self._ticking: Optional["Component"] = None
-        if self.sanitize:
-            from repro.lint.runtime import Sanitizer
-
-            # sanitize=True -> contract checks only; sanitize="race" /
-            # "record" additionally arms the SAN004/SAN005 race detector
-            race = self.sanitize if isinstance(self.sanitize, str) else False
-            self._sanitizer: Optional["Sanitizer"] = Sanitizer(self, race=race)
-        else:
-            self._sanitizer = None
-        # True while neither sanitizer nor profiler is attached: step()
-        # then takes a tick loop with no per-tick instrumentation checks
-        self._plain = self._profiler is None and self._sanitizer is None
+        # True while no profiler is attached: step() then takes a tick
+        # loop with no per-tick instrumentation checks
+        self._plain = self._profiler is None
         self._components: List["Component"] = []
         #: objects whose ``settle(through)`` replays skipped ticks
         self._settlers: List[object] = []
-        self._sequentials: List[object] = []
         self._events: List[Tuple[int, int, Callable[["Simulator"], None]]] = []
         self._event_seq = itertools.count()
         self._order_seq = itertools.count()
         self._running = False
         self._stopped = False
         # activity-driven scheduling state: awake components in
-        # registration order, timed wakes, and the per-cycle dirty set.
+        # registration order, and timed wakes.
         self._runnable: List[Tuple[int, "Component"]] = []
         self._wake_heap: List[Tuple[int, int, "Component"]] = []
-        self._dirty: List[object] = []
-        # sequentials that do not participate in dirty tracking (no
-        # ``_dirty_flag`` attribute) are committed every cycle.
-        self._eager_sequentials: List[object] = []
         # slow-path cycle counter: with the fast path off every
         # registered component ticks every cycle, so per-component tick
         # counts are derived as ``_slow_ticks - _tick_base`` instead of
@@ -385,17 +333,7 @@ class Simulator:
     @profiler.setter
     def profiler(self, profiler) -> None:
         self._profiler = profiler
-        self._plain = profiler is None and self._sanitizer is None
-
-    @property
-    def sanitizer(self):
-        """The attached :class:`repro.lint.runtime.Sanitizer` (or None)."""
-        return self._sanitizer
-
-    @sanitizer.setter
-    def sanitizer(self, sanitizer) -> None:
-        self._sanitizer = sanitizer
-        self._plain = sanitizer is None and self._profiler is None
+        self._plain = profiler is None
 
     @property
     def kmetrics(self) -> KernelMetrics:
@@ -425,8 +363,6 @@ class Simulator:
         component._order = next(self._order_seq)
         component._asleep = False
         component._wake_at = None
-        component._wake_reason = WAKE_TIMED
-        component._pending_wake = None
         component._ticks = 0
         component._tick_base = self._slow_ticks
         # orders grow monotonically, so append preserves sorted order
@@ -451,7 +387,6 @@ class Simulator:
                 self._runnable.remove((component._order, component))
             except ValueError:  # pragma: no cover - defensive
                 pass
-        component._pending_wake = None
         # keep the removed component's tick count observable
         total = (component._ticks
                  + self._slow_ticks - component._tick_base)
@@ -460,8 +395,6 @@ class Simulator:
             retired[component.name] = (
                 retired.get(component.name, 0) + total
             )
-        if self._sanitizer is not None:
-            self._sanitizer.forget(component)
         if component in self._settlers:
             # it ticked up to its removal: replay what it skipped first
             component.settle(self.cycle - 1)
@@ -485,33 +418,6 @@ class Simulator:
         for settler in self._settlers:
             settler.settle(through)
 
-    def register_sequential(self, element: object) -> None:
-        """Register an object exposing ``_commit()`` to be latched each cycle.
-
-        Elements exposing a ``_dirty_flag`` attribute (the channel
-        primitives) are committed only on cycles where they staged a
-        write; anything else is committed every cycle.
-        """
-        if not hasattr(element, "_commit"):
-            raise SimError(f"{element!r} has no _commit method")
-        self._sequentials.append(element)
-        if not hasattr(element, "_dirty_flag"):
-            self._eager_sequentials.append(element)
-
-    def unregister_sequential(self, element: object) -> None:
-        try:
-            self._sequentials.remove(element)
-        except ValueError:
-            return
-        try:
-            self._eager_sequentials.remove(element)
-        except ValueError:
-            pass
-        try:
-            self._dirty.remove(element)
-        except ValueError:
-            pass
-
     @property
     def components(self) -> Tuple["Component", ...]:
         return tuple(self._components)
@@ -522,39 +428,12 @@ class Simulator:
     def wake(self, component: "Component") -> None:
         """Return a sleeping component to the runnable set (no-op when
         it is already awake)."""
-        self._wake(component, WAKE_EXPLICIT)
-
-    def _wake(self, component: "Component", reason: int) -> None:
         if not component._asleep:
             return
         component._asleep = False
         component._wake_at = None
-        self._kmetrics.wakes[reason] += 1
+        self._kmetrics.wakes[WAKE_EXPLICIT] += 1
         insort(self._runnable, (component._order, component))
-
-    def wake_at(self, component: "Component", cycle: int) -> None:
-        """Guarantee ``component`` is runnable at ``cycle``.
-
-        Used by the channel primitives: a value staged in cycle *t*
-        becomes visible at *t+1*, so subscribers are scheduled for
-        *t+1*.  If the component is currently awake, the request is
-        remembered so that a sleep hint returned *this same cycle*
-        cannot overshoot it — otherwise a consumer could declare
-        quiescence in the very cycle a producer staged data for it and
-        never observe the write.
-        """
-        if component._asleep:
-            if cycle <= self.cycle:
-                self._wake(component, WAKE_CHANNEL)
-            elif component._wake_at is None or cycle < component._wake_at:
-                component._wake_at = cycle
-                component._wake_reason = WAKE_CHANNEL
-                heappush(self._wake_heap,
-                         (cycle, component._order, component))
-        else:
-            pending = component._pending_wake
-            if pending is None or cycle < pending:
-                component._pending_wake = cycle
 
     def _request_sleep(self, component: "Component", hint: object) -> None:
         """Apply a quiescence hint returned by ``tick``."""
@@ -569,18 +448,7 @@ class Simulator:
                 f"component {component.name!r}: invalid quiescence hint "
                 f"{hint!r} (expected None, SLEEP or a wake cycle)"
             )
-        # a watched channel staged data this cycle: the subscriber must
-        # run when it becomes visible, whatever its own hint says
-        reason = WAKE_TIMED
-        pending = component._pending_wake
-        if pending is not None:
-            component._pending_wake = None
-            if wake_at is None or pending < wake_at:
-                wake_at = pending
-                reason = WAKE_PENDING
         if wake_at is not None and wake_at <= self.cycle + 1:
-            if reason == WAKE_PENDING:
-                self._kmetrics.wakes[WAKE_PENDING] += 1
             return  # it would be woken for the very next cycle anyway
         try:
             self._runnable.remove((component._order, component))
@@ -590,26 +458,8 @@ class Simulator:
         component._wake_at = wake_at
         self._kmetrics.sleeps += 1
         if wake_at is not None:
-            component._wake_reason = reason
             heappush(self._wake_heap,
                      (wake_at, component._order, component))
-
-    @property
-    def quiescent(self) -> bool:
-        """True when no component is runnable and nothing awaits commit —
-        the clock may fast-forward to the next event or timed wake."""
-        return (not self._runnable and not self._dirty
-                and not self._eager_sequentials)
-
-    def next_activity(self) -> Optional[int]:
-        """Earliest future cycle with a scheduled event or a timed wake
-        (None when neither exists)."""
-        candidates = []
-        if self._events:
-            candidates.append(self._events[0][0])
-        if self._wake_heap:
-            candidates.append(self._wake_heap[0][0])
-        return min(candidates) if candidates else None
 
     # ------------------------------------------------------------------
     # event scheduling
@@ -701,22 +551,11 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _tick_instrumented(self, component: "Component", sanitizer,
-                           profiler) -> object:
-        """Tick one component under the sanitizer and/or profiler."""
-        if profiler is not None:
-            t0 = perf_counter()
-        if sanitizer is None:
-            hint = component.tick(self)
-        else:
-            self._ticking = component
-            try:
-                hint = component.tick(self)
-            finally:
-                self._ticking = None
-            sanitizer.on_tick_end(component, hint)
-        if profiler is not None:
-            profiler.add(component.name, perf_counter() - t0)
+    def _tick_profiled(self, component: "Component", profiler) -> object:
+        """Tick one component under the profiler."""
+        t0 = perf_counter()
+        hint = component.tick(self)
+        profiler.add(component.name, perf_counter() - t0)
         return hint
 
     def step(self) -> None:
@@ -735,7 +574,7 @@ class Simulator:
                         and component._wake_at <= cycle):
                     component._asleep = False
                     component._wake_at = None
-                    self._kmetrics.wakes[component._wake_reason] += 1
+                    self._kmetrics.wakes[WAKE_TIMED] += 1
                     insort(self._runnable, (component._order, component))
             if self._plain:
                 events = self._events
@@ -751,16 +590,9 @@ class Simulator:
                         request_sleep = self._request_sleep
                         for _, component in list(self._runnable):
                             component._ticks += 1
-                            if (component._pending_wake is not None
-                                    and component._pending_wake <= cycle):
-                                component._pending_wake = None  # satisfied
                             hint = component.tick(self)
                             if hint is not None:
                                 request_sleep(component, hint)
-                    for element in self._eager_sequentials:
-                        element._commit()
-                    if self._dirty:
-                        self._commit_dirty()
                 else:
                     # _slow_ticks is bumped before the snapshot: a
                     # component added by an event callback ticks this
@@ -769,92 +601,39 @@ class Simulator:
                     self._slow_ticks += 1
                     for component in list(self._components):
                         component.tick(self)
-                    if self._dirty:
-                        for element in self._dirty:
-                            element._dirty_flag = False
-                        self._dirty.clear()
-                    for element in self._sequentials:
-                        element._commit()
             else:
-                self._step_instrumented(cycle)
+                self._step_profiled(cycle)
             self.cycle += 1
         finally:
             self._running = False
 
-    def _commit_dirty(self) -> None:
-        """Commit and clear the dirty set (fast path, per-batch metrics)."""
-        dirty, self._dirty = self._dirty, []
-        metrics = self._kmetrics
-        n = len(dirty)
-        metrics.commit_batches += 1
-        metrics.commit_elements += n
-        if n > metrics.commit_max:
-            metrics.commit_max = n
-        for element in dirty:
-            element._dirty_flag = False
-            if element._commit():
-                # e.g. a PulseWire that must self-clear
-                element._mark_dirty()
-
-    def _step_instrumented(self, cycle: int) -> None:
-        """The events/tick/commit phases with sanitizer and/or profiler
-        attached — split out so the plain hot path carries none of the
-        instrumentation checks."""
-        sanitizer = self._sanitizer
+    def _step_profiled(self, cycle: int) -> None:
+        """The events and tick phases with the profiler attached — split
+        out so the plain hot path carries no timing checks."""
         profiler = self._profiler
         events = self._events
-        if profiler is None:
-            while events and events[0][0] <= cycle:
-                _, _, fn = heappop(events)
-                fn(self)
-        else:
-            while events and events[0][0] <= cycle:
-                _, _, fn = heappop(events)
-                t0 = perf_counter()
-                fn(self)
-                profiler.add("kernel.events", perf_counter() - t0)
+        while events and events[0][0] <= cycle:
+            _, _, fn = heappop(events)
+            t0 = perf_counter()
+            fn(self)
+            profiler.add("kernel.events", perf_counter() - t0)
         if self.fast_path:
-            if self._runnable:
-                for _, component in list(self._runnable):
-                    component._ticks += 1
-                    if (component._pending_wake is not None
-                            and component._pending_wake <= cycle):
-                        component._pending_wake = None  # satisfied
-                    hint = self._tick_instrumented(component, sanitizer,
-                                                   profiler)
-                    if hint is not None:
-                        self._request_sleep(component, hint)
-            if profiler is not None:
-                t0 = perf_counter()
-            for element in self._eager_sequentials:
-                element._commit()
-            if self._dirty:
-                self._commit_dirty()
-            if profiler is not None:
-                profiler.add("kernel.commit", perf_counter() - t0)
+            for _, component in list(self._runnable):
+                component._ticks += 1
+                hint = self._tick_profiled(component, profiler)
+                if hint is not None:
+                    self._request_sleep(component, hint)
         else:
             self._slow_ticks += 1
             for component in list(self._components):
-                self._tick_instrumented(component, sanitizer, profiler)
-            if profiler is not None:
-                t0 = perf_counter()
-            if self._dirty:
-                for element in self._dirty:
-                    element._dirty_flag = False
-                self._dirty.clear()
-            for element in self._sequentials:
-                element._commit()
-            if profiler is not None:
-                profiler.add("kernel.commit", perf_counter() - t0)
-        if sanitizer is not None:
-            sanitizer.end_cycle()
+                self._tick_profiled(component, profiler)
 
     def _jump(self, end: int) -> bool:
         """Fast-forward a fully quiescent stretch: advance the clock to
         the next scheduled event or timed wake, capped at ``end``.
         Returns False when nothing is quiescent or there is nothing to
         skip."""
-        if self._runnable or self._dirty or self._eager_sequentials:
+        if self._runnable:
             return False
         events = self._events
         heap = self._wake_heap
@@ -888,10 +667,9 @@ class Simulator:
         fast = self.fast_path
         step = self.step
         while self.cycle < end and not self._stopped:
-            # inline `self.quiescent` — a property call per cycle is
+            # test the runnable set inline — a method call per cycle is
             # measurable at this loop's frequency
-            if (fast and not self._runnable and not self._dirty
-                    and not self._eager_sequentials and self._jump(end)):
+            if fast and not self._runnable and self._jump(end):
                 continue
             step()
         if self._settlers:

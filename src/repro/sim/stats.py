@@ -375,7 +375,7 @@ class Histogram:
     buffer is converted to float64 and folded in through
     :meth:`StreamingHistogram.add_batch` (bit-identical to per-sample
     adds) when it reaches ``exact_cap`` samples and before anything
-    reads the histogram, including :meth:`extend` and :meth:`add_batch`.
+    reads the histogram, including :meth:`extend`.
 
     A probe whose recorder may owe samples for cycles it skipped sets
     :attr:`settle` (``Simulator.settle``): every read calls it first.
@@ -443,17 +443,6 @@ class Histogram:
             stream.extend(values)
         else:
             self._samples.extend(float(v) for v in values)
-
-    def add_batch(self, values) -> None:
-        """Append an array of samples in one call, bit-identical to
-        per-sample :meth:`add` (the vec kernels' record path)."""
-        stream = self._folded()
-        if stream is not None:
-            stream.add_batch(values)
-            return
-        arr = np.asarray(values, dtype=np.float64).reshape(-1)
-        if arr.size:
-            self._samples.extend(arr.tolist())
 
     @property
     def count(self) -> int:
@@ -653,29 +642,3 @@ class StatsRegistry:
             },
         }
 
-
-class CounterSnapshot:
-    """Windowed counter deltas: snapshot, run, diff.
-
-    The E6/E11-style experiments measure "what happened during phase
-    X"; diffing two snapshots gives exactly that without resetting the
-    live registry.
-    """
-
-    def __init__(self, registry: "StatsRegistry", prefix: str = ""):
-        self.registry = registry
-        self.prefix = prefix
-        self._baseline = registry.counters(prefix)
-
-    def delta(self) -> Dict[str, int]:
-        """Counter increments since the snapshot (new counters included)."""
-        now = self.registry.counters(self.prefix)
-        return {
-            name: value - self._baseline.get(name, 0)
-            for name, value in now.items()
-            if value != self._baseline.get(name, 0)
-        }
-
-    def rebase(self) -> None:
-        """Make the current values the new baseline."""
-        self._baseline = self.registry.counters(self.prefix)

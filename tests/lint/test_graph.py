@@ -1,286 +1,54 @@
-"""Access-graph builder tests (repro.lint.graph).
+"""Class-graph builder tests (repro.lint.graph): the resolution the
+graph rules read — effective method tables through diamond bases,
+architecture keys, and registries merged across files."""
 
-Synthetic fixture packages exercise the resolution machinery the race
-rules depend on: diamond inheritance through an ``arch/base.py``-style
-base, channels handed through constructor aliasing, helper-method write
-attribution, and the seeded racy fixtures under
-``tests/lint/fixtures/``.
-"""
-
-import os
 import textwrap
 
-import pytest
-
-from repro.lint import build_graph, build_graph_sources
-from repro.lint.race import run_graph_rules
-
-FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+from repro.lint import build_graph_sources
 
 
-def graph_of(source):
+def graph_of(sources):
     graph, errors = build_graph_sources(
-        {"pkg/mod.py": textwrap.dedent(source)})
+        {path: textwrap.dedent(src) for path, src in sources.items()})
     assert not errors
     return graph
 
 
-def edges(graph, **match):
-    out = []
-    for access in graph.accesses:
-        if all(getattr(access, k) == v for k, v in match.items()):
-            out.append(access)
-    return out
+class TestResolution:
+    def test_diamond_bases_resolve_methods_and_key_once(self):
+        graph = graph_of({"pkg/mod.py": """
+            class CommBase:
+                KEY = "base"
 
+                def report(self):
+                    pass
 
-# ----------------------------------------------------------------------
-# channel slot discovery
-# ----------------------------------------------------------------------
-class TestSlots:
-    def test_constructed_slots_have_kinds(self):
-        graph = graph_of("""
-            from repro.sim import Component, Wire, PulseWire, FIFO
+                def repair(self):
+                    pass
 
-            class Node(Component):
-                def __init__(self, name, sim):
-                    super().__init__(name)
-                    self.data = Wire(sim, "d")
-                    self.valid = PulseWire(sim, "v")
-                    self.outq = FIFO(sim, "q", capacity=4)
+            class TelemetryMixin(CommBase):
+                def report(self):
+                    pass
 
-                def tick(self, sim):
-                    self.data.drive(1)
-                    self.outq.push(2)
-                    return None
-        """)
-        kinds = {key: node.kind for key, node in graph.channels.items()}
-        assert kinds[("Node", "data")] == "wire"
-        assert kinds[("Node", "outq")] == "fifo"
-        ops = {(a.channel[1], a.op) for a in graph.accesses}
-        assert ("data", "stage") in ops
-        assert ("outq", "push") in ops
+            class FaultMixin(CommBase):
+                KEY = "fault"
 
-    def test_plain_attributes_are_not_channels(self):
-        graph = graph_of("""
-            from repro.sim import Component
-
-            class Node(Component):
-                def __init__(self, name, count):
-                    super().__init__(name)
-                    self.count = count   # plain value, not a channel
-
-                def tick(self, sim):
-                    self.count += 1
-                    return None
-        """)
-        assert graph.channels == {}
-        assert graph.accesses == []
-
-
-# ----------------------------------------------------------------------
-# inheritance, including diamonds
-# ----------------------------------------------------------------------
-class TestInheritance:
-    DIAMOND = """
-        from repro.sim import Component, Wire
-
-        class CommBase(Component):
-            def __init__(self, name, sim):
-                super().__init__(name)
-                self.status = Wire(sim, "s")
-
-            def _report(self, value):
-                self.status.drive(value)
-
-        class TelemetryMixin(CommBase):
-            pass
-
-        class FaultMixin(CommBase):
-            pass
-
-        class Fabric(TelemetryMixin, FaultMixin):
-            def tick(self, sim):
-                self._report(sim.cycle)
-                return None
-    """
-
-    def test_diamond_base_slot_resolves_once(self):
-        graph = graph_of(self.DIAMOND)
-        # the concrete class owns its copy of the inherited slot, and
-        # the helper write is attributed to Fabric on its tick path
-        stage = edges(graph, component="Fabric", op="stage")
-        assert len(stage) == 1
-        assert stage[0].channel == ("Fabric", "status")
-        assert stage[0].tick_path
-        assert stage[0].method == "Fabric._report"
-
-    def test_sibling_subclasses_do_not_share_inherited_slots(self):
-        graph = graph_of("""
-            from repro.sim import Component, Wire
-
-            class Base(Component):
-                def __init__(self, name, sim):
-                    super().__init__(name)
-                    self.out = Wire(sim, "o")
-
-            class A(Base):
-                def tick(self, sim):
-                    self.out.drive(1)
-                    return None
-
-            class B(Base):
-                def tick(self, sim):
-                    self.out.drive(2)
-                    return None
-        """)
-        # each instance constructs its own wire: no shared node, and
-        # therefore no QL007 between the siblings
-        channels = {a.channel for a in graph.accesses}
-        assert ("A", "out") in channels and ("B", "out") in channels
-        assert not [f for f in run_graph_rules(graph) if f.rule == "QL007"]
-
-
-# ----------------------------------------------------------------------
-# constructor aliasing
-# ----------------------------------------------------------------------
-class TestAliasing:
-    def test_channel_through_constructor_is_unified(self):
-        graph = graph_of("""
-            from repro.sim import Component, Wire
-
-            class Consumer(Component):
-                def __init__(self, name, link):
-                    super().__init__(name)
-                    self._link = link
-
-                def tick(self, sim):
-                    return self._link.value
-
-            class Owner(Component):
-                def __init__(self, name, sim):
-                    super().__init__(name)
-                    self.link = Wire(sim, "l")
-                    self.peer = Consumer("c", self.link)
-
-                def tick(self, sim):
-                    self.link.drive(1)
-                    return None
-        """)
-        assert graph.resolve(("Consumer", "_link")) == ("Owner", "link")
-        node = graph.channels[("Owner", "link")]
-        assert node.kind == "wire"
-        assert ("Consumer", "_link") in node.aliases
-        reads = edges(graph, component="Consumer", op="read")
-        assert reads and reads[0].channel == ("Owner", "link")
-
-    def test_keyword_argument_binding(self):
-        graph = graph_of("""
-            from repro.sim import Component, FIFO
-
-            class Sink(Component):
-                def __init__(self, name, inbox=None):
-                    super().__init__(name)
-                    self._inbox = inbox
-
-                def tick(self, sim):
-                    self._inbox.try_pop()
-                    return None
-
-            class Hub:
-                def __init__(self, sim):
-                    self.jobs = FIFO(sim, "jobs")
-                    self.sink = Sink("s", inbox=self.jobs)
-        """)
-        assert graph.resolve(("Sink", "_inbox")) == ("Hub", "jobs")
-
-    def test_unbound_param_attr_is_not_a_channel(self):
-        graph = graph_of("""
-            from repro.sim import Component
-
-            class Widget(Component):
-                def __init__(self, name, style):
-                    super().__init__(name)
-                    self._style = style
-
+            class Fabric(TelemetryMixin, FaultMixin):
                 def tick(self, sim):
                     return None
-        """)
-        assert ("Widget", "_style") not in graph.channels
+        """})
+        fabric = graph.classes["Fabric"]
+        # own first, then bases breadth-first: the nearer override wins
+        assert fabric.methods["tick"][0] == "Fabric"
+        assert fabric.methods["report"][0] == "TelemetryMixin"
+        assert fabric.methods["repair"][0] == "CommBase"
+        assert fabric.arch_key == "fault"
 
-
-# ----------------------------------------------------------------------
-# helper-method attribution and tick-path marking
-# ----------------------------------------------------------------------
-class TestHelperAttribution:
-    def test_write_in_helper_attributed_to_component_tick_path(self):
-        graph = graph_of("""
-            from repro.sim import Component, Wire
-
-            class Node(Component):
-                def __init__(self, name, sim):
-                    super().__init__(name)
-                    self.out = Wire(sim, "o")
-
-                def _emit(self, value):
-                    self.out.drive(value)
-
-                def tick(self, sim):
-                    self._emit(sim.cycle)
-                    return None
-        """)
-        stage = edges(graph, component="Node", op="stage")[0]
-        assert stage.method == "Node._emit"
-        assert stage.tick_path
-
-    def test_non_tick_method_not_on_tick_path(self):
-        graph = graph_of("""
-            from repro.sim import Component, Wire
-
-            class Node(Component):
-                def __init__(self, name, sim):
-                    super().__init__(name)
-                    self.out = Wire(sim, "o")
-
-                def reset(self):
-                    self.out.drive(None)
-
-                def tick(self, sim):
-                    return None
-        """)
-        stage = edges(graph, component="Node", op="stage")[0]
-        assert not stage.tick_path
-
-
-# ----------------------------------------------------------------------
-# the seeded racy fixtures (from disk)
-# ----------------------------------------------------------------------
-class TestRacyFixtures:
-    @pytest.fixture(scope="class")
-    def fixture_graph(self):
-        graph, errors = build_graph([FIXTURES])
-        assert not errors
-        return graph
-
-    def test_wire_fixture_flagged_ql007(self, fixture_graph):
-        findings = run_graph_rules(fixture_graph)
-        ql007 = [f for f in findings if f.rule == "QL007"]
-        assert len(ql007) == 1
-        assert "ProducerA" in ql007[0].message
-        assert "ProducerB" in ql007[0].message
-
-    def test_fifo_fixture_flagged_ql008_both_ports(self, fixture_graph):
-        findings = run_graph_rules(fixture_graph)
-        ql008 = [f for f in findings if f.rule == "QL008"]
-        assert len(ql008) == 2
-        roles = {("producer" in f.message, "consumer" in f.message)
-                 for f in ql008}
-        assert roles == {(True, False), (False, True)}
-
-    def test_graph_exports(self, fixture_graph):
-        doc = fixture_graph.to_json()
-        assert doc["schema"] == "repro.lint.graph/1"
-        ids = {c["id"] for c in doc["channels"]}
-        assert "Fabric.grant" in ids
-        dot = fixture_graph.to_dot()
-        assert dot.startswith("digraph")
-        assert '"ProducerA" -> "Fabric.grant"' in dot
+    def test_registries_merge_across_files(self):
+        graph = graph_of({
+            "pkg/a.py": '_POLICIES = {"mesh": MeshPolicy}\n',
+            "pkg/b.py": '_POLICIES = {"bus": BusPolicy}\n'
+                        'NOT_A_REGISTRY = {"x": 1}\n',
+        })
+        assert graph.registries == {
+            "_POLICIES": {"mesh": "MeshPolicy", "bus": "BusPolicy"}}

@@ -21,12 +21,13 @@ from repro.lint import (
 from repro.lint.baseline import (
     BaselineError,
     DEFAULT_DIR_POLICIES,
+    DirPolicy,
     apply_dir_policies,
     policy_for,
 )
 
 
-def mk(rule="QL007", path="src/a.py", line=10, symbol="A.tick",
+def mk(rule="QL009", path="src/a.py", line=10, symbol="A.tick",
        severity=Severity.ERROR, message="boom"):
     return Finding(rule, severity, path, line, symbol, message)
 
@@ -70,7 +71,7 @@ class TestSarif:
         for result in run["results"]:
             assert ids[result["ruleIndex"]] == result["ruleId"]
         levels = {r["ruleId"]: r["level"] for r in run["results"]}
-        assert levels == {"QL007": "error", "QL002": "warning"}
+        assert levels == {"QL009": "error", "QL002": "warning"}
 
     def test_fingerprints_are_line_independent(self):
         doc1 = to_sarif([mk(line=10)], ALL_RULES)
@@ -100,24 +101,24 @@ class TestSuppressions:
     def test_three_verbs(self):
         index = scan_suppressions(textwrap.dedent("""
             # simlint: disable-file=QL002
-            x = 1  # simlint: disable=QL001,QL004
+            x = 1  # simlint: disable=QL009,QL004
             # simlint: disable-next-line=QL005
             y = 2
         """))
         assert index.suppresses("QL002", 999)
-        assert index.suppresses("QL001", 3)
+        assert index.suppresses("QL009", 3)
         assert index.suppresses("QL004", 3)
-        assert not index.suppresses("QL001", 4)
+        assert not index.suppresses("QL009", 4)
         assert index.suppresses("QL005", 5)
 
     def test_disable_all(self):
         index = scan_suppressions("z = 0  # simlint: disable=all\n")
-        assert index.suppresses("QL007", 1)
+        assert index.suppresses("QL011", 1)
 
     def test_marker_in_string_is_ignored(self):
         index = scan_suppressions(
-            'text = "# simlint: disable=QL001"\n')
-        assert not index.suppresses("QL001", 1)
+            'text = "# simlint: disable=QL009"\n')
+        assert not index.suppresses("QL009", 1)
 
 
 # ----------------------------------------------------------------------
@@ -130,9 +131,9 @@ class TestBaseline:
                         severity=Severity.WARNING)]
         write_baseline(path, old, justification="known issues")
         entries = load_baseline(path)
-        assert {e.rule for e in entries} == {"QL007", "QL002"}
+        assert {e.rule for e in entries} == {"QL009", "QL002"}
         assert all(e.justification == "known issues" for e in entries)
-        # the QL002 finding was fixed; a new line for QL007 appears
+        # the QL002 finding was fixed; a new line for QL009 appears
         current = [mk(line=42)]
         kept, stale = apply_baseline(current, entries)
         assert kept == []          # line moved, still baselined
@@ -142,7 +143,7 @@ class TestBaseline:
         findings = [mk(line=1), mk(line=2), mk(line=3)]
         # entry count=2: the third same-key finding passes through
         from repro.lint.baseline import BaselineEntry
-        entry = BaselineEntry(rule="QL007", path="src/a.py",
+        entry = BaselineEntry(rule="QL009", path="src/a.py",
                               symbol="A.tick", count=2)
         kept, stale = apply_baseline(findings, [entry])
         assert len(kept) == 1
@@ -150,7 +151,7 @@ class TestBaseline:
 
     def test_absolute_and_relative_paths_match(self):
         from repro.lint.baseline import BaselineEntry
-        entry = BaselineEntry(rule="QL007", path="src/a.py",
+        entry = BaselineEntry(rule="QL009", path="src/a.py",
                               symbol="A.tick", count=1)
         finding = mk(path=os.path.abspath("src/a.py"))
         kept, stale = apply_baseline([finding], [entry])
@@ -166,26 +167,32 @@ class TestBaseline:
 # ----------------------------------------------------------------------
 # per-directory policies
 # ----------------------------------------------------------------------
+#: a nested policy under the default ``tests`` one
+NESTED = DEFAULT_DIR_POLICIES + (
+    DirPolicy("tests/lint/seeded", frozenset({"all"}), "every rule"),
+)
+
+
 class TestDirPolicies:
     def test_longest_prefix_wins(self):
-        fixture = policy_for("tests/lint/fixtures/racy_wire.py")
-        assert fixture is not None and "all" in fixture.allow
+        seeded = policy_for("tests/lint/seeded/bad.py", NESTED)
+        assert seeded is not None and "all" in seeded.allow
         plain_test = policy_for("tests/sim/test_x.py")
-        assert plain_test is not None and "QL001" not in plain_test.allow
+        assert plain_test is not None and "QL009" not in plain_test.allow
         assert policy_for("src/repro/sim/engine.py") is None
 
     def test_filtering(self):
         findings = [
-            mk(path="tests/sim/helper.py", rule="QL001"),   # relaxed
-            mk(path="tests/sim/helper.py", rule="QL007"),   # kept
-            mk(path="tests/lint/fixtures/racy.py", rule="QL001"),  # all
-            mk(path="src/repro/sim/engine.py", rule="QL001"),      # kept
+            mk(path="tests/sim/helper.py", rule="QL009"),   # relaxed
+            mk(path="tests/sim/helper.py", rule="QL005"),   # kept
+            mk(path="tests/lint/seeded/bad.py", rule="QL009"),  # all
+            mk(path="src/repro/sim/engine.py", rule="QL009"),   # kept
         ]
-        kept = apply_dir_policies(findings, DEFAULT_DIR_POLICIES)
+        kept = apply_dir_policies(findings, NESTED)
         assert [(f.path, f.rule) for f in kept] == [
-            ("tests/sim/helper.py", "QL007"),
-            ("tests/lint/fixtures/racy.py", "QL001"),
-            ("src/repro/sim/engine.py", "QL001"),
+            ("tests/sim/helper.py", "QL005"),
+            ("tests/lint/seeded/bad.py", "QL009"),
+            ("src/repro/sim/engine.py", "QL009"),
         ]
 
 
@@ -231,16 +238,6 @@ class TestCliContract:
                      str(tmp_path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert validate_sarif(doc) == []
-
-    def test_graph_dump(self, capsys):
-        from repro.cli import main
-        assert main(["lint", "--graph", "tests/lint/fixtures"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("digraph")
-        assert main(["lint", "--graph", "-f", "json",
-                     "tests/lint/fixtures"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "repro.lint.graph/1"
 
     def test_write_baseline_then_clean(self, tmp_path, capsys):
         from repro.cli import main

@@ -21,95 +21,6 @@ def findings_for(src, rule=None):
 
 
 # ----------------------------------------------------------------------
-# QL001: unwatched channel read in a sleeping component
-# ----------------------------------------------------------------------
-class TestUnwatchedRead:
-    BUGGY = """
-    from repro.sim import SLEEP, Component, Simulator, Wire
-
-    class Sleepy(Component):
-        def __init__(self, sim):
-            super().__init__("sleepy")
-            self.req = Wire(sim, "req")
-
-        def tick(self, sim):
-            if self.req.value:
-                return None
-            return SLEEP
-    """
-
-    def test_flags_unwatched_wire_read(self):
-        hits = findings_for(self.BUGGY, "QL001")
-        assert len(hits) == 1
-        f = hits[0]
-        assert f.severity is Severity.ERROR
-        assert f.symbol == "Sleepy.tick"
-        assert "self.req" in f.message and "watch()" in f.message
-
-    def test_watch_in_init_silences_it(self):
-        fixed = self.BUGGY.replace(
-            'self.req = Wire(sim, "req")',
-            'self.req = Wire(sim, "req")\n'
-            '        self.watch(self.req)')
-        assert findings_for(fixed, "QL001") == []
-
-    def test_subscribe_spelling_also_counts(self):
-        fixed = self.BUGGY.replace(
-            'self.req = Wire(sim, "req")',
-            'self.req = Wire(sim, "req")\n'
-            '        self.req.subscribe(self)')
-        assert findings_for(fixed, "QL001") == []
-
-    def test_fifo_reads_are_covered(self):
-        src = """
-        from repro.sim import SLEEP, Component, FIFO
-
-        class Popper(Component):
-            def __init__(self, sim):
-                super().__init__("popper")
-                self.inbox = FIFO(sim, "inbox")
-
-            def tick(self, sim):
-                while self.inbox:
-                    self.inbox.pop()
-                return SLEEP
-        """
-        hits = findings_for(src, "QL001")
-        assert hits and all("self.inbox" in f.message for f in hits)
-
-    def test_component_that_never_sleeps_is_exempt(self):
-        src = """
-        from repro.sim import Component, Wire
-
-        class HotLoop(Component):
-            def __init__(self, sim):
-                super().__init__("hot")
-                self.req = Wire(sim, "req")
-
-            def tick(self, sim):
-                if self.req.value:
-                    pass
-                return None
-        """
-        assert findings_for(src, "QL001") == []
-
-    def test_channel_constructor_param_is_recognized(self):
-        src = """
-        from repro.sim import SLEEP, Component, Wire
-
-        class Consumer(Component):
-            def __init__(self, wire: Wire):
-                super().__init__("consumer")
-                self.wire = wire
-
-            def tick(self, sim):
-                _ = self.wire.value
-                return SLEEP
-        """
-        assert findings_for(src, "QL001")
-
-
-# ----------------------------------------------------------------------
 # QL002: nondeterministic sources
 # ----------------------------------------------------------------------
 class TestNondeterminism:
@@ -172,63 +83,6 @@ class TestNondeterminism:
             return rows
         """
         assert findings_for(src, "QL002") == []
-
-
-# ----------------------------------------------------------------------
-# QL003: staged writes outside tick/event contexts
-# ----------------------------------------------------------------------
-class TestStagedWriteContext:
-    def test_flags_drive_in_init(self):
-        src = """
-        from repro.sim import Component, Wire
-
-        class Eager(Component):
-            def __init__(self, sim):
-                super().__init__("eager")
-                self.out = Wire(sim, "out")
-                self.out.drive(1)
-
-            def tick(self, sim):
-                return None
-        """
-        hits = findings_for(src, "QL003")
-        assert len(hits) == 1
-        assert "__init__" in hits[0].message
-
-    def test_flags_push_in_property(self):
-        src = """
-        from repro.sim import Component, FIFO
-
-        class Sneaky(Component):
-            def __init__(self, sim):
-                super().__init__("sneaky")
-                self.out = FIFO(sim, "out")
-
-            @property
-            def poke(self):
-                self.out.push(1)
-                return True
-
-            def tick(self, sim):
-                return None
-        """
-        hits = findings_for(src, "QL003")
-        assert hits and "property" in hits[0].message
-
-    def test_drive_in_tick_is_clean(self):
-        src = """
-        from repro.sim import Component, Wire
-
-        class Proper(Component):
-            def __init__(self, sim):
-                super().__init__("proper")
-                self.out = Wire(sim, "out")
-
-            def tick(self, sim):
-                self.out.drive(sim.cycle)
-                return None
-        """
-        assert findings_for(src, "QL003") == []
 
 
 # ----------------------------------------------------------------------
@@ -374,8 +228,8 @@ class TestDrivers:
             assert f.render().startswith(f"{f.path}:{f.line}:")
 
     def test_every_documented_rule_exists(self):
-        assert set(RULES) == {"QL000", "QL001", "QL002", "QL003",
-                              "QL004", "QL005", "QL012"}
+        assert set(RULES) == {"QL000", "QL002", "QL004", "QL005",
+                              "QL012"}
 
     def test_repository_sources_are_strict_clean(self):
         """The acceptance gate: `repro lint --strict` over the package."""

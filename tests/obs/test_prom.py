@@ -50,6 +50,8 @@ class TestToPrometheusText:
     def test_profile_only_when_enabled(self):
         assert "profile_seconds" not in to_prometheus_text(_measured_sim())
         sim = _measured_sim(profile=True)
+        # a step times ticks and event callbacks; give it one callback
+        sim.after(0, lambda s: None)
         sim.step()
         text = to_prometheus_text(sim)
         assert "repro_profile_seconds" in text

@@ -173,14 +173,7 @@ class TestRunUntil:
         sim.step()
 
 
-class TestSequentials:
-    def test_register_requires_commit_method(self):
-        with pytest.raises(SimError):
-            Simulator().register_sequential(object())
-
-    def test_unregister_unknown_is_noop(self):
-        Simulator().unregister_sequential(object())  # must not raise
-
+class TestMidRunRegistration:
     def test_component_added_during_tick_starts_next_cycle(self):
         sim = Simulator()
         late = Ticker("late")

@@ -1,4 +1,4 @@
-"""Kernel self-metrics: wake reasons, fast-forward, commits, tick counts.
+"""Kernel self-metrics: wake reasons, fast-forward, tick counts.
 
 These are scheduler *introspection* numbers (``sim.kmetrics``), kept
 deliberately outside ``StatsRegistry.snapshot()`` — the fast and slow
@@ -8,7 +8,7 @@ between them while every model-visible statistic stays bit-identical.
 
 import pytest
 
-from repro.sim import SLEEP, Component, KernelMetrics, Simulator, Wire
+from repro.sim import SLEEP, Component, KernelMetrics, Simulator
 from repro.sim.engine import WAKE_REASONS
 
 
@@ -34,31 +34,6 @@ class Napper(Component):
         return sim.cycle + self.period
 
 
-class SelfWaker(Component):
-    """Requests a channel-style wake for next cycle while awake, then
-    sleeps — exercising the pending-wake clamp."""
-
-    def tick(self, sim):
-        sim.wake_at(self, sim.cycle + 1)
-        return SLEEP
-
-
-class Driver(Component):
-    """Drives a wire for the first ``n`` cycles, then sleeps."""
-
-    def __init__(self, wire, n, name="driver"):
-        super().__init__(name)
-        self.wire = wire
-        self.n = n
-
-    def tick(self, sim):
-        if self.n > 0:
-            self.n -= 1
-            self.wire.drive(sim.cycle)
-            return None
-        return SLEEP
-
-
 class TestWakeReasons:
     def test_timed_wakes(self):
         sim = Simulator(fast_path=True)
@@ -77,40 +52,6 @@ class TestWakeReasons:
         assert sim.kmetrics.wakes_by_reason()["explicit"] == 1
         sim.wake(c)  # already awake: not double-counted
         assert sim.kmetrics.wakes_by_reason()["explicit"] == 1
-
-    def test_channel_wake_immediate_and_scheduled(self):
-        sim = Simulator(fast_path=True)
-        c = sim.add(Sleeper())
-        sim.run(3)
-        sim.wake_at(c, sim.cycle)  # due now: immediate wake
-        assert sim.kmetrics.wakes_by_reason()["channel"] == 1
-        sim.run(2)
-        assert c._asleep
-        sim.wake_at(c, sim.cycle + 3)  # future: via the wake heap
-        sim.run(5)
-        assert sim.kmetrics.wakes_by_reason()["channel"] == 2
-
-    def test_channel_wake_via_watched_wire(self):
-        sim = Simulator(fast_path=True)
-        wire = Wire(sim, "w")
-        consumer = sim.add(Sleeper(name="consumer"))
-        wire.subscribe(consumer)
-        driver = Driver(wire, n=0, name="idle")
-        sim.add(driver)
-        sim.run(3)
-        assert consumer._asleep
-        driver.n = 1  # wake the producer side manually
-        sim.wake(driver)
-        sim.run(3)
-        assert sim.kmetrics.wakes_by_reason()["channel"] >= 1
-
-    def test_pending_wake_clamp_counted(self):
-        sim = Simulator(fast_path=True)
-        sim.add(SelfWaker("sw"))
-        sim.run(4)
-        # every tick the sleep hint is clamped by the pending wake
-        assert sim.kmetrics.wakes_by_reason()["pending"] == 4
-        assert sim.kmetrics.sleeps == 0
 
     def test_reason_names_stable(self):
         assert WAKE_REASONS == ("timed", "channel", "explicit", "pending")
@@ -136,25 +77,6 @@ class TestFastForward:
         sim.run(100)
         assert sim.kmetrics.ff_jumps == 0
         assert sim.kmetrics.cycles_stepped == 100
-
-
-class TestCommitMetrics:
-    def test_dirty_commit_batches(self):
-        sim = Simulator(fast_path=True)
-        wire = Wire(sim, "w")
-        sim.add(Driver(wire, n=3))
-        sim.run(6)
-        m = sim.kmetrics
-        assert m.commit_batches == 3
-        assert m.commit_elements == 3
-        assert m.commit_max == 1
-
-    def test_slow_path_commits_not_batched(self):
-        sim = Simulator(fast_path=False)
-        wire = Wire(sim, "w")
-        sim.add(Driver(wire, n=3))
-        sim.run(6)
-        assert sim.kmetrics.commit_batches == 0
 
 
 class TestTickCounts:

@@ -1,9 +1,9 @@
 """Unit tests for the activity-driven kernel: sleep/wake scheduling,
-dirty-set commits, fast-forward, and the quiescence-hint protocol."""
+fast-forward, the wake rule, and the quiescence-hint protocol."""
 
 import pytest
 
-from repro.sim import FIFO, SLEEP, Component, PulseWire, Simulator, Wire
+from repro.sim import SLEEP, Component, Simulator
 from repro.sim.engine import FASTPATH_ENV, SimError, fastpath_default
 
 
@@ -98,134 +98,77 @@ def test_events_do_not_wake_sleepers_implicitly():
 
 
 # ----------------------------------------------------------------------
-# channel-driven wakes
+# the wake rule: a method call, then wake()
 # ----------------------------------------------------------------------
-class Watcher(Recorder):
-    """Sleeps; wakes when a watched wire is driven, reading its value."""
+class Consumer(Component):
+    """Serves one queued item per tick; sleeps while the queue is empty."""
 
-    def __init__(self, wire):
-        super().__init__("watcher")
-        self.wire = wire
-        self.seen = []
+    def __init__(self):
+        super().__init__("consumer")
+        self.queue = []
+        self.log = []
+
+    def push(self, item):
+        self.queue.append(item)
+        self.wake()
 
     def tick(self, sim):
-        self.ticks.append(sim.cycle)
-        self.seen.append((sim.cycle, self.wire.value))
-        return SLEEP
-
-
-def test_wire_drive_wakes_subscriber_after_commit():
-    sim = Simulator(fast_path=True)
-    w = Wire(sim, "w", init=0)
-    watcher = sim.add(Watcher(w))
-    watcher.watch(w)
-    sim.at(5, lambda s: w.drive(42))
-    sim.run(10)
-    # watcher ticked at 0 (saw init), then on the cycle the committed
-    # value is visible — never the same cycle it was staged
-    assert watcher.seen == [(0, 0), (6, 42)]
-
-
-def test_drive_overrides_same_cycle_sleep_request():
-    """A consumer that returns SLEEP in the same cycle a producer stages
-    data for it must still wake to observe the committed value.
-
-    The producer's write+SLEEP tick is exactly the pattern the sanitizer
-    rejects (SAN002); it is deliberate here, to prove the kernel stays
-    correct even for components that break the contract, so the
-    sanitizer is explicitly off."""
-    sim = Simulator(fast_path=True, sanitize=False)
-    w = Wire(sim, "w", init=None)
-
-    class Consumer(Component):
-        def __init__(self):
-            super().__init__("consumer")
-            self.seen = []
-
-        def tick(self, sim):
-            self.seen.append((sim.cycle, w.value))
+        if not self.queue:
             return SLEEP
-
-    c = sim.add(Consumer())
-    c.watch(w)
-
-    class Producer(Component):
-        def __init__(self):
-            super().__init__("producer")
-
-        def tick(self, sim):
-            if sim.cycle == 7:
-                w.drive(99)
-                return SLEEP
-            return None
-
-    sim.add(Producer())
-    sim.run(20)
-    assert (8, 99) in c.seen
+        self.log.append((sim.cycle, self.queue.pop(0)))
+        return None
 
 
-def test_fifo_push_wakes_subscriber():
-    sim = Simulator(fast_path=True)
-    f = FIFO(sim, "f")
+class Producer(Component):
+    """Hands numbered items to the consumer at fixed cycles."""
 
-    class Popper(Component):
-        def __init__(self):
-            super().__init__("popper")
-            self.got = []
+    def __init__(self, consumer, schedule):
+        super().__init__("producer")
+        self.consumer = consumer
+        self.schedule = list(schedule)
+        self.handed = 0
 
-        def tick(self, sim):
-            while f:
-                self.got.append((sim.cycle, f.pop()))
-            return SLEEP
-
-    p = sim.add(Popper())
-    p.watch(f)
-    sim.at(10, lambda s: f.push("x"))
-    sim.run(20)
-    assert p.got == [(11, "x")]
+    def tick(self, sim):
+        while self.schedule and self.schedule[0] <= sim.cycle:
+            self.schedule.pop(0)
+            self.consumer.push(self.handed)
+            self.handed += 1
+        return self.schedule[0] if self.schedule else SLEEP
 
 
-def test_pulsewire_self_clears_while_everyone_sleeps():
-    sim = Simulator(fast_path=True)
-    pw = PulseWire(sim, "pulse")
-    sim.add(Sleeper())
-    sim.at(3, lambda s: pw.drive(True))
-    sim.run(3)
-    sim.step()  # commit the pulse
-    assert pw.value is True
-    sim.step()  # pulse must auto-clear even with no runnable components
-    assert pw.value is None
+HANDOVERS = [3, 3, 4, 10, 11, 11, 11, 30]
 
 
-# ----------------------------------------------------------------------
-# dirty-set commits
-# ----------------------------------------------------------------------
-def test_undriven_wires_are_not_walked_but_still_commit_when_driven():
-    sim = Simulator(fast_path=True)
-    wires = [Wire(sim, f"w{i}", init=0) for i in range(50)]
-    sim.add(Recorder())
-    sim.run(10)
-    wires[17].drive(5)
-    sim.step()
-    assert wires[17].value == 5
-    assert all(w.value == 0 for w in wires if w is not wires[17])
+def handover_log(fast_path, producer_first=False):
+    sim = Simulator(fast_path=fast_path)
+    consumer = Consumer()
+    producer = Producer(consumer, HANDOVERS)
+    for component in ((producer, consumer) if producer_first
+                      else (consumer, producer)):
+        sim.add(component)
+    sim.run(50)
+    return consumer.log, sim.tick_counts()["consumer"]
 
 
-def test_plain_sequential_objects_commit_every_cycle():
-    sim = Simulator(fast_path=True)
+def test_call_then_wake_gives_both_kernels_one_log():
+    """A component changes what a sleeper's tick will do only by a
+    method call followed by its wake().  Registered after the sleeper,
+    the caller gets the same (cycle, item) log from both kernels."""
+    fast, fast_ticks = handover_log(True)
+    assert fast == handover_log(False)[0]
+    assert [item for _, item in fast] == list(range(len(HANDOVERS)))
+    assert fast[0] == (4, 0)  # handed over in cycle 3, served in 4
+    assert fast_ticks < 50  # the consumer really slept between bursts
 
-    class Latch:
-        def __init__(self):
-            self.commits = 0
 
-        def _commit(self):
-            self.commits += 1
-
-    latch = Latch()
-    sim.register_sequential(latch)
-    sim.add(Recorder())
-    sim.run(10)
-    assert latch.commits == 10
+def test_caller_registered_first_splits_the_kernels():
+    """Why builders register the architecture before its generators:
+    a caller registered first hands over before the sleeper's slot in
+    the same cycle, and only the stepped kernel still ticks it then."""
+    fast, _ = handover_log(True, producer_first=True)
+    stepped, _ = handover_log(False, producer_first=True)
+    assert fast == handover_log(True)[0]
+    assert [(cycle + 1, item) for cycle, item in stepped] == fast
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +239,7 @@ def test_fastpath_env_toggle(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# satellite regressions: run_until stop + FIFO capacity error
+# run_until: stop and bound
 # ----------------------------------------------------------------------
 def test_run_until_returns_cleanly_on_stop():
     sim = Simulator(fast_path=True)
@@ -315,8 +258,3 @@ def test_run_until_still_raises_on_bound_exhaustion():
         sim.run_until(lambda s: False, max_cycles=50)
     assert not sim.stopped
 
-
-def test_fifo_negative_capacity_names_the_fifo():
-    sim = Simulator()
-    with pytest.raises(SimError, match="'bad_fifo'"):
-        FIFO(sim, "bad_fifo", capacity=-1)

@@ -127,64 +127,6 @@ class TestStatsRegistry:
         assert reg.get_histogram("nope") is None
 
 
-class TestCounterSnapshot:
-    def test_delta_since_snapshot(self):
-        from repro.sim.stats import CounterSnapshot
-
-        reg = StatsRegistry()
-        reg.counter("a").inc(5)
-        snap = CounterSnapshot(reg)
-        reg.counter("a").inc(3)
-        reg.counter("b").inc(1)
-        assert snap.delta() == {"a": 3, "b": 1}
-
-    def test_unchanged_counters_omitted(self):
-        from repro.sim.stats import CounterSnapshot
-
-        reg = StatsRegistry()
-        reg.counter("a").inc()
-        snap = CounterSnapshot(reg)
-        assert snap.delta() == {}
-
-    def test_prefix_filter(self):
-        from repro.sim.stats import CounterSnapshot
-
-        reg = StatsRegistry()
-        snap = CounterSnapshot(reg, prefix="x.")
-        reg.counter("x.a").inc()
-        reg.counter("y.b").inc()
-        assert snap.delta() == {"x.a": 1}
-
-    def test_rebase(self):
-        from repro.sim.stats import CounterSnapshot
-
-        reg = StatsRegistry()
-        snap = CounterSnapshot(reg)
-        reg.counter("a").inc(2)
-        snap.rebase()
-        assert snap.delta() == {}
-
-    def test_new_counter_after_baseline_included(self):
-        from repro.sim.stats import CounterSnapshot
-
-        reg = StatsRegistry()
-        reg.counter("a").inc()
-        snap = CounterSnapshot(reg)
-        reg.counter("b").inc(7)
-        assert snap.delta() == {"b": 7}
-
-    def test_rebase_picks_up_new_counters(self):
-        from repro.sim.stats import CounterSnapshot
-
-        reg = StatsRegistry()
-        snap = CounterSnapshot(reg)
-        reg.counter("a").inc(2)
-        reg.counter("b").inc(3)
-        snap.rebase()
-        reg.counter("a").inc(1)
-        assert snap.delta() == {"a": 1}
-
-
 class TestLogBuckets:
     def test_zero_has_its_own_bucket(self):
         from repro.sim.stats import bucket_value, log_bucket
@@ -373,11 +315,10 @@ class TestIncrementalPercentiles:
 
 
 #: one operation on a bucketed histogram: a sample, a list through
-#: extend or add_batch, or a read
+#: extend, or a read
 OPS = st.one_of(
     st.tuples(st.just("add"), SAMPLES),
     st.tuples(st.just("extend"), st.lists(SAMPLES, max_size=40)),
-    st.tuples(st.just("add_batch"), st.lists(SAMPLES, max_size=40)),
     st.tuples(st.just("read"), st.sampled_from((
         "count", "samples", "total", "mean", "std", "min", "max",
         "summary", "snapshot", "p50", "p99"))),
