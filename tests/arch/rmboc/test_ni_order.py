@@ -14,7 +14,14 @@ module in arrival order, the reference for the per-destination FIFOs.
 The ``telemetry`` digest moved once, on purpose, when NI queue depth
 came to be recorded at enqueue and dequeue instead of sampled on each
 tick with traffic queued: each module's final ``queue_depth`` reads 0
-(its queue drained) where the last sample read 1.
+(its queue drained) where the last sample read 1.  It moved once
+more when a transfer's lane busy cycles came to be recorded at its
+acceptance, in the windows its words move in, and a dead cross-point
+came to take back only the cycles its victims had still to move: each
+lane's utilization series shifts, and lanes that carried a victim of
+the cross-point failure at cycle 900 now count the words it moved
+before the fault (``default``: ``rmboc.lane.s0b1`` 2,399 -> 2,468 busy
+cycles, nine lanes in all; ``linger``: eight lanes).
 
 Regenerate only for an intended behaviour change::
 
@@ -45,14 +52,14 @@ GOLDEN = {
         "stats": "43a64135bdb34b885d0ad6c0d7f9f3a7f9a3846b42662942de5de352a14f6cfe",
         "trace": "bc7ad82064e9fde8064b809ea3f9438afcb7ca79787eb9ad4e9d578daa4b8a56",
         "journeys": "7ac106430d2253a3d5568652dd418908074c57e7725d3b6abd4c932a5cddbad5",
-        "telemetry": "e002e0c2872bca8346aa6d5d03f820a00dafe701499b7120dbd86ba3ca035de9",
+        "telemetry": "f18d65aea1c247a8d3a827e5a2605d7939c4967d511402bb66ab97e75e4fd1ad",
     },
     "linger": {
         "messages": "dfd1d51fa5286e9095ef34f7a95de2a6cc1f234107359987e68b37d0cf0cb4e7",
         "stats": "a0fe480974dd26789f300914161d685c577fc771c84333fe8a96e6b1d38f87a4",
         "trace": "ad93c4da1b7e8a91ca1472c5d9dddca1bce6fd3eafa5fcd4d745ecd7ba2729f8",
         "journeys": "83fc4bdc9eaa94cae23b800dbf56b2f438ca45f40acbe53a811b35f49deaa4e5",
-        "telemetry": "8ca449850186209183ca33c4a7c1f6e3ce9b745220bbda94864fd982d520ab0d",
+        "telemetry": "aa28abee20f45918ec9eeb1f8ca4de16f89b7997f33faa0eab80c26763f47e46",
     },
 }
 

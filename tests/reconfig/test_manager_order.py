@@ -36,6 +36,12 @@ the every-cycle kernel (``REPRO_SIM_FASTPATH=0``) reproduces every
 digest.  The BUS-COM ``telemetry`` digests moved once more when a
 frame's busy cycles came to be recorded in the windows they occupy:
 only per-window bus utilization changed, not any bus's busy total.
+The RMBoC swap ``telemetry`` digest moved once more when a transfer's
+lane busy cycles came to be recorded at its acceptance, in the windows
+its words move in: one transfer of ``rmboc.lane.s2b0`` now splits
+across the windows at 28,672 and 29,696, whose utilization reads
+0.0791 and 0.0850 instead of 0.0859 and 0.0781; the lane's busy total
+did not change.
 
 Regenerate only for an intended behaviour change::
 
@@ -70,7 +76,7 @@ GOLDEN = {
             "messages": "eb28bec6fb486561e2da096e7a0d74001edc3340a53907dbdcdc96273fabfa49",
             "stats": "4391d87488c4a2e8f894482fd89e5227dfdba12647babedc965cdc2d18918f4b",
             "trace": "e1aea8d6e3646436b7772881a528f95178701f52fad55aa29460475442a0ee9b",
-            "telemetry": "7488c9353a27d0b033ed332a7f294f42d27ec7c9686122e9a112527ea8255817",
+            "telemetry": "646638164184f3f2668abc88baf9c2bfabd6bcfa040562b5398edcc09e5f5326",
             "journeys": "19a5655cdccf415ff121cba10b21bcf714038194958e9a613391f1c81d0c28bb",
         },
         "install_remove": {
