@@ -218,6 +218,10 @@ class CommArchitecture:
         #: the last cycle whose per-cycle effects are accounted for
         #: (ticked or replayed by settle)
         self._settled = sim.cycle - 1
+        #: delivered.messages, delivered.bytes and latency.message,
+        #: bound at the first delivery: created earlier, a fabric that
+        #: never delivers would list them in its stats snapshot
+        self._delivery_probes: Optional[Tuple[Any, Any, Any]] = None
         # fault-injection guard: raised only while a non-empty
         # FaultSchedule is attached, so the fault-free hot path costs
         # one dead boolean test (mirrors sim.tracing/sim.telemetering)
@@ -291,9 +295,17 @@ class CommArchitecture:
         port = self.ports.get(msg.dst)
         if port is not None:
             port.received.append(msg)
-        sim.stats.counter("delivered.messages").inc()
-        sim.stats.counter("delivered.bytes").inc(msg.payload_bytes)
-        sim.stats.histogram("latency.message").add(msg.latency)
+        probes = self._delivery_probes
+        if probes is None:
+            stats = sim.stats
+            probes = self._delivery_probes = (
+                stats.counter("delivered.messages"),
+                stats.counter("delivered.bytes"),
+                stats.histogram("latency.message"))
+        messages, delivered_bytes, latency = probes
+        messages.inc()
+        delivered_bytes.inc(msg.payload_bytes)
+        latency.add(msg.latency)
         # every architecture delivers through here, so one guarded site
         # gives per-flow latency/jitter telemetry across all six fabrics
         if sim.telemetering:
