@@ -402,7 +402,7 @@ def _attribution_summary(attribution: Dict[str, Any],
                          f"{link['busy_rel']:+.0%}")
         else:
             parts.append(f"link {link['link']} busy "
-                         f"{link['busy_delta']:+d} cycles")
+                         f"{link['busy_delta']:+.0f} cycles")
     return "; ".join(parts) if parts else "no attribution overlap"
 
 

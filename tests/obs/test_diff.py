@@ -8,6 +8,7 @@ segment and link.
 
 import json
 import os
+import re
 import tempfile
 
 
@@ -224,6 +225,18 @@ class TestRealPairs:
         assert "slot_wait" in summary
         rendered = render_diff(doc)
         assert "config" in rendered and "slot_wait" in rendered
+
+    def test_a_link_idle_in_the_baseline_is_attributed_in_cycles(self):
+        """``busy_rel`` is undefined for a link with no busy cycles in
+        ``a``; the summary gives its growth in cycles."""
+        a = _seed_record("buscom", 3, payload=64)
+        b = _seed_record("buscom", 3, payload=1024)
+        for link in a["telemetry"][0]["links"]:
+            link["busy_cycles"] = 0
+        doc = diff_runs(a, b)
+        summary = " ".join(doc["attribution_summary"].values())
+        assert re.search(r"link buscom\.bus\S* busy \+\d+ cycles",
+                         summary), summary
 
     def test_segment_deltas_partition_flow_latency_delta(self):
         """Per flow, the per-segment cycle deltas must sum exactly to
