@@ -84,15 +84,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _kernel_summary(sims) -> str:
     """Aggregate kernel self-metrics across simulators for the terminal."""
-    totals: dict = {}
-    for sim in sims:
-        for key, value in sim.kmetrics.as_dict().items():
-            if key == "commit_max":
-                totals[key] = max(totals.get(key, 0), value)
-            else:
-                totals[key] = totals.get(key, 0) + value
+    from repro.obs.ledger import aggregate_kernel
+
     lines = [f"{'kernel metric':<28} {'value':>12}"]
-    for key, value in totals.items():
+    for key, value in aggregate_kernel(sims).items():
         lines.append(f"{key:<28} {value:>12}")
     return "\n".join(lines)
 
