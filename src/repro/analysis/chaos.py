@@ -1,9 +1,10 @@
 """Chaos harness: canonical fault scenarios over live architectures.
 
 ``repro chaos <experiment>`` discovers which architectures an
-experiment harness builds (via the construction hook in
-:mod:`repro.arch.base`) and subjects each to its canonical chaos
-scenario: a steady message stream, a single seeded ``NODE_DOWN`` on a
+experiment harness builds (it runs the harness under an
+:class:`~repro.obs.session.ObservationSession` and reads them off the
+simulators) and subjects each to its canonical chaos scenario: a
+steady message stream, a single seeded ``NODE_DOWN`` on a
 known-recoverable fabric element mid-stream, and a long-enough run for
 the architecture's own recovery machinery (CANCEL teardown, slot
 migration, S-XY obstacle routing, table redistribution) to restore
@@ -23,9 +24,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.arch import build_architecture
-from repro.arch.base import set_new_arch_hook
 from repro.faults import FaultKind, FaultSchedule, inject
 from repro.faults.policies import make_policy
+from repro.schema import NUMBER, check
 from repro.sim import Simulator
 
 #: schema tag of the document :func:`run_chaos_sweep` emits
@@ -162,26 +163,23 @@ def run_chaos_scenario(key: str, seed: int = 7,
 
 
 def discover_arch_keys(experiment: str) -> List[str]:
-    """Which architecture kinds an experiment harness builds, in first-
-    construction order (deduplicated)."""
+    """Which architecture kinds an experiment harness builds, in the
+    order of its simulators and their components (deduplicated)."""
     from repro.analysis.experiments import EXPERIMENTS
+    from repro.arch.base import CommArchitecture
+    from repro.obs.session import ObservationSession
 
     if experiment not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise KeyError(f"unknown experiment {experiment!r} "
                        f"(known: {known})")
-    keys: List[str] = []
-
-    def hook(arch) -> None:
-        if arch.KEY not in keys:
-            keys.append(arch.KEY)
-
-    prev = set_new_arch_hook(hook)
-    try:
+    session = ObservationSession(trace=False)
+    with session:
         EXPERIMENTS[experiment]()
-    finally:
-        set_new_arch_hook(prev)
-    return keys
+    return list(dict.fromkeys(
+        component.KEY for sim in session.sims
+        for component in sim.components
+        if isinstance(component, CommArchitecture)))
 
 
 def _resilience_summary(scenarios: List[Dict[str, Any]]
@@ -274,38 +272,32 @@ def run_chaos_sweep(experiment: str, seed: int = 7,
     return doc
 
 
-_SCENARIO_KEYS = ("arch", "target", "seed", "survived", "metrics")
-
-_METRIC_KEYS = ("faults_injected", "faults_recovered", "messages_sent",
-                "messages_delivered", "messages_dropped",
-                "messages_undelivered", "messages_retransmitted",
-                "mttr_max", "detection_max", "availability")
+_CHAOS = {
+    "schema": frozenset({CHAOS_SCHEMA}),
+    "scenarios": [{
+        "arch": str, "target": str, "seed": int, "survived": bool,
+        "metrics": {
+            "faults_injected": int, "faults_recovered": int,
+            "messages_sent": int, "messages_delivered": int,
+            "messages_dropped": int, "messages_undelivered": int,
+            "messages_retransmitted": int,
+            "mttr_max": (int, type(None)),
+            "detection_max": (int, type(None)),
+            "availability": NUMBER,
+        },
+    }, ...],
+    "architectures": [str, ...],
+    "survived": bool,
+}
 
 
 def validate_chaos(doc: Dict[str, Any]) -> int:
     """Structural check of a ``repro.chaos/1`` document (the CI smoke
     job runs this on the CLI's ``--json`` output); returns the number
-    of scenarios."""
-    if doc.get("schema") != CHAOS_SCHEMA:
-        raise ValueError(f"schema is {doc.get('schema')!r}, "
-                         f"expected {CHAOS_SCHEMA!r}")
-    scenarios = doc.get("scenarios")
-    if not scenarios:
-        raise ValueError("document has no scenarios")
-    if not doc.get("architectures"):
-        raise ValueError("document lists no architectures")
-    for s in scenarios:
-        missing = [k for k in _SCENARIO_KEYS if k not in s]
-        if missing:
-            raise ValueError(f"scenario {s.get('arch')!r} is missing "
-                             f"{', '.join(missing)}")
-        gone = [k for k in _METRIC_KEYS if k not in s["metrics"]]
-        if gone:
-            raise ValueError(f"scenario {s['arch']!r} metrics missing "
-                             f"{', '.join(gone)}")
-    if "survived" not in doc:
-        raise ValueError("document has no overall survived verdict")
-    return len(scenarios)
+    of scenarios.  Raises :class:`ValueError` naming the path of any
+    problem."""
+    check(doc, _CHAOS)
+    return len(doc["scenarios"])
 
 
 def render_chaos(doc: Dict[str, Any]) -> str:

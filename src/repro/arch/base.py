@@ -18,27 +18,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.parameters import DesignParameters
 from repro.sim import Simulator
 
 _msg_ids = itertools.count()
-
-#: construction observer — see :func:`set_new_arch_hook`
-_NEW_ARCH_HOOK: Optional[Callable[["CommArchitecture"], None]] = None
-
-
-def set_new_arch_hook(
-    hook: Optional[Callable[["CommArchitecture"], None]],
-) -> Optional[Callable[["CommArchitecture"], None]]:
-    """Install a hook called with every newly constructed architecture
-    (the chaos harness uses this to discover which architectures an
-    experiment builds); returns the previous hook for restoration."""
-    global _NEW_ARCH_HOOK
-    prev = _NEW_ARCH_HOOK
-    _NEW_ARCH_HOOK = hook
-    return prev
 
 
 @dataclass
@@ -230,8 +215,6 @@ class CommArchitecture:
         #: the ReconfigurationManager exchanging this architecture's
         #: modules, once one is built (repro.reconfig)
         self.reconfig: Optional[Any] = None
-        if _NEW_ARCH_HOOK is not None:
-            _NEW_ARCH_HOOK(self)
 
     @property
     def sim(self) -> Simulator:

@@ -37,7 +37,7 @@ docs/adaptive.md).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.arch import build_architecture
 from repro.control.actions import adaptive_rules
@@ -45,6 +45,7 @@ from repro.control.guards import GuardConfig
 from repro.control.loop import (CONTROL_SCHEMA, FINAL_STATUSES,
                                 ControlLoop)
 from repro.fabric.geometry import Rect
+from repro.schema import check
 from repro.sim import Simulator
 
 __all__ = ["ADAPT_SCHEMA", "run_adaptive_pair", "run_adapt",
@@ -336,67 +337,63 @@ def run_adapt(experiment: str, seed: int = 7,
 # ----------------------------------------------------------------------
 # validation + rendering
 # ----------------------------------------------------------------------
-_ACTION_KEYS = ("aid", "rule", "kind", "target", "cycle", "status")
+_CONTROL = {
+    "schema": frozenset({CONTROL_SCHEMA}),
+    "arch": str,
+    "cycle": int,
+    "actions": [{"aid": str, "rule": str, "kind": str, "target": str,
+                 "cycle": int,
+                 "status": frozenset(FINAL_STATUSES + ("applied",))}],
+    "counts": {str: int},
+    "guard": dict,
+}
 
-_VALID_STATUSES = FINAL_STATUSES + ("applied",)
+_VARIANT = {"mode": str, "slo_burn_cycles": int,
+            "mttr_max": (int, type(None)), "messages_sent": int,
+            "messages_delivered": int, "messages_undelivered": int}
 
-_VARIANT_KEYS = ("mode", "slo_burn_cycles", "mttr_max",
-                 "messages_sent", "messages_delivered",
-                 "messages_undelivered")
+_ADAPT = {
+    "schema": frozenset({ADAPT_SCHEMA}),
+    "pairs": [{"arch": str, "static": _VARIANT,
+               "adaptive": dict(_VARIANT, control=_CONTROL),
+               "deltas": dict, "improved": bool}, ...],
+    "improved": [str],
+}
+
+
+def _control_rules(doc: Dict[str, Any], where: str = ""
+                   ) -> Iterator[str]:
+    counts: Dict[str, int] = {}
+    for a in doc["actions"]:
+        counts[a["status"]] = counts.get(a["status"], 0) + 1
+    if counts != doc["counts"]:
+        yield (f"{where}counts {doc['counts']!r} disagree with the "
+               f"actions list ({counts!r})")
+
+
+def _adapt_rules(doc: Dict[str, Any]) -> Iterator[str]:
+    for i, p in enumerate(doc["pairs"]):
+        yield from _control_rules(p["adaptive"]["control"],
+                                  f"pairs[{i}].adaptive.control: ")
+        if "control" in p["static"]:
+            yield (f"pairs[{i}].static carries an action log; the "
+                   f"static variant must not")
 
 
 def validate_control(doc: Dict[str, Any]) -> int:
     """Structural check of a ``repro.control/1`` action log (the CI
-    ``adaptive-smoke`` job runs this); returns the action count."""
-    if doc.get("schema") != CONTROL_SCHEMA:
-        raise ValueError(f"schema is {doc.get('schema')!r}, "
-                         f"expected {CONTROL_SCHEMA!r}")
-    for field in ("arch", "cycle", "actions", "counts", "guard"):
-        if field not in doc:
-            raise ValueError(f"action log has no {field!r}")
-    counts: Dict[str, int] = {}
-    for a in doc["actions"]:
-        missing = [k for k in _ACTION_KEYS if k not in a]
-        if missing:
-            raise ValueError(f"action {a.get('aid')!r} is missing "
-                             f"{', '.join(missing)}")
-        if a["status"] not in _VALID_STATUSES:
-            raise ValueError(f"action {a['aid']!r} has unknown status "
-                             f"{a['status']!r}")
-        counts[a["status"]] = counts.get(a["status"], 0) + 1
-    if counts != dict(doc["counts"]):
-        raise ValueError(f"counts {doc['counts']!r} disagree with the "
-                         f"actions list ({counts!r})")
+    ``adaptive-smoke`` job runs this); returns the action count.
+    Raises :class:`ValueError` naming the path of any problem."""
+    check(doc, _CONTROL, rules=_control_rules)
     return len(doc["actions"])
 
 
 def validate_adapt(doc: Dict[str, Any]) -> int:
     """Structural check of a ``repro.adapt/1`` document; returns the
-    number of pairs."""
-    if doc.get("schema") != ADAPT_SCHEMA:
-        raise ValueError(f"schema is {doc.get('schema')!r}, "
-                         f"expected {ADAPT_SCHEMA!r}")
-    pairs = doc.get("pairs")
-    if not pairs:
-        raise ValueError("document has no pairs")
-    for p in pairs:
-        for field in ("arch", "static", "adaptive", "deltas",
-                      "improved"):
-            if field not in p:
-                raise ValueError(f"pair {p.get('arch')!r} is missing "
-                                 f"{field!r}")
-        for variant in ("static", "adaptive"):
-            gone = [k for k in _VARIANT_KEYS if k not in p[variant]]
-            if gone:
-                raise ValueError(f"pair {p['arch']!r} {variant} is "
-                                 f"missing {', '.join(gone)}")
-        validate_control(p["adaptive"]["control"])
-        if "control" in p["static"]:
-            raise ValueError(f"pair {p['arch']!r}: the static variant "
-                             f"must not carry an action log")
-    if "improved" not in doc:
-        raise ValueError("document has no improved list")
-    return len(pairs)
+    number of pairs.  Raises :class:`ValueError` naming the path of any
+    problem."""
+    check(doc, _ADAPT, rules=_adapt_rules)
+    return len(doc["pairs"])
 
 
 def render_adapt(doc: Dict[str, Any]) -> str:

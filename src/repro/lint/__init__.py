@@ -9,7 +9,8 @@ Static analysis, run as ``repro lint`` (see ``docs/linting.md``):
   class graph and the rules on it (QL009 and QL011);
 * :mod:`repro.lint.sarif` / :mod:`repro.lint.baseline` — SARIF 2.1.0
   export, inline ``# simlint: disable=...`` suppressions, baseline
-  files, and per-directory rule policies;
+  files, and per-directory rule policies; the SARIF log and the
+  baseline file are checked with the :mod:`repro.schema` helper;
 * :mod:`repro.lint.run` — the :func:`run_lint` pipeline tying these
   together in a fixed order.
 """

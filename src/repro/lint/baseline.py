@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.findings import Finding
+from repro.schema import problems
 
 BASELINE_SCHEMA = "repro.simlint-baseline/1"
 _MARKER = "simlint:"
@@ -140,26 +141,25 @@ class BaselineError(ValueError):
     """The baseline file is malformed."""
 
 
+_BASELINE = {
+    "schema": frozenset({BASELINE_SCHEMA}),
+    "findings?": [{"rule": str, "path": str, "symbol": str,
+                   "count?": int, "justification?": str}],
+}
+
+
 def load_baseline(path: str) -> List[BaselineEntry]:
+    """The entries of a baseline file; raises :class:`BaselineError`
+    naming the path of the first problem in it."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("schema") != BASELINE_SCHEMA:
-        raise BaselineError(
-            f"{path}: expected a {BASELINE_SCHEMA!r} document")
-    entries: List[BaselineEntry] = []
-    for i, raw in enumerate(doc.get("findings", [])):
-        if not isinstance(raw, dict):
-            raise BaselineError(f"{path}: findings[{i}] is not an object")
-        try:
-            entries.append(BaselineEntry(
-                rule=str(raw["rule"]), path=str(raw["path"]),
-                symbol=str(raw["symbol"]),
-                count=int(raw.get("count", 1)),
-                justification=str(raw.get("justification", ""))))
-        except KeyError as exc:
-            raise BaselineError(
-                f"{path}: findings[{i}] missing {exc}") from None
-    return entries
+    for problem in problems(doc, _BASELINE):
+        raise BaselineError(f"{path}: {problem}")
+    return [BaselineEntry(rule=raw["rule"], path=raw["path"],
+                          symbol=raw["symbol"],
+                          count=raw.get("count", 1),
+                          justification=raw.get("justification", ""))
+            for raw in doc.get("findings", [])]
 
 
 def write_baseline(path: str, findings: Sequence[Finding],

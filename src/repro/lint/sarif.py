@@ -11,22 +11,23 @@ re-runs match results across unrelated edits.
 
 :func:`validate_sarif` checks the structural constraints of the 2.1.0
 schema that matter for upload (required properties, index consistency,
-level vocabulary) without needing a JSON-schema package — CI runs it
+level vocabulary) with the repository's schema helper
+(:mod:`repro.schema`) instead of a JSON-schema package — CI runs it
 against the artifact before upload.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.lint.findings import Finding, Severity
+from repro.schema import problems
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
                 "master/Schemata/sarif-schema-2.1.0.json")
 _TOOL_NAME = "repro-simlint"
-_LEVELS = {"none", "note", "warning", "error"}
 
 
 def _fingerprint(finding: Finding) -> str:
@@ -95,93 +96,62 @@ def to_sarif(findings: Sequence[Finding],
     }
 
 
+_LEVEL = frozenset({"none", "note", "warning", "error"})
+
+_SARIF = {
+    "version": frozenset({SARIF_VERSION}),
+    "runs": [{
+        "tool": {"driver": {
+            "name": str,
+            "rules?": [{"id": str,
+                        "defaultConfiguration?": {"level?": _LEVEL}}],
+        }},
+        "results?": [{
+            "message": {"text": str},
+            "level?": _LEVEL,
+            "ruleId?": str,
+            "ruleIndex?": int,
+            "locations?": [{"physicalLocation": {
+                "artifactLocation": {"uri": str},
+                "region?": {"startLine?": int},
+            }}],
+        }],
+    }, ...],
+}
+
+
+def _sarif_rules(doc: Dict[str, Any]) -> Iterator[str]:
+    """Non-empty names and texts, lines from 1, and rule references
+    that agree with the driver's rule table."""
+    for ri, run in enumerate(doc["runs"]):
+        driver = run["tool"]["driver"]
+        ids = [rule["id"] for rule in driver.get("rules", ())]
+        texts = [(f"runs[{ri}].tool.driver.name", driver["name"])]
+        texts += [(f"runs[{ri}].tool.driver.rules[{qi}].id", rule_id)
+                  for qi, rule_id in enumerate(ids)]
+        for si, result in enumerate(run.get("results", ())):
+            where = f"runs[{ri}].results[{si}]"
+            texts.append((f"{where}.message.text",
+                          result["message"]["text"]))
+            rule_id, index = result.get("ruleId"), result.get("ruleIndex")
+            if ids and rule_id not in (None, *ids):
+                yield f"{where}.ruleId {rule_id!r} not in driver rules"
+            if index is not None and not 0 <= index < max(len(ids), 1):
+                yield f"{where}.ruleIndex {index!r} out of range"
+            elif index is not None and ids \
+                    and rule_id not in (None, ids[index]):
+                yield f"{where}.ruleIndex does not match ruleId"
+            for li, loc in enumerate(result.get("locations", ())):
+                phys = loc["physicalLocation"]
+                lwhere = f"{where}.locations[{li}].physicalLocation"
+                texts.append((f"{lwhere}.artifactLocation.uri",
+                              phys["artifactLocation"]["uri"]))
+                if phys.get("region", {}).get("startLine", 1) < 1:
+                    yield f"{lwhere}.region.startLine must be >= 1"
+        yield from (f"{path} is empty" for path, text in texts if not text)
+
+
 def validate_sarif(doc: object) -> List[str]:
     """Structural 2.1.0 validation; returns a list of problems (empty
-    when the document is upload-ready)."""
-    problems: List[str] = []
-
-    def need(cond: bool, message: str) -> bool:
-        if not cond:
-            problems.append(message)
-        return cond
-
-    if not need(isinstance(doc, dict), "log must be a JSON object"):
-        return problems
-    assert isinstance(doc, dict)
-    need(doc.get("version") == SARIF_VERSION,
-         f"version must be {SARIF_VERSION!r}")
-    runs = doc.get("runs")
-    if not need(isinstance(runs, list) and len(runs) >= 1,
-                "runs must be a non-empty array"):
-        return problems
-    for ri, run in enumerate(runs):
-        where = f"runs[{ri}]"
-        if not need(isinstance(run, dict), f"{where} must be an object"):
-            continue
-        driver = (run.get("tool") or {}).get("driver") \
-            if isinstance(run.get("tool"), dict) else None
-        if not need(isinstance(driver, dict),
-                    f"{where}.tool.driver is required"):
-            continue
-        need(bool(driver.get("name")),
-             f"{where}.tool.driver.name is required")
-        rules = driver.get("rules", [])
-        rule_ids: List[str] = []
-        if need(isinstance(rules, list),
-                f"{where}.tool.driver.rules must be an array"):
-            for qi, rule in enumerate(rules):
-                rwhere = f"{where}.tool.driver.rules[{qi}]"
-                if not need(isinstance(rule, dict) and bool(rule.get("id")),
-                            f"{rwhere}.id is required"):
-                    continue
-                rule_ids.append(rule["id"])
-                config = rule.get("defaultConfiguration", {})
-                if isinstance(config, dict) and "level" in config:
-                    need(config["level"] in _LEVELS,
-                         f"{rwhere}.defaultConfiguration.level "
-                         f"{config['level']!r} not in {sorted(_LEVELS)}")
-        results = run.get("results", [])
-        if not need(isinstance(results, list),
-                    f"{where}.results must be an array"):
-            continue
-        for si, result in enumerate(results):
-            swhere = f"{where}.results[{si}]"
-            if not need(isinstance(result, dict),
-                        f"{swhere} must be an object"):
-                continue
-            message = result.get("message")
-            need(isinstance(message, dict) and bool(message.get("text")),
-                 f"{swhere}.message.text is required")
-            level = result.get("level")
-            if level is not None:
-                need(level in _LEVELS,
-                     f"{swhere}.level {level!r} not in {sorted(_LEVELS)}")
-            rule_id = result.get("ruleId")
-            index = result.get("ruleIndex")
-            if rule_id is not None and rule_ids:
-                need(rule_id in rule_ids,
-                     f"{swhere}.ruleId {rule_id!r} not in driver rules")
-            if index is not None:
-                ok = (isinstance(index, int)
-                      and 0 <= index < max(len(rule_ids), 1))
-                need(ok, f"{swhere}.ruleIndex {index!r} out of range")
-                if ok and rule_id is not None and rule_ids:
-                    need(rule_ids[index] == rule_id,
-                         f"{swhere}.ruleIndex does not match ruleId")
-            for li, loc in enumerate(result.get("locations", [])):
-                lwhere = f"{swhere}.locations[{li}]"
-                phys = loc.get("physicalLocation") \
-                    if isinstance(loc, dict) else None
-                if not need(isinstance(phys, dict),
-                            f"{lwhere}.physicalLocation is required"):
-                    continue
-                art = phys.get("artifactLocation")
-                need(isinstance(art, dict) and bool(art.get("uri")),
-                     f"{lwhere}.physicalLocation.artifactLocation.uri "
-                     f"is required")
-                region = phys.get("region")
-                if isinstance(region, dict) and "startLine" in region:
-                    need(isinstance(region["startLine"], int)
-                         and region["startLine"] >= 1,
-                         f"{lwhere}.region.startLine must be >= 1")
-    return problems
+    when the document is upload-ready), each naming its path."""
+    return problems(doc, _SARIF) or list(_sarif_rules(doc))

@@ -37,7 +37,9 @@ On top of the raw records:
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+from repro.schema import NUMBER, check
 
 #: stable schema tag for ``repro explain --json`` documents
 JOURNEY_SCHEMA = "repro.journey/1"
@@ -401,74 +403,68 @@ def explain_experiment(name: str, rate: float = 1.0, seed: int = 0,
     return build_journey_document(session, name)
 
 
-def validate_journey(doc: Dict[str, Any]) -> int:
-    """Structurally validate a ``repro.journey/1`` document; returns
-    the number of flow rows.  Raises :class:`ValueError` on any
-    problem — used by the CI obs-smoke job."""
-    def fail(msg: str) -> None:
-        raise ValueError(f"invalid journey document: {msg}")
+#: a segment kind (see :data:`SEGMENT_KINDS`)
+_KIND = frozenset(SEGMENT_KINDS)
 
-    if not isinstance(doc, dict):
-        fail("not an object")
-    if doc.get("schema") != JOURNEY_SCHEMA:
-        fail(f"schema is {doc.get('schema')!r}, want {JOURNEY_SCHEMA!r}")
-    for key in ("experiment", "simulators", "total_records",
-                "total_flows", "coverage"):
-        if key not in doc:
-            fail(f"missing top-level key {key!r}")
-    if not isinstance(doc["simulators"], list):
-        fail("simulators is not a list")
-    n_flows = 0
-    for s in doc["simulators"]:
-        for key in ("sim", "cycle", "sampling", "records", "delivered",
-                    "dropped", "pending", "sampled_out", "capped",
-                    "attributed", "residual", "coverage", "flows"):
-            if key not in s:
-                fail(f"simulator entry missing {key!r}")
-        for key in ("seed", "rate", "max_records"):
-            if key not in s["sampling"]:
-                fail(f"sampling block missing {key!r}")
+#: one critical path (:func:`critical_path`)
+_PATH = {"mid": int, "latency": NUMBER, "chain": [{"kind": _KIND}],
+         "residual": NUMBER, "dominant": object}
+
+#: one row of :func:`aggregate_flows`, in the journey document and in
+#: a run record's ``journeys`` section
+FLOW_ROW = {
+    "src": str, "dst": str, "sampled": int,
+    "latency": dict.fromkeys(("total", "mean", "p50", "p99", "max",
+                              "min"), NUMBER),
+    "segments": {_KIND: {"cycles": NUMBER, "share": NUMBER}},
+    "attributed": NUMBER, "residual": NUMBER, "coverage": NUMBER,
+    "slowest_segment": object,
+    "critical_paths": {"p50": _PATH, "p99": _PATH},
+}
+
+_JOURNEY = {
+    "schema": frozenset({JOURNEY_SCHEMA}),
+    "experiment": str,
+    "simulators": [{
+        "sim": str, "cycle": int,
+        "sampling": {"seed": int, "rate": NUMBER, "max_records": int},
+        "records": int, "delivered": int, "dropped": int,
+        "pending": int, "sampled_out": int, "capped": int,
+        "attributed": NUMBER, "residual": NUMBER, "coverage": NUMBER,
+        "flows": [FLOW_ROW],
+    }],
+    "total_records": int, "total_flows": int, "coverage": NUMBER,
+}
+
+
+def _journey_rules(doc: Dict[str, Any]) -> Iterator[str]:
+    """Residuals are explicit, never dropped, and the sums add up."""
+    for i, s in enumerate(doc["simulators"]):
         if s["residual"] < 0:
-            fail(f"negative residual in {s['sim']!r}")
-        for row in s["flows"]:
-            n_flows += 1
-            for key in ("src", "dst", "sampled", "latency", "segments",
-                        "attributed", "residual", "coverage",
-                        "slowest_segment", "critical_paths"):
-                if key not in row:
-                    fail(f"flow row missing {key!r}")
-            for key in ("total", "mean", "p50", "p99", "max", "min"):
-                if key not in row["latency"]:
-                    fail(f"flow latency block missing {key!r}")
-            for kind, seg in row["segments"].items():
-                if kind not in SEGMENT_KINDS:
-                    fail(f"unknown segment kind {kind!r}")
-                if "cycles" not in seg or "share" not in seg:
-                    fail(f"segment {kind!r} missing cycles/share")
+            yield f"simulators[{i}].residual is negative"
+        for j, row in enumerate(s["flows"]):
+            where = f"simulators[{i}].flows[{j}]"
             attributed = sum(seg["cycles"]
                              for seg in row["segments"].values())
             if attributed != row["attributed"]:
-                fail(f"flow {row['src']}->{row['dst']}: segment sum "
-                     f"{attributed} != attributed {row['attributed']}")
+                yield (f"{where}: segment sum {attributed} != "
+                       f"attributed {row['attributed']}")
             if row["attributed"] + row["residual"] \
                     != row["latency"]["total"]:
-                fail(f"flow {row['src']}->{row['dst']}: attributed + "
-                     f"residual != total latency (residual must be "
-                     f"explicit, never dropped)")
-            for q in ("p50", "p99"):
-                cp = row["critical_paths"].get(q)
-                if cp is None:
-                    fail(f"missing {q} critical path")
-                for key in ("mid", "latency", "chain", "residual",
-                            "dominant"):
-                    if key not in cp:
-                        fail(f"{q} critical path missing {key!r}")
-                for seg in cp["chain"]:
-                    if seg["kind"] not in SEGMENT_KINDS:
-                        fail(f"unknown chain kind {seg['kind']!r}")
-    if doc["total_flows"] != n_flows:
-        fail(f"total_flows {doc['total_flows']} != counted {n_flows}")
-    return n_flows
+                yield (f"{where}: attributed + residual != total "
+                       f"latency (residual must be explicit, never "
+                       f"dropped)")
+    counted = sum(len(s["flows"]) for s in doc["simulators"])
+    if doc["total_flows"] != counted:
+        yield f"total_flows {doc['total_flows']} != counted {counted}"
+
+
+def validate_journey(doc: Dict[str, Any]) -> int:
+    """Structurally validate a ``repro.journey/1`` document; returns
+    the number of flow rows.  Raises :class:`ValueError` naming the
+    path of any problem — used by the CI obs-smoke job."""
+    check(doc, _JOURNEY, "invalid journey document: ", _journey_rules)
+    return doc["total_flows"]
 
 
 # ----------------------------------------------------------------------

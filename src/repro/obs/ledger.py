@@ -51,7 +51,11 @@ import math
 import os
 import sys
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Tuple)
+
+from repro.obs.journey import FLOW_ROW
+from repro.schema import NUMBER, check
 
 #: schema tag of every ledger record
 RUN_SCHEMA = "repro.run/1"
@@ -731,105 +735,69 @@ def ledgered_call(fn: Callable[[], Any], *, kind: str, name: str,
 # ----------------------------------------------------------------------
 # validation
 # ----------------------------------------------------------------------
-_SUMMARY_KEYS = ("count", "mean", "std", "min", "p50", "p95", "p99",
-                 "max")
+#: a summary statistic; :func:`jsonable` stores non-finite ones as
+#: strings ("nan")
+_STAT = (NUMBER, str)
+
+_SUMMARY = dict.fromkeys(("count", "mean", "std", "min", "p50", "p95",
+                          "p99", "max"), _STAT)
+
+#: ``repro.run/1``: the fields :func:`render_run` and
+#: :mod:`repro.obs.diff` read are typed, so a record that validates
+#: also renders and diffs
+_RUN = {
+    "schema": frozenset({RUN_SCHEMA}),
+    "kind": frozenset(RUN_KINDS),
+    "name": str,
+    "config": dict,
+    "config_hash": str,
+    "versions": {"package": str, "python": str, "record": int,
+                 "git?": (str, type(None))},
+    "stats": object,
+    "seed?": (int, type(None)),
+    # records written before the engine name was retired carry one
+    "engine?": frozenset({None, "object", "vec"}),
+    "kernel?": {"cycles_stepped": int},
+    "telemetry?": [{
+        "index": int, "cycle": int,
+        "flows": [{"src": str, "dst": str, "messages": int,
+                   "latency": _SUMMARY, "jitter": _SUMMARY}],
+        "flows_omitted": int,
+        "links": [{"name": str, "busy_cycles": NUMBER,
+                   "utilization": _STAT, "wait?": dict}],
+        "counters": dict,
+        "alerts?": list,
+    }],
+    "alerts?": list,
+    "journeys?": {"coverage": NUMBER,
+                  "simulators": [{"index?": int,
+                                  "flows?": [FLOW_ROW]}]},
+    "resilience?": dict,
+    "seed_stats?": {str: dict.fromkeys(("mean", "std", "min", "max",
+                                        "count"), NUMBER)},
+    "wall": {"recorded_at": str},
+}
+
+
+def _run_rules(doc: Dict[str, Any]) -> Iterator[str]:
+    expect = config_hash(doc["kind"], doc["name"], doc["config"])
+    if doc["config_hash"] != expect:
+        yield (f"config_hash {doc['config_hash']!r} does not match the "
+               f"config (expected {expect!r})")
+    if "telemetry" in doc and "alerts" not in doc:
+        yield "telemetry present but alerts section missing"
 
 
 def validate_run(doc: Dict[str, Any]) -> int:
-    """Structurally check a ``repro.run/1`` record; returns the number
-    of sections present.  Raises :class:`ValueError` on any problem,
-    naming the section, and checks each section's type before reading
-    it — the CI regress-smoke job runs this on freshly written records
-    and ``repro runs show`` / ``repro regress`` on records from disk."""
-    def fail(msg: str) -> None:
-        raise ValueError(f"invalid run record: {msg}")
-
-    def need(value: Any, kind: type, what: str) -> Any:
-        """``value``, once it is known to be a ``kind``."""
-        if not isinstance(value, kind):
-            fail(f"{what} is not {'an object' if kind is dict else 'a list'}"
-                 f" ({type(value).__name__})")
-        return value
-
-    need(doc, dict, "the record")
-    if doc.get("schema") != RUN_SCHEMA:
-        fail(f"schema is {doc.get('schema')!r}, want {RUN_SCHEMA!r}")
-    for key in ("kind", "name", "config", "config_hash", "versions",
-                "stats", "wall"):
-        if key not in doc:
-            fail(f"missing top-level key {key!r}")
-    if doc["kind"] not in RUN_KINDS:
-        fail(f"unknown kind {doc['kind']!r}")
-    need(doc["config"], dict, "config")
-    expect = config_hash(doc["kind"], doc["name"], doc["config"])
-    if doc["config_hash"] != expect:
-        fail(f"config_hash {doc['config_hash']!r} does not match the "
-             f"config (expected {expect!r})")
-    versions = need(doc["versions"], dict, "versions")
-    for key in ("package", "python", "record"):
-        if key not in versions:
-            fail(f"versions block missing {key!r}")
-    # records written before the engine name was retired carry one
-    if doc.get("engine") not in (None, "object", "vec"):
-        fail(f"unknown engine {doc.get('engine')!r}")
-    sections = 1  # stats is mandatory
-    if "kernel" in doc:
-        sections += 1
-        if "cycles_stepped" not in need(doc["kernel"], dict, "kernel"):
-            fail("kernel section lacks cycles_stepped")
-    if "telemetry" in doc:
-        sections += 1
-        for i, entry in enumerate(need(doc["telemetry"], list,
-                                       "telemetry")):
-            where = f"telemetry[{i}]"
-            for key in ("index", "cycle", "flows", "links", "counters"):
-                if key not in need(entry, dict, where):
-                    fail(f"{where} missing {key!r}")
-            for flow in need(entry["flows"], list, f"{where}.flows"):
-                for key in ("src", "dst", "messages", "latency"):
-                    if key not in need(flow, dict, f"{where} flow"):
-                        fail(f"{where} flow summary missing {key!r}")
-                latency = need(flow["latency"], dict,
-                               f"{where} flow latency")
-                for key in _SUMMARY_KEYS:
-                    if key not in latency:
-                        fail(f"{where} flow latency summary missing "
-                             f"{key!r}")
-            for link in need(entry["links"], list, f"{where}.links"):
-                for key in ("name", "busy_cycles", "utilization"):
-                    if key not in need(link, dict, f"{where} link"):
-                        fail(f"{where} link summary missing {key!r}")
-        if "alerts" not in doc:
-            fail("telemetry present but alerts section missing")
-        need(doc["alerts"], list, "alerts")
-    if "journeys" in doc:
-        sections += 1
-        j = need(doc["journeys"], dict, "journeys")
-        if "simulators" not in j or "coverage" not in j:
-            fail("journeys section lacks simulators/coverage")
-        from repro.obs.journey import SEGMENT_KINDS
-
-        for entry in need(j["simulators"], list, "journeys.simulators"):
-            flows = need(entry, dict, "journeys simulator").get("flows", ())
-            for row in need(flows, list, "journeys flows"):
-                segments = need(row, dict, "journeys flow").get(
-                    "segments", {})
-                for kind in need(segments, dict, "journeys segments"):
-                    if kind not in SEGMENT_KINDS:
-                        fail(f"unknown journey segment kind {kind!r}")
-    if "resilience" in doc:
-        sections += 1
-    if "seed_stats" in doc:
-        sections += 1
-        for metric, spread in need(doc["seed_stats"], dict,
-                                   "seed_stats").items():
-            for key in ("mean", "std", "min", "max", "count"):
-                if key not in need(spread, dict,
-                                   f"seed_stats[{metric!r}]"):
-                    fail(f"seed_stats[{metric!r}] missing {key!r}")
-    if "recorded_at" not in need(doc["wall"], dict, "wall"):
-        fail("wall section lacks recorded_at")
-    return sections
+    """Check a ``repro.run/1`` record; returns the number of sections
+    present.  Raises :class:`ValueError` naming the path of any
+    problem — the CI regress-smoke job runs this on freshly written
+    records and ``repro runs show`` / ``repro diff`` / ``repro
+    regress`` on records from disk."""
+    check(doc, _RUN, "invalid run record: ", _run_rules)
+    return 1 + sum(key in doc for key in ("kernel", "telemetry",
+                                          "journeys", "resilience",
+                                          "seed_stats"))
 
 
 # ----------------------------------------------------------------------

@@ -36,11 +36,12 @@ from __future__ import annotations
 import json
 import sys
 import threading
-from typing import Any, Dict, List, Optional, TextIO, Tuple
+from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
 
 from repro.obs.flows import merge_snapshots
 from repro.obs.journey import SEGMENT_KINDS, flow_slowest_segments
 from repro.obs.session import ObservationSession
+from repro.schema import NUMBER, Named, check
 
 #: watch snapshot document version; bump on breaking shape changes
 SNAPSHOT_SCHEMA = "repro.watch/1"
@@ -98,80 +99,62 @@ def collect_snapshot(session: ObservationSession, experiment: str = "",
     return doc
 
 
-def _require(cond: bool, why: str) -> None:
-    if not cond:
-        raise ValueError(f"watch snapshot: {why}")
+_SNAPSHOT = {
+    "schema": frozenset({SNAPSHOT_SCHEMA}),
+    "experiment": str,
+    "done": bool,
+    "simulators": [{
+        "sim": str, "cycle": int, "counters": dict, "quiesce": dict,
+        "flows?": [{
+            "src": str, "dst": str, "messages": int, "bytes": int,
+            "latency": dict.fromkeys(("count", "mean", "p50", "p95",
+                                      "p99", "max"), NUMBER),
+            "jitter": dict,
+            # additive; absent pre-journey
+            "slowest_segment?": frozenset(SEGMENT_KINDS),
+        }],
+        "links?": [{"name": str, "utilization": NUMBER,
+                    "queue_watermark": int, "stalls": int,
+                    "wait": dict}],
+    }],
+    "total_flows": int, "total_links": int, "total_alerts": int,
+    "alerts": [Named("alert", {"rule": str, "cycle": int,
+                               "severity": str, "message": str})],
+    # the actions/1 extension; absent pre-controller
+    "extensions?": [str],
+    "actions?": {"counts": dict, "observe_only": bool,
+                 "recent": [{"aid": str, "rule": str, "kind": str,
+                             "status": str, "cycle": int, "sim": str}]},
+}
+
+
+def _snapshot_rules(doc: Dict[str, Any]) -> Iterator[str]:
+    if "actions" in doc and "actions/1" not in doc.get("extensions", ()):
+        yield ("actions key present without the actions/1 extension "
+               "marker")
+    if doc["total_alerts"] < 0:
+        yield "total_alerts is negative"
+    for i, entry in enumerate(doc["simulators"]):
+        if entry["cycle"] < 0:
+            yield f"simulators[{i}].cycle is negative"
+        for j, link in enumerate(entry.get("links", ())):
+            if not 0.0 <= link["utilization"] <= 1.0:
+                yield (f"simulators[{i}].links[{j}].utilization "
+                       f"{link['utilization']!r} is out of range")
+    for key in ("flows", "links"):
+        if doc[f"total_{key}"] != sum(len(e.get(key, ()))
+                                      for e in doc["simulators"]):
+            yield f"total_{key} does not match simulator entries"
 
 
 def validate_snapshot(doc: Dict[str, Any]) -> int:
     """Schema check for a watch snapshot document; returns the number
-    of simulator entries.  Raises :class:`ValueError` on the first
-    violation — this is the CI contract for ``--once --json`` output.
+    of simulator entries.  Raises :class:`ValueError` naming the path
+    of the first violation — this is the CI contract for ``--once
+    --json`` output.
     """
-    _require(isinstance(doc, dict), "document is not an object")
-    _require(doc.get("schema") == SNAPSHOT_SCHEMA,
-             f"schema is {doc.get('schema')!r}, expected "
-             f"{SNAPSHOT_SCHEMA!r}")
-    _require(isinstance(doc.get("experiment"), str), "missing experiment")
-    _require(isinstance(doc.get("done"), bool), "missing done flag")
-    sims = doc.get("simulators")
-    _require(isinstance(sims, list), "simulators is not a list")
-    for key in ("total_flows", "total_links", "total_alerts"):
-        _require(isinstance(doc.get(key), int) and doc[key] >= 0,
-                 f"{key} is not a non-negative int")
-    alerts = doc.get("alerts")
-    _require(isinstance(alerts, list), "alerts is not a list")
-    for alert in alerts:
-        for key in ("rule", "cycle", "severity", "message"):
-            _require(key in alert, f"alert missing {key!r}")
-    for entry in sims:
-        _require(isinstance(entry.get("sim"), str),
-                 "simulator entry missing sim name")
-        _require(isinstance(entry.get("cycle"), int) and entry["cycle"] >= 0,
-                 "simulator entry missing cycle")
-        _require(isinstance(entry.get("counters"), dict),
-                 "simulator entry missing counters")
-        _require(isinstance(entry.get("quiesce"), dict),
-                 "simulator entry missing quiesce summary")
-        for flow in entry.get("flows", ()):
-            for key in ("src", "dst", "messages", "bytes",
-                        "latency", "jitter"):
-                _require(key in flow, f"flow missing {key!r}")
-            for key in ("count", "mean", "p50", "p95", "p99", "max"):
-                _require(key in flow["latency"],
-                         f"flow latency summary missing {key!r}")
-            if "slowest_segment" in flow:  # additive; absent pre-journey
-                _require(flow["slowest_segment"] in SEGMENT_KINDS,
-                         f"flow slowest_segment "
-                         f"{flow['slowest_segment']!r} is not a known "
-                         f"segment kind")
-        for link in entry.get("links", ()):
-            for key in ("name", "utilization", "queue_watermark",
-                        "stalls", "wait"):
-                _require(key in link, f"link missing {key!r}")
-            _require(0.0 <= link["utilization"] <= 1.0,
-                     f"link {link.get('name')!r} utilization out of range")
-    if "actions" in doc:  # actions/1 extension; absent pre-controller
-        _require("actions/1" in doc.get("extensions", ()),
-                 "actions key present without the actions/1 extension "
-                 "marker")
-        actions = doc["actions"]
-        _require(isinstance(actions.get("counts"), dict),
-                 "actions counts is not a dict")
-        _require(isinstance(actions.get("observe_only"), bool),
-                 "actions missing observe_only flag")
-        recent = actions.get("recent")
-        _require(isinstance(recent, list), "actions recent is not a list")
-        for record in recent:
-            for key in ("aid", "rule", "kind", "status", "cycle", "sim"):
-                _require(key in record, f"action record missing {key!r}")
-    _require(doc["total_flows"] == sum(len(e.get("flows", ()))
-                                       for e in sims),
-             "total_flows does not match simulator entries")
-    _require(doc["total_links"] == sum(len(e.get("links", ()))
-                                       for e in sims),
-             "total_links does not match simulator entries")
-    return len(sims)
+    check(doc, _SNAPSHOT, "watch snapshot: ", _snapshot_rules)
+    return len(doc["simulators"])
 
 
 # ----------------------------------------------------------------------

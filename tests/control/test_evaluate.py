@@ -1,12 +1,15 @@
 """Adaptive-vs-static harness: document shape, validators, verdicts
 and rendering."""
 
+import re
+
 import pytest
 
 from repro.control import (ADAPT_SCHEMA, render_adapt, run_adapt,
                            run_adaptive_pair, validate_adapt,
                            validate_control)
 from repro.control.loop import CONTROL_SCHEMA
+from tests.tampering import tampered
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +68,19 @@ class TestValidateControl:
         with pytest.raises(ValueError, match="disagree"):
             validate_control(doc)
 
+    @pytest.mark.parametrize("path, value, shown", [
+        ("", [], "document is not an object"),
+        ("actions", 1, "actions is not a list"),
+        ("actions", [1], "actions[0] is not an object"),
+        ("counts", 1, "counts is not an object"),
+        ("guard", 1, "guard is not an object"),
+    ])
+    def test_malformed_log_names_the_path(self, buscom_pair, path, value,
+                                          shown):
+        doc = tampered(buscom_pair["adaptive"]["control"], path, value)
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            validate_control(doc)
+
 
 class TestRunAdapt:
     @pytest.fixture()
@@ -93,6 +109,22 @@ class TestRunAdapt:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError, match="pairs"):
             validate_adapt({"schema": ADAPT_SCHEMA, "pairs": []})
+
+    @pytest.mark.parametrize("path, value, shown", [
+        ("", [], "document is not an object"),
+        ("pairs", [1], "pairs[0] is not an object"),
+        ("pairs[0].static", 1, "pairs[0].static is not an object"),
+        ("pairs[0].adaptive", 1, "pairs[0].adaptive is not an object"),
+        ("pairs[0].adaptive.control", 1,
+         "pairs[0].adaptive.control is not an object"),
+        ("pairs[0].adaptive.control.actions", [1],
+         "pairs[0].adaptive.control.actions[0] is not an object"),
+        ("pairs[0].deltas", 1, "pairs[0].deltas is not an object"),
+    ])
+    def test_malformed_document_names_the_path(self, doc, path, value,
+                                               shown):
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            validate_adapt(tampered(doc, path, value))
 
     def test_render_names_the_winner(self, doc):
         text = render_adapt(doc)

@@ -1,6 +1,7 @@
 """Chaos harness tests: sweep document, validation, CLI."""
 
 import json
+import re
 
 import pytest
 
@@ -12,11 +13,19 @@ from repro.analysis.chaos import (
     run_chaos_sweep,
     validate_chaos,
 )
+from tests.tampering import tampered
 
 
 class TestDiscovery:
-    def test_e1_builds_rmboc(self):
-        assert discover_arch_keys("e1") == ["rmboc"]
+    @pytest.mark.parametrize("experiment, keys", [
+        ("e1", ["rmboc"]),
+        ("e10", ["sharedbus", "staticmesh", "rmboc", "buscom", "dynoc",
+                 "conochi"]),
+        ("e11", ["rmboc", "buscom", "dynoc", "conochi", "sharedbus",
+                 "staticmesh"]),
+    ], ids=["e1", "e10", "e11"])
+    def test_e1_builds_rmboc(self, experiment, keys):
+        assert discover_arch_keys(experiment) == keys
 
     def test_unknown_experiment_diagnosed(self):
         with pytest.raises(KeyError, match="known"):
@@ -74,6 +83,21 @@ class TestValidation:
         del doc["scenarios"][0]["metrics"]["mttr_max"]
         with pytest.raises(ValueError, match="mttr_max"):
             validate_chaos(doc)
+
+    @pytest.mark.parametrize("path, value, shown", [
+        ("", [], "document is not an object"),
+        ("scenarios", 1, "scenarios is not a list"),
+        ("scenarios", [1], "scenarios[0] is not an object"),
+        ("scenarios[0].metrics", 1,
+         "scenarios[0].metrics is not an object"),
+        ("architectures", 1, "architectures is not a list"),
+        ("scenarios[0].metrics.availability", "x",
+         "scenarios[0].metrics.availability is not a number"),
+    ])
+    def test_malformed_document_names_the_path(self, path, value, shown):
+        doc = run_chaos_sweep("e1", seed=7, telemetry=False)
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            validate_chaos(tampered(doc, path, value))
 
 
 class TestCli:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import textwrap
 
 import pytest
@@ -25,6 +26,7 @@ from repro.lint.baseline import (
     apply_dir_policies,
     policy_for,
 )
+from tests.tampering import tampered
 
 
 def mk(rule="QL009", path="src/a.py", line=10, symbol="A.tick",
@@ -92,6 +94,22 @@ class TestSarif:
         broken = json.loads(json.dumps(doc))
         broken["runs"][0]["results"][0]["level"] = "fatal"
         assert any("level" in p for p in validate_sarif(broken))
+
+    @pytest.mark.parametrize("path, value", [
+        ("", []),
+        ("runs", [1]),
+        ("runs[0].tool", 1),
+        ("runs[0].tool.driver.rules", 1),
+        ("runs[0].results", [1]),
+        ("runs[0].results[0].locations", 5),
+        ("runs[0].results[0].locations[0].physicalLocation.region", 1),
+        ("runs[0].results[0].message.text", ""),
+    ])
+    def test_malformed_log_lists_the_path(self, path, value):
+        doc = tampered(to_sarif([mk()], ALL_RULES), path, value)
+        problems = validate_sarif(doc)
+        assert any(p.startswith(path or "document") for p in problems), \
+            problems
 
 
 # ----------------------------------------------------------------------
@@ -161,6 +179,22 @@ class TestBaseline:
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema": "other/1", "findings": []}')
         with pytest.raises(BaselineError):
+            load_baseline(str(bad))
+
+    @pytest.mark.parametrize("findings, problem", [
+        (5, "findings is not a list"),
+        ([1], "findings[0] is not an object"),
+        ([{"rule": "QL009", "path": "a.py"}], "findings[0] missing "
+                                              "'symbol'"),
+        ([{"rule": "QL009", "path": "a.py", "symbol": "A",
+           "count": "x"}], "findings[0].count is not an integer"),
+    ])
+    def test_malformed_entries_name_the_path(self, tmp_path, findings,
+                                             problem):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema": "repro.simlint-baseline/1",
+                                   "findings": findings}))
+        with pytest.raises(BaselineError, match=re.escape(problem)):
             load_baseline(str(bad))
 
 

@@ -37,6 +37,7 @@ from repro.obs.journey import (
 )
 from repro.sim import Simulator, Tracer
 from tests.faults.scenarios import fault_scenario
+from tests.tampering import tampered
 
 ALL_ARCHS = ("dynoc", "staticmesh", "sharedbus", "buscom", "rmboc",
              "conochi")
@@ -334,3 +335,27 @@ class TestJourneyDocument:
         bad2["simulators"][0]["flows"][0]["residual"] += 1
         with pytest.raises(ValueError):
             validate_journey(bad2)
+
+    @pytest.mark.parametrize("path, shown", [
+        ("", "document"),
+        ("simulators", "simulators"),
+        ("simulators[0]", "simulators[0]"),
+        ("simulators[0].sampling", "simulators[0].sampling"),
+        ("simulators[0].flows", "simulators[0].flows"),
+        ("simulators[0].flows[0]", "simulators[0].flows[0]"),
+        ("simulators[0].flows[0].latency",
+         "simulators[0].flows[0].latency"),
+        ("simulators[0].flows[0].segments",
+         "simulators[0].flows[0].segments"),
+        ("simulators[0].flows[0].critical_paths.p99",
+         "simulators[0].flows[0].critical_paths.p99"),
+        ("simulators[0].flows[0].critical_paths.p99.chain",
+         "simulators[0].flows[0].critical_paths.p99.chain"),
+    ])
+    def test_a_scalar_for_any_object_or_list_names_its_path(self, path,
+                                                           shown):
+        doc = explain_experiment("e1")
+        with pytest.raises(ValueError) as info:
+            validate_journey(tampered(doc, path, 1))
+        assert str(info.value).startswith(
+            f"invalid journey document: {shown} is not ")

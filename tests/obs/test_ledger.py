@@ -12,6 +12,7 @@ The headline invariants from the paper-repro contract:
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -33,6 +34,7 @@ from repro.obs.ledger import (
     run_id_of,
     validate_run,
 )
+from tests.tampering import tampered
 
 #: small-but-nontrivial workload (matches tests/analysis/test_batch.py)
 WORKLOAD = dict(cycles=3_000, bursts=2, burst_size=10, burst_gap=900,
@@ -228,8 +230,15 @@ class TestValidateRun:
         ("seed_stats", [1], "seed_stats"),
         ("seed_stats", {"x": 1}, "seed_stats['x']"),
         ("versions", "package python record", "versions"),
+        ("config", [], "config"),
+        ("kernel", 1, "kernel"),
+        ("journeys", [1], "journeys"),
+        ("resilience", [1], "resilience"),
+        ("wall", "x", "wall"),
     ], ids=["telemetry-entry", "versions-null", "seed-stats-list",
-            "seed-stats-entry", "versions-string"])
+            "seed-stats-entry", "versions-string", "config-list",
+            "kernel-int", "journeys-list", "resilience-list",
+            "wall-string"])
     def test_tampered_section_gets_a_precise_error(self, key, value,
                                                    section):
         with open(os.path.join(BASELINE_RUNS, "92",
@@ -242,6 +251,43 @@ class TestValidateRun:
             validate_run(doc)
         assert str(info.value).startswith(
             f"invalid run record: {section} is not an object")
+
+    @pytest.mark.parametrize("path", [
+        "", "versions", "kernel", "telemetry", "telemetry[0]",
+        "telemetry[0].flows", "telemetry[0].flows[0]",
+        "telemetry[0].flows[0].latency", "telemetry[0].flows[0].jitter",
+        "telemetry[0].links", "telemetry[0].links[0]",
+        "telemetry[0].counters", "alerts", "journeys",
+        "journeys.simulators", "journeys.simulators[0]",
+        "journeys.simulators[0].flows",
+        "journeys.simulators[0].flows[0]",
+        "journeys.simulators[0].flows[0].latency",
+        "journeys.simulators[0].flows[0].segments",
+        "journeys.simulators[0].flows[0].critical_paths",
+        "wall",
+    ])
+    def test_a_scalar_for_any_object_or_list_names_its_path(self, path):
+        doc = RunLedger().load(_ledgered_seed())
+        validate_run(doc)
+        with pytest.raises(ValueError) as info:
+            validate_run(tampered(doc, path, 1))
+        assert str(info.value).startswith(
+            f"invalid run record: {path or 'document'} is not ")
+
+    @pytest.mark.parametrize("path, value, problem", [
+        ("versions.git", 5, "versions.git is not a string or null"),
+        ("seed_stats['mean_latency'].std", "x",
+         "seed_stats['mean_latency'].std is not a number"),
+        ("name", None, "name is not a string"),
+    ])
+    def test_fields_the_readers_format_are_typed(self, path, value,
+                                                 problem):
+        with open(os.path.join(BASELINE_RUNS, "92",
+                               "92f51468e74f1373.json"),
+                  encoding="utf-8") as fh:
+            doc = json.load(fh)
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            validate_run(tampered(doc, path, value))
 
     def test_old_records_may_name_only_the_known_engines(self):
         """Records written before the engine name was retired carry

@@ -14,7 +14,8 @@ import pytest
 from repro.analysis.batch import run_seed_fleet
 from repro.cli import main
 from repro.obs.diff import REGRESS_BUDGETS, Budget, regress
-from repro.obs.ledger import RunLedger
+from repro.obs.ledger import RunLedger, run_id_of
+from tests.tampering import DROP, tampered
 
 #: tiny fleet configuration; regress re-simulates it per check, so
 #: keep it just big enough to produce nonzero latencies
@@ -25,6 +26,38 @@ WORKLOAD = dict(cycles=2_000, bursts=2, burst_size=8, burst_gap=700,
 #: ``engine: "vec"``, before the engine name was retired
 CHECKED_IN = os.path.join(os.path.dirname(__file__), os.pardir, "data",
                           "regress-baseline")
+
+
+#: records that validated before the run schema typed the fields its
+#: readers use, and made ``repro runs show`` or ``repro diff`` crash:
+#: (record, path, value, the path the error names)
+TAMPERED = [
+    ("checked-in", "seed_stats", [1], "seed_stats"),
+    ("checked-in", "versions.git", 5, "versions.git"),
+    ("checked-in", "seed_stats['mean_latency'].std", "x",
+     "seed_stats['mean_latency'].std"),
+    ("e1", "telemetry[0].flows_omitted", DROP,
+     "telemetry[0] missing 'flows_omitted'"),
+    ("e1", "journeys.coverage", "x", "journeys.coverage"),
+    ("e1", "resilience", [1], "resilience"),
+    ("e1", "journeys.simulators[0].flows[0].latency", "x",
+     "journeys.simulators[0].flows[0].latency"),
+]
+TAMPERED_IDS = ["seed-stats-list", "git-int", "std-string",
+                "flows-omitted-dropped", "coverage-string",
+                "resilience-list", "journey-latency-string"]
+
+
+def _record(which, capsys):
+    """The checked-in buscom fleet record, or a fresh ledgered
+    ``repro experiment e1`` record."""
+    if which == "checked-in":
+        return RunLedger(CHECKED_IN).load("92f51468e74f1373")
+    assert main(["experiment", "e1", "--no-cache"]) == 0
+    capsys.readouterr()
+    ledger = RunLedger()
+    [rid] = ledger.ids()
+    return ledger.load(rid)
 
 
 @pytest.fixture
@@ -132,17 +165,32 @@ class TestCli:
     def test_cli_diff_unknown_run_exits_two(self):
         assert main(["diff", "doesnotexist", "alsomissing"]) == 2
 
-    def test_cli_diff_of_a_tampered_record_exits_two(self, tmp_path,
-                                                      capsys):
-        ledger = RunLedger(CHECKED_IN)
-        rid = ledger.ids()[0]
-        doc = ledger.load(rid)
-        doc["seed_stats"] = [1]
+    @pytest.mark.parametrize("record, path, value, shown", TAMPERED,
+                             ids=TAMPERED_IDS)
+    def test_cli_diff_of_a_tampered_record_exits_two(
+            self, tmp_path, capsys, record, path, value, shown):
+        doc = _record(record, capsys)
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(doc))
         bad = tmp_path / "tampered.json"
-        bad.write_text(json.dumps(doc))
-        assert main(["diff", ledger.path_for(rid), str(bad)]) == 2
-        assert "record b: invalid run record: seed_stats" in \
+        bad.write_text(json.dumps(tampered(doc, path, value)))
+        assert main(["diff", str(good), str(bad)]) == 2
+        assert f"record b: invalid run record: {shown}" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("record, path, value, shown", TAMPERED,
+                             ids=TAMPERED_IDS)
+    def test_cli_runs_show_of_a_tampered_record_exits_two(
+            self, tmp_path, capsys, record, path, value, shown):
+        doc = tampered(_record(record, capsys), path, value)
+        ledger = RunLedger(str(tmp_path / "ledger"))
+        rid = run_id_of(doc)
+        os.makedirs(os.path.dirname(ledger.path_for(rid)))
+        with open(ledger.path_for(rid), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert main(["runs", "show", rid[:8], "--ledger",
+                     ledger.root]) == 2
+        assert f"invalid run record: {shown}" in capsys.readouterr().err
 
     def test_cli_runs_list_show_gc(self, capsys):
         fleet = run_seed_fleet("dynoc", [0], **WORKLOAD)

@@ -16,6 +16,7 @@ from repro.obs import (
 )
 from repro.obs.session import ObservationSession
 from repro.sim import Simulator
+from tests.tampering import tampered
 
 
 def _session_with_traffic():
@@ -76,6 +77,27 @@ class TestValidateSnapshot:
         doc["alerts"].append({"rule": "r"})
         with pytest.raises(ValueError, match="alert missing"):
             validate_snapshot(doc)
+
+    @pytest.mark.parametrize("path, value, shown", [
+        ("", [], "document"),
+        ("alerts", 1, "alerts"),
+        ("alerts", [1], "alerts[0]"),
+        ("simulators", 1, "simulators"),
+        ("simulators", [1], "simulators[0]"),
+        ("simulators[0].counters", 1, "simulators[0].counters"),
+        ("simulators[0].flows", 1, "simulators[0].flows"),
+        ("simulators[0].flows[0]", 1, "simulators[0].flows[0]"),
+        ("simulators[0].flows[0].latency", 1,
+         "simulators[0].flows[0].latency"),
+        ("simulators[0].links", 1, "simulators[0].links"),
+        ("simulators[0].links[0]", 1, "simulators[0].links[0]"),
+    ])
+    def test_a_scalar_for_any_object_or_list_names_its_path(
+            self, path, value, shown):
+        with pytest.raises(ValueError) as info:
+            validate_snapshot(tampered(self._doc(), path, value))
+        assert str(info.value).startswith(
+            f"watch snapshot: {shown} is not ")
 
 
 class TestRenderDashboard:
