@@ -164,18 +164,13 @@ def run_chaos_scenario(key: str, seed: int = 7,
 
 def discover_arch_keys(experiment: str) -> List[str]:
     """Which architecture kinds an experiment harness builds, in the
-    order of its simulators and their components (deduplicated)."""
-    from repro.analysis.experiments import EXPERIMENTS
+    order of its simulators and their components (deduplicated).  The
+    run is untraced; an unknown name or a run that built no simulator
+    raises :class:`~repro.analysis.parallel.ExperimentError`."""
     from repro.arch.base import CommArchitecture
-    from repro.obs.session import ObservationSession
+    from repro.obs.session import observe_named
 
-    if experiment not in EXPERIMENTS:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise KeyError(f"unknown experiment {experiment!r} "
-                       f"(known: {known})")
-    session = ObservationSession(trace=False)
-    with session:
-        EXPERIMENTS[experiment]()
+    _, session = observe_named(experiment, trace=False)
     return list(dict.fromkeys(
         component.KEY for sim in session.sims
         for component in sim.components

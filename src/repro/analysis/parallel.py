@@ -94,6 +94,25 @@ def registry() -> Dict[str, Callable[..., Any]]:
     return jobs
 
 
+class ExperimentError(KeyError):
+    """An experiment name no harness is registered under, or a run of
+    one that built no simulator to observe.  The CLI prints the message
+    on one line and exits 2."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
+def harness(name: str) -> Callable[..., Any]:
+    """The registered harness called ``name``; raises
+    :class:`ExperimentError` listing the known names."""
+    harnesses = registry()
+    if name not in harnesses:
+        raise ExperimentError(f"unknown experiment {name!r}; known: "
+                              f"{', '.join(sorted(harnesses))}")
+    return harnesses[name]
+
+
 @dataclass
 class Job:
     """One unit of work: a registered harness name plus its kwargs."""
@@ -180,16 +199,12 @@ def _execute(job: Job) -> Any:
     ``repro.run/1`` record; ``REPRO_LEDGER=0`` opts out and degrades
     this to a plain uninstrumented call.
     """
-    jobs = registry()
-    if job.name not in jobs:
-        raise KeyError(
-            f"unknown job {job.name!r}; known: {', '.join(sorted(jobs))}"
-        )
+    run = harness(job.name)
     from repro.obs.ledger import ledgered_call
 
     seed = job.kwargs.get("seed")
     result, _run_id = ledgered_call(
-        lambda: jobs[job.name](**job.kwargs),
+        lambda: run(**job.kwargs),
         kind="experiment", name=job.name, config=job.kwargs,
         seed=seed if isinstance(seed, int) else None)
     return result

@@ -89,6 +89,8 @@ def build_staticmesh(
     **cfg_overrides: object,
 ) -> StaticMesh:
     """Smallest square mesh of design-time 1x1 modules."""
+    if num_modules < 0:
+        raise ValueError(f"num_modules must be >= 0, got {num_modules}")
     if mesh is not None:
         cfg = DyNoCConfig(mesh_cols=mesh[0], mesh_rows=mesh[1],
                           width=width, **cfg_overrides)  # type: ignore[arg-type]

@@ -498,6 +498,8 @@ def build_conochi(
 ) -> CoNoChi:
     """Build a CoNoChi system: one switch per module, modules attached
     to the free tiles beside their switch."""
+    if num_modules < 0:
+        raise ValueError(f"num_modules must be >= 0, got {num_modules}")
     if grid is None:
         grid = (standard_grid(num_modules) if num_modules <= 6
                 else ladder_grid(num_modules))

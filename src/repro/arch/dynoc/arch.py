@@ -459,6 +459,8 @@ def build_dynoc(
     The default mesh is the smallest square holding all modules — the
     survey's Table 3 assumption (one PE, hence one router, per module).
     """
+    if num_modules < 0:
+        raise ValueError(f"num_modules must be >= 0, got {num_modules}")
     if cfg is None:
         if mesh is not None:
             cfg = DyNoCConfig(mesh_cols=mesh[0], mesh_rows=mesh[1],

@@ -51,7 +51,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.analysis.experiments import EXPERIMENTS
-    from repro.analysis.parallel import registry, run_named
+    from repro.analysis.parallel import ExperimentError, harness, run_named
 
     def render(result):
         if getattr(args, "json", False):
@@ -62,13 +62,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
     # "all" means the paper experiments; single runs also accept the
     # a1..a7 ablation harnesses from the shared registry
-    known = registry()
     names = list(EXPERIMENTS) if args.which == "all" else [args.which]
-    if args.which != "all" and args.which not in known:
-        print(f"unknown experiment {args.which!r}; "
-              f"choose from {', '.join(known)} or 'all'",
-              file=sys.stderr)
-        return 2
+    if args.which != "all":
+        try:
+            harness(args.which)
+        except ExperimentError as exc:
+            raise ExperimentError(f"{exc} or 'all'") from None
     # -j/--jobs > 1 fans the independent harnesses across processes;
     # the default stays serial in-process (and single runs always are)
     max_workers = args.jobs if args.parallel or args.jobs else 0
@@ -100,20 +99,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_chrome_trace,
     )
 
-    try:
-        _, session = observe_named(args.which, trace=True,
-                                   profile=args.profile,
-                                   max_events=args.max_events,
-                                   keep=args.keep,
-                                   journeys=args.journeys)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    _, session = observe_named(args.which, trace=True,
+                               profile=args.profile,
+                               max_events=args.max_events, keep=args.keep,
+                               journeys=args.journeys)
     sims = session.sims
-    if not sims:
-        print(f"experiment {args.which!r} built no simulators",
-              file=sys.stderr)
-        return 1
     out = args.out or f"trace-{args.which}.json"
     write_chrome_trace(out, sims)
     print(f"experiment   : {args.which}")
@@ -139,16 +129,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         to_prometheus_text,
     )
 
-    try:
-        _, session = observe_named(args.which, trace=False, profile=True)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    _, session = observe_named(args.which, trace=False, profile=True)
     sims = session.sims
-    if not sims:
-        print(f"experiment {args.which!r} built no simulators",
-              file=sys.stderr)
-        return 1
     merged = Profiler()
     for sim in sims:
         if sim.profiler is not None:
@@ -172,23 +154,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_watch(args: argparse.Namespace) -> int:
     from repro.obs.watch import watch_experiment
 
-    try:
-        _, doc = watch_experiment(
-            args.which,
-            interval=args.interval,
-            once=args.once,
-            json_out=args.json,
-            max_rows=args.rows,
-            clear=not args.no_clear,
-            journeys=not args.no_journeys,
-        )
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    if not doc["simulators"]:
-        print(f"experiment {args.which!r} built no simulators",
-              file=sys.stderr)
-        return 1
+    watch_experiment(
+        args.which,
+        interval=args.interval,
+        once=args.once,
+        json_out=args.json,
+        max_rows=args.rows,
+        clear=not args.no_clear,
+        journeys=not args.no_journeys,
+    )
     return 0
 
 
@@ -201,13 +175,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         validate_journey,
     )
 
-    try:
-        doc = explain_experiment(args.which, rate=args.rate,
-                                 seed=args.seed,
-                                 max_records=args.max_records)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    doc = explain_experiment(args.which, rate=args.rate, seed=args.seed,
+                             max_records=args.max_records)
     validate_journey(doc)
     text = (json.dumps(doc, indent=2, sort_keys=True) if args.json
             else render_explain(doc, top=args.top))
@@ -226,10 +195,15 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     from repro.arch import build_architecture
     from repro.core.scenario import minimal_scenario
 
-    arch = build_architecture(args.arch, num_modules=args.modules,
-                              width=args.width)
-    result = minimal_scenario(arch, payload_bytes=args.payload,
-                              pattern=args.pattern, repeats=args.repeats)
+    try:
+        arch = build_architecture(args.arch, num_modules=args.modules,
+                                  width=args.width)
+        result = minimal_scenario(arch, payload_bytes=args.payload,
+                                  pattern=args.pattern,
+                                  repeats=args.repeats)
+    except ValueError as exc:  # a module count or size the fabric rejects
+        print(f"scenario: {exc}", file=sys.stderr)
+        return 2
     print(f"architecture : {result.arch_key}")
     print(f"pattern      : {result.pattern} x{args.repeats}, "
           f"{args.payload} B payloads")
@@ -319,44 +293,22 @@ def _default_lint_paths() -> "list[str]":
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json
-    import os
-    import sys
     import traceback
 
-    from repro.lint import (ALL_RULES, Severity, run_lint, to_sarif,
-                            write_baseline)
+    from repro.lint import ALL_RULES, Severity, run_lint, to_sarif
 
     paths = args.paths or _default_lint_paths()
-    baseline = None if args.no_baseline else args.baseline
-    if baseline is None and not args.no_baseline \
-            and not args.write_baseline \
-            and os.path.isfile(".simlint-baseline.json"):
-        baseline = ".simlint-baseline.json"
-
     # exit code contract: 0 clean, 1 findings, 2 internal analyzer
     # error — a crashed analyzer must never look clean to CI.
     try:
-        result = run_lint(paths, with_graph=not args.no_graph,
-                          baseline_path=None if args.write_baseline
-                          else baseline)
+        result = run_lint(paths, with_graph=not args.no_graph)
         threshold = Severity.parse(args.min_severity)
         findings = [f for f in result.findings
                     if f.severity.rank >= threshold.rank]
-        if args.write_baseline:
-            entries = write_baseline(args.write_baseline, findings)
-            print(f"wrote {len(entries)} baseline entr"
-                  f"{'y' if len(entries) == 1 else 'ies'} covering "
-                  f"{len(findings)} finding(s) to {args.write_baseline}")
-            return 0
     except Exception:
         traceback.print_exc()
         print("lint: internal analyzer error (exit 2)", file=sys.stderr)
         return 2
-
-    for entry in result.stale_baseline:
-        print(f"lint: stale baseline entry {entry.rule} {entry.path} "
-              f"{entry.symbol} matched nothing — prune it",
-              file=sys.stderr)
 
     if args.format == "json":
         print(json.dumps({
@@ -365,7 +317,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                       for rule, (sev, text) in sorted(ALL_RULES.items())},
             "findings": [f.to_dict() for f in findings],
             "suppressed": result.suppressed,
-            "baselined": result.baselined,
             "counts": {
                 str(sev): sum(1 for f in findings if f.severity is sev)
                 for sev in Severity
@@ -378,10 +329,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(finding.render())
         errors = sum(1 for f in findings if f.severity is Severity.ERROR)
         warnings = sum(1 for f in findings if f.severity is Severity.WARNING)
-        extras = ""
-        if result.suppressed or result.baselined:
-            extras = (f" ({result.suppressed} suppressed, "
-                      f"{result.baselined} baselined)")
+        extras = (f" ({result.suppressed} suppressed)"
+                  if result.suppressed else "")
         print(f"{len(findings)} finding(s): {errors} error(s), "
               f"{warnings} warning(s) in {len(paths)} path(s)" + extras)
     if args.strict:
@@ -395,13 +344,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.analysis.chaos import (render_chaos, run_chaos_sweep,
                                       validate_chaos)
 
-    try:
-        doc = run_chaos_sweep(args.which, seed=args.seed,
-                              rounds=1 if args.once else args.rounds,
-                              adaptive=args.adaptive)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    doc = run_chaos_sweep(args.which, seed=args.seed,
+                          rounds=1 if args.once else args.rounds,
+                          adaptive=args.adaptive)
     validate_chaos(doc)
     if args.json:
         print(json.dumps(doc, indent=2, default=repr))
@@ -417,11 +362,7 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
 
     from repro.control import render_adapt, run_adapt, validate_adapt
 
-    try:
-        doc = run_adapt(args.which, seed=args.seed)
-    except (KeyError, RuntimeError) as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    doc = run_adapt(args.which, seed=args.seed)
     validate_adapt(doc)
     if args.json:
         print(json.dumps(doc, indent=2, default=repr))
@@ -440,7 +381,11 @@ def _cmd_runs(args: argparse.Namespace) -> int:
 
     ledger = RunLedger(args.ledger)
     if args.action == "list":
-        entries = ledger.entries()
+        try:
+            entries = ledger.entries()
+        except LedgerError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
         if args.json:
             print(json.dumps([e.__dict__ for e in entries], indent=2))
         else:
@@ -568,7 +513,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_figures)
 
     p = sub.add_parser("experiment", help="run an experiment harness")
-    p.add_argument("which", help="e1..e12 or 'all'")
+    p.add_argument("which", help="e1..e12, a1..a7 or 'all'")
     p.add_argument("--json", action="store_true",
                    help="emit the result as JSON")
     p.add_argument("--parallel", action="store_true",
@@ -715,15 +660,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-graph", action="store_true",
                    help="skip the whole-program graph rules "
                         "(QL009, QL011); static per-class rules only")
-    p.add_argument("--baseline", metavar="FILE", default=None,
-                   help="baseline file of accepted findings (default: "
-                        "./.simlint-baseline.json when present)")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore any baseline file (CI uses this to "
-                        "self-lint the analyzer)")
-    p.add_argument("--write-baseline", metavar="FILE", default=None,
-                   help="write the current findings to FILE as the new "
-                        "baseline and exit 0")
     p.set_defaults(func=_cmd_lint)
 
     p = sub.add_parser("report",
@@ -742,7 +678,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="inject canonical faults into every "
                             "architecture an experiment builds")
     p.add_argument("which", help="experiment whose architectures to "
-                                 "chaos-test (e1..e12)")
+                                 "chaos-test (e1..e12, a1..a7)")
     p.add_argument("--seed", type=int, default=7,
                    help="fault-schedule seed (default: 7)")
     p.add_argument("--rounds", type=int, default=3,
@@ -763,7 +699,7 @@ def make_parser() -> argparse.ArgumentParser:
                             "a sustained-pressure scenario with and "
                             "without the SLO control loop")
     p.add_argument("which", help="experiment whose architectures to "
-                                 "evaluate (e1..e12)")
+                                 "evaluate (e1..e12, a1..a7)")
     p.add_argument("--seed", type=int, default=7,
                    help="traffic-phase seed (default: 7)")
     p.add_argument("--json", action="store_true",
@@ -848,6 +784,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
+    except KeyError as exc:
+        from repro.analysis.parallel import ExperimentError
+
+        if not isinstance(exc, ExperimentError):
+            raise
+        # an unknown experiment name, or a run with nothing to observe
+        print(exc, file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream closed the pipe (e.g. `repro runs list | head`).
         # Point stdout at devnull so the interpreter's shutdown flush

@@ -299,11 +299,7 @@ def run_adapt(experiment: str, seed: int = 7,
                                   ledger_enabled)
     from repro.obs.session import ObservationSession
 
-    keys = [k for k in discover_arch_keys(experiment)
-            if k in _SCENARIOS]
-    if not keys:
-        raise RuntimeError(f"experiment {experiment!r} builds no "
-                           f"architecture with an adaptive scenario")
+    keys = discover_arch_keys(experiment)
     session = ObservationSession(trace=False)
     t0 = _time.perf_counter()
     pairs: List[Dict[str, Any]] = []

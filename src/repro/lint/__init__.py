@@ -7,24 +7,14 @@ Static analysis, run as ``repro lint`` (see ``docs/linting.md``):
   QL005 and QL012);
 * :mod:`repro.lint.graph` + :mod:`repro.lint.race` — a whole-program
   class graph and the rules on it (QL009 and QL011);
-* :mod:`repro.lint.sarif` / :mod:`repro.lint.baseline` — SARIF 2.1.0
-  export, inline ``# simlint: disable=...`` suppressions, baseline
-  files, and per-directory rule policies; the SARIF log and the
-  baseline file are checked with the :mod:`repro.schema` helper;
+* :mod:`repro.lint.sarif` — SARIF 2.1.0 export, checked with the
+  :mod:`repro.schema` helper;
+* :mod:`repro.lint.suppress` — inline ``# simlint: disable=...``
+  suppressions and per-directory rule policies;
 * :mod:`repro.lint.run` — the :func:`run_lint` pipeline tying these
   together in a fixed order.
 """
 
-from repro.lint.baseline import (
-    DEFAULT_DIR_POLICIES,
-    DirPolicy,
-    apply_baseline,
-    apply_dir_policies,
-    apply_suppressions,
-    load_baseline,
-    scan_suppressions,
-    write_baseline,
-)
 from repro.lint.findings import (
     Finding,
     Severity,
@@ -41,6 +31,13 @@ from repro.lint.static_rules import (
     lint_paths,
     lint_source,
 )
+from repro.lint.suppress import (
+    DEFAULT_DIR_POLICIES,
+    DirPolicy,
+    apply_dir_policies,
+    apply_suppressions,
+    scan_suppressions,
+)
 
 __all__ = [
     "ALL_RULES",
@@ -52,7 +49,6 @@ __all__ = [
     "LintResult",
     "RULES",
     "Severity",
-    "apply_baseline",
     "apply_dir_policies",
     "apply_suppressions",
     "build_graph",
@@ -61,12 +57,10 @@ __all__ = [
     "discover_files",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "run_graph_rules",
     "run_lint",
     "scan_suppressions",
     "sort_findings",
     "to_sarif",
     "validate_sarif",
-    "write_baseline",
 ]

@@ -67,12 +67,6 @@ class Finding:
         """
         return (self.rule, self.path, self.line, self.symbol)
 
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Line-independent identity used by the baseline file: the
-        line number is deliberately excluded so unrelated edits above a
-        baselined finding do not resurrect it."""
-        return (self.rule, self.path.replace("\\", "/"), self.symbol)
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "rule": self.rule,

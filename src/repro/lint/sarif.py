@@ -6,8 +6,8 @@ stable indices), and one ``result`` per finding carrying
 ``ruleId``/``ruleIndex``, a ``level`` derived from
 :attr:`~repro.lint.findings.Severity.sarif_level`, a physical location,
 and a ``partialFingerprints`` entry built from the finding's
-line-independent :meth:`~repro.lint.findings.Finding.baseline_key` so
-re-runs match results across unrelated edits.
+line-independent ``(rule, path, symbol)`` key so re-runs match results
+across unrelated edits.
 
 :func:`validate_sarif` checks the structural constraints of the 2.1.0
 schema that matter for upload (required properties, index consistency,
@@ -31,7 +31,11 @@ _TOOL_NAME = "repro-simlint"
 
 
 def _fingerprint(finding: Finding) -> str:
-    blob = "\x1f".join(str(part) for part in finding.baseline_key())
+    """A finding's identity across edits: ``(rule, path, symbol)``,
+    without the line, so unrelated edits above it keep its history.
+    Code scanning keys its history on these values; keep them."""
+    blob = "\x1f".join((finding.rule, finding.path.replace("\\", "/"),
+                        finding.symbol))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
 
 

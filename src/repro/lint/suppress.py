@@ -1,7 +1,7 @@
-"""Suppressions, baseline files, and per-directory rule policies.
+"""Inline suppressions and per-directory rule policies.
 
-Three complementary ways to accept a finding without silencing the
-analyzer wholesale:
+Two scoped ways to accept a finding without silencing the analyzer
+wholesale:
 
 **Inline suppressions** — a ``# simlint:`` comment in the source:
 
@@ -13,14 +13,6 @@ analyzer wholesale:
 Comments are found with :mod:`tokenize`, so strings that merely contain
 the marker text do not suppress anything.
 
-**Baseline file** — a checked-in JSON inventory
-(``.simlint-baseline.json``, schema ``repro.simlint-baseline/1``) of
-known findings keyed by the line-independent
-:meth:`~repro.lint.findings.Finding.baseline_key` with a per-key count
-and a mandatory ``justification``.  Matching findings are filtered;
-stale entries (nothing matches any more) are reported so the baseline
-can only shrink.
-
 **Directory policies** — per-directory rule allowlists so example and
 test code can stay illustrative.  Longest matching prefix wins; the
 defaults ship in :data:`DEFAULT_DIR_POLICIES`.
@@ -29,16 +21,13 @@ defaults ship in :data:`DEFAULT_DIR_POLICIES`.
 from __future__ import annotations
 
 import io
-import json
 import os
 import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.findings import Finding
-from repro.schema import problems
 
-BASELINE_SCHEMA = "repro.simlint-baseline/1"
 _MARKER = "simlint:"
 
 
@@ -119,118 +108,6 @@ def apply_suppressions(findings: Iterable[Finding]) -> List[Finding]:
         if not index.suppresses(finding.rule, finding.line):
             kept.append(finding)
     return kept
-
-
-# ----------------------------------------------------------------------
-# baseline file
-# ----------------------------------------------------------------------
-@dataclass
-class BaselineEntry:
-    rule: str
-    path: str
-    symbol: str
-    count: int
-    justification: str = ""
-
-    @property
-    def key(self) -> Tuple[str, str, str]:
-        return (self.rule, self.path.replace("\\", "/"), self.symbol)
-
-
-class BaselineError(ValueError):
-    """The baseline file is malformed."""
-
-
-_BASELINE = {
-    "schema": frozenset({BASELINE_SCHEMA}),
-    "findings?": [{"rule": str, "path": str, "symbol": str,
-                   "count?": int, "justification?": str}],
-}
-
-
-def load_baseline(path: str) -> List[BaselineEntry]:
-    """The entries of a baseline file; raises :class:`BaselineError`
-    naming the path of the first problem in it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for problem in problems(doc, _BASELINE):
-        raise BaselineError(f"{path}: {problem}")
-    return [BaselineEntry(rule=raw["rule"], path=raw["path"],
-                          symbol=raw["symbol"],
-                          count=raw.get("count", 1),
-                          justification=raw.get("justification", ""))
-            for raw in doc.get("findings", [])]
-
-
-def write_baseline(path: str, findings: Sequence[Finding],
-                   justification: str = "accepted by --write-baseline"
-                   ) -> List[BaselineEntry]:
-    """Write the baseline covering ``findings`` and return its entries."""
-    grouped: Dict[Tuple[str, str, str], int] = {}
-    for finding in findings:
-        rule, raw_path, symbol = finding.baseline_key()
-        key = (rule, _canonical_path(raw_path), symbol)
-        grouped[key] = grouped.get(key, 0) + 1
-    entries = [BaselineEntry(rule=r, path=p, symbol=s, count=n,
-                             justification=justification)
-               for (r, p, s), n in sorted(grouped.items())]
-    doc = {
-        "schema": BASELINE_SCHEMA,
-        "findings": [{"rule": e.rule, "path": e.path, "symbol": e.symbol,
-                      "count": e.count, "justification": e.justification}
-                     for e in entries],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return entries
-
-
-def _canonical_path(path: str) -> str:
-    """Repo-relative, "/"-separated form for baseline matching, so a
-    baseline written from a checkout matches findings produced against
-    the same files via an absolute package path."""
-    norm = path.replace("\\", "/")
-    if os.path.isabs(norm):
-        try:
-            rel = os.path.relpath(norm)
-        except ValueError:  # different drive (Windows)
-            return norm
-        if not rel.startswith(".."):
-            norm = rel.replace(os.sep, "/")
-    return norm.lstrip("./")
-
-
-def apply_baseline(findings: Iterable[Finding],
-                   entries: Sequence[BaselineEntry]
-                   ) -> Tuple[List[Finding], List[BaselineEntry]]:
-    """Filter baselined findings.
-
-    Returns ``(new_findings, stale_entries)``: each entry absorbs up to
-    ``count`` findings sharing its line-independent key (paths compared
-    repo-relative); findings beyond the count (a regression grew) pass
-    through, and entries that matched nothing are reported stale so the
-    baseline can only shrink.
-    """
-    def norm(key: Tuple[str, str, str]) -> Tuple[str, str, str]:
-        return (key[0], _canonical_path(key[1]), key[2])
-
-    budget: Dict[Tuple[str, str, str], int] = {}
-    matched: Dict[Tuple[str, str, str], int] = {}
-    for entry in entries:
-        key = norm(entry.key)
-        budget[key] = budget.get(key, 0) + max(entry.count, 0)
-    kept: List[Finding] = []
-    for finding in findings:
-        key = norm(finding.baseline_key())
-        if budget.get(key, 0) > 0:
-            budget[key] -= 1
-            matched[key] = matched.get(key, 0) + 1
-        else:
-            kept.append(finding)
-    stale = [entry for entry in entries
-             if matched.get(norm(entry.key), 0) == 0]
-    return kept, stale
 
 
 # ----------------------------------------------------------------------

@@ -440,7 +440,7 @@ class RunEntry:
     name: str
     seed: Optional[int]
     config_hash: str
-    recorded_at: Optional[str]
+    recorded_at: str
     wall_seconds: Optional[float]
     path: str
     size: int
@@ -550,31 +550,30 @@ class RunLedger:
         return matches[0]
 
     def entries(self) -> List[RunEntry]:
-        """Listing rows for every record, newest first."""
+        """Listing rows for every record, newest first.  Raises
+        :class:`LedgerError` for a record that is unreadable or fails
+        :func:`validate_run`, naming the run and the problem's path."""
         out: List[RunEntry] = []
         for run_id in self.ids():
             path = self.path_for(run_id)
+            rec = self.load(run_id)
             try:
-                rec = self.load(run_id)
-                size = os.path.getsize(path)
-            except (LedgerError, OSError):
-                continue
-            wall = rec.get("wall")
-            if not isinstance(wall, dict):
-                wall = {}
+                validate_run(rec)
+            except ValueError as exc:
+                raise LedgerError(f"run {run_id}: {exc}") from None
+            wall = rec["wall"]
             out.append(RunEntry(
                 run_id=run_id,
-                kind=rec.get("kind", "?"),
-                name=rec.get("name", "?"),
+                kind=rec["kind"],
+                name=rec["name"],
                 seed=rec.get("seed"),
-                config_hash=rec.get("config_hash", ""),
-                recorded_at=wall.get("recorded_at"),
+                config_hash=rec["config_hash"],
+                recorded_at=wall["recorded_at"],
                 wall_seconds=wall.get("seconds"),
                 path=path,
-                size=size,
+                size=os.path.getsize(path),
             ))
-        out.sort(key=lambda e: (e.recorded_at or "", e.run_id),
-                 reverse=True)
+        out.sort(key=lambda e: (e.recorded_at, e.run_id), reverse=True)
         return out
 
     def gc(self, max_age_days: Optional[float] = None,
@@ -812,7 +811,7 @@ def render_entries(entries: List[RunEntry]) -> str:
         lines.append(
             f"{e.run_id:<18}{e.kind:<12}{e.name:<12}"
             f"{e.seed if e.seed is not None else '-':>6}  "
-            f"{(e.recorded_at or '-'):<21}"
+            f"{e.recorded_at:<21}"
             f"{e.size / 1024:>7.1f}K")
     lines.append(f"{len(entries)} run(s)")
     return "\n".join(lines)

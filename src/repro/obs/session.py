@@ -12,14 +12,15 @@ export afterwards::
         result = registry()["e1"]()
     write_chrome_trace("trace-e1.json", obs.sims)
 
-This is what the ``repro trace`` / ``repro profile`` CLI subcommands
-use.  Sessions nest by chaining to the previously installed hook;
-exiting restores it.
+:func:`observe_named` does this for a harness named on the command
+line; every CLI command that runs a named experiment goes through it.
+Sessions nest by chaining to the previously installed hook; exiting
+restores it.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Any, List
 
 from repro.sim.engine import Simulator, set_new_sim_hook
 from repro.sim.trace import Tracer
@@ -140,35 +141,25 @@ class ObservationSession:
             sim.telemetry.evaluate_now(sim.cycle)
 
 
-def observe_named(name: str, trace: bool = True, profile: bool = False,
-                  telemetry: bool = False, journeys: bool = False,
-                  rules=None, max_events: int = 500_000, keep: str = "tail",
-                  journey_rate: float = 1.0, journey_seed: int = 0,
-                  journey_max_records: int = 100_000,
+def observe_named(name: str, **options: Any
                   ) -> "tuple[object, ObservationSession]":
-    """Run a registered experiment/ablation harness under observation.
+    """Run a registered experiment/ablation harness under an
+    ``ObservationSession(**options)``; returns ``(result, session)``.
 
-    Always runs serially in-process with the result cache bypassed —
-    a cached result would have nothing to observe.  Returns
-    ``(result, session)``.
+    Every command that observes a named experiment comes through here.
+    Raises :class:`~repro.analysis.parallel.ExperimentError` for an
+    unknown name or a run that built no simulator.  Always runs
+    serially in-process with the result cache bypassed — a cached
+    result would have nothing to observe.
     """
-    from repro.analysis.parallel import registry
+    from repro.analysis.parallel import ExperimentError, harness
 
-    harnesses = registry()
-    if name not in harnesses:
-        raise KeyError(
-            f"unknown experiment {name!r}; known: "
-            f"{', '.join(sorted(harnesses))}"
-        )
-    session = ObservationSession(trace=trace, profile=profile,
-                                 telemetry=telemetry, journeys=journeys,
-                                 rules=rules,
-                                 max_events=max_events, keep=keep,
-                                 journey_rate=journey_rate,
-                                 journey_seed=journey_seed,
-                                 journey_max_records=journey_max_records)
+    run = harness(name)
+    session = ObservationSession(**options)
     with session:
-        result = harnesses[name]()
-    if telemetry:
+        result = run()
+    if not session.sims:
+        raise ExperimentError(f"experiment {name!r} built no simulators")
+    if session.telemetry:
         session.flush_alerts()
     return result, session

@@ -40,7 +40,7 @@ from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
 
 from repro.obs.flows import merge_snapshots
 from repro.obs.journey import SEGMENT_KINDS, flow_slowest_segments
-from repro.obs.session import ObservationSession
+from repro.obs.session import ObservationSession, observe_named
 from repro.schema import NUMBER, Named, check
 
 #: watch snapshot document version; bump on breaking shape changes
@@ -278,58 +278,50 @@ def watch_experiment(
 
     ``journeys`` additionally attaches journey recorders so flow rows
     carry their ``slowest_segment``.  Returns ``(result,
-    final_snapshot)``.  Raises :class:`KeyError` for an unknown
-    experiment name (the CLI maps that to exit code 2).
+    final_snapshot)``.  The run goes through
+    :func:`~repro.obs.session.observe_named`, so an unknown name or a
+    run that built no simulator raises its
+    :class:`~repro.analysis.parallel.ExperimentError` before the final
+    snapshot is emitted.
     """
-    from repro.analysis.parallel import registry
-
-    harnesses = registry()
-    if name not in harnesses:
-        raise KeyError(
-            f"unknown experiment {name!r}; known: "
-            f"{', '.join(sorted(harnesses))}"
-        )
     out = stream if stream is not None else sys.stdout
-    session = ObservationSession(trace=False, telemetry=True, rules=rules,
-                                 journeys=journeys)
-
+    options = dict(trace=False, telemetry=True, rules=rules,
+                   journeys=journeys)
     if once:
-        with session:
-            result = harnesses[name]()
-        session.flush_alerts()
-        doc = collect_snapshot(session, name, done=True)
-        _emit(doc, out, json_out, pretty=True, max_rows=max_rows,
-              clear=False)
-        return result, doc
+        result, session = observe_named(name, **options)
+    else:
+        box: Dict[str, Any] = {}
 
-    box: Dict[str, Any] = {}
-
-    def _run() -> None:
-        try:
-            box["result"] = harnesses[name]()
-        except BaseException as exc:  # surfaced after the loop
-            box["error"] = exc
-
-    with session:
-        worker = threading.Thread(target=_run, name=f"watch-{name}",
-                                  daemon=True)
-        worker.start()
-        while worker.is_alive():
-            worker.join(timeout=max(interval, 0.05))
-            if not worker.is_alive():
-                break
+        def _run() -> None:
             try:
-                doc = collect_snapshot(session, name, done=False)
-            except RuntimeError:
-                continue  # telemetry grew mid-read; next refresh catches up
-            _emit(doc, out, json_out, pretty=False, max_rows=max_rows,
-                  clear=clear)
-    if "error" in box:
-        raise box["error"]
-    session.flush_alerts()
+                box["run"] = observe_named(name, **options)
+            except BaseException as exc:  # surfaced after the loop
+                box["error"] = exc
+
+        # the run's own session chains to this all-off one, so the live
+        # refreshes see each simulator as soon as it is built
+        live = ObservationSession(trace=False)
+        with live:
+            worker = threading.Thread(target=_run, name=f"watch-{name}",
+                                      daemon=True)
+            worker.start()
+            while worker.is_alive():
+                worker.join(timeout=max(interval, 0.05))
+                if not worker.is_alive() or not live.sims:
+                    continue  # done, or no simulator to show yet
+                try:
+                    doc = collect_snapshot(live, name, done=False)
+                except RuntimeError:
+                    continue  # telemetry grew mid-read; retry next refresh
+                _emit(doc, out, json_out, pretty=False, max_rows=max_rows,
+                      clear=clear)
+        if "error" in box:
+            raise box["error"]
+        result, session = box["run"]
     doc = collect_snapshot(session, name, done=True)
-    _emit(doc, out, json_out, pretty=False, max_rows=max_rows, clear=clear)
-    return box.get("result"), doc
+    _emit(doc, out, json_out, pretty=once, max_rows=max_rows,
+          clear=clear and not once)
+    return result, doc
 
 
 __all__ = [

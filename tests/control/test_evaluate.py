@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from repro.analysis.parallel import ExperimentError
 from repro.control import (ADAPT_SCHEMA, render_adapt, run_adapt,
                            run_adaptive_pair, validate_adapt,
                            validate_control)
@@ -135,7 +136,11 @@ class TestRunAdapt:
     def test_unknown_experiment_raises(self, monkeypatch):
         import repro.analysis.chaos as chaos
 
+        with pytest.raises(ExperimentError, match="unknown experiment 'zz'"):
+            run_adapt("zz", ledger=False)
+        with pytest.raises(ExperimentError, match="'e5' built no simulators"):
+            run_adapt("e5", ledger=False)
         monkeypatch.setattr(chaos, "discover_arch_keys",
                             lambda experiment: ["no-scenario-arch"])
-        with pytest.raises(RuntimeError, match="no\\s"):
+        with pytest.raises(KeyError, match="no adaptive scenario"):
             run_adapt("e1", ledger=False)

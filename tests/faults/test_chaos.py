@@ -23,7 +23,8 @@ class TestDiscovery:
                  "conochi"]),
         ("e11", ["rmboc", "buscom", "dynoc", "conochi", "sharedbus",
                  "staticmesh"]),
-    ], ids=["e1", "e10", "e11"])
+        ("a1", ["rmboc"]),
+    ], ids=["e1", "e10", "e11", "a1"])
     def test_e1_builds_rmboc(self, experiment, keys):
         assert discover_arch_keys(experiment) == keys
 

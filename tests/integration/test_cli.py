@@ -23,6 +23,19 @@ class TestCommands:
         assert "architecture : buscom" in out
         assert "latency" in out
 
+    @pytest.mark.parametrize("arch, shown", [
+        ("rmboc", "RMBoC needs at least 2 modules"),
+        ("buscom", "BUS-COM needs at least 2 modules"),
+        ("dynoc", "need at least two modules"),
+        ("conochi", "need at least two modules"),
+    ])
+    def test_scenario_rejected_module_count_exits_two(self, arch, shown,
+                                                      capsys):
+        assert main(["scenario", "-a", arch, "-m", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"scenario: {shown}\n"
+
     def test_figures(self, capsys):
         assert main(["figures"]) == 0
         out = capsys.readouterr().out

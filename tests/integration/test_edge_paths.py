@@ -44,6 +44,18 @@ class TestBuilderEdges:
         with pytest.raises(ValueError):
             build_conochi(num_modules=5, grid=standard_grid(3))
 
+    @pytest.mark.parametrize("name, shown", [
+        ("rmboc", "RMBoC needs at least 2 modules"),
+        ("buscom", "BUS-COM needs at least 2 modules"),
+        ("sharedbus", "need at least 2 modules"),
+        ("dynoc", "num_modules must be >= 0, got -2"),
+        ("staticmesh", "num_modules must be >= 0, got -2"),
+        ("conochi", "num_modules must be >= 0, got -2"),
+    ])
+    def test_negative_module_count_is_named(self, name, shown):
+        with pytest.raises(ValueError, match=shown):
+            build_architecture(name, num_modules=-2)
+
     def test_rmboc_explicit_config_object(self):
         from repro.arch.rmboc import RMBoCConfig, build_rmboc
 

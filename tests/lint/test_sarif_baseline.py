@@ -1,8 +1,6 @@
-"""SARIF export, suppressions, baseline workflow, and CLI exit codes."""
+"""SARIF export, suppressions, directory policies, and CLI exit codes."""
 
 import json
-import os
-import re
 import textwrap
 
 import pytest
@@ -11,16 +9,12 @@ from repro.lint import (
     ALL_RULES,
     Finding,
     Severity,
-    apply_baseline,
     dedupe_findings,
-    load_baseline,
     scan_suppressions,
     to_sarif,
     validate_sarif,
-    write_baseline,
 )
-from repro.lint.baseline import (
-    BaselineError,
+from repro.lint.suppress import (
     DEFAULT_DIR_POLICIES,
     DirPolicy,
     apply_dir_policies,
@@ -81,6 +75,9 @@ class TestSarif:
         fp = "partialFingerprints"
         assert (doc1["runs"][0]["results"][0][fp]
                 == doc2["runs"][0]["results"][0][fp])
+        # code-scanning history keys on these values: they must not move
+        assert doc1["runs"][0]["results"][0][fp] == {
+            "simlintBaselineKey/v1": "5fc3d284df5d94d966884417cb7325a4"}
 
     def test_validator_rejects_structural_damage(self):
         doc = to_sarif([mk()], ALL_RULES)
@@ -140,65 +137,6 @@ class TestSuppressions:
 
 
 # ----------------------------------------------------------------------
-# baseline round-trip
-# ----------------------------------------------------------------------
-class TestBaseline:
-    def test_round_trip_filters_and_reports_stale(self, tmp_path):
-        path = str(tmp_path / "base.json")
-        old = [mk(), mk(rule="QL002", symbol="B.snap",
-                        severity=Severity.WARNING)]
-        write_baseline(path, old, justification="known issues")
-        entries = load_baseline(path)
-        assert {e.rule for e in entries} == {"QL009", "QL002"}
-        assert all(e.justification == "known issues" for e in entries)
-        # the QL002 finding was fixed; a new line for QL009 appears
-        current = [mk(line=42)]
-        kept, stale = apply_baseline(current, entries)
-        assert kept == []          # line moved, still baselined
-        assert [e.rule for e in stale] == ["QL002"]
-
-    def test_count_bounds_absorb_regressions(self):
-        findings = [mk(line=1), mk(line=2), mk(line=3)]
-        # entry count=2: the third same-key finding passes through
-        from repro.lint.baseline import BaselineEntry
-        entry = BaselineEntry(rule="QL009", path="src/a.py",
-                              symbol="A.tick", count=2)
-        kept, stale = apply_baseline(findings, [entry])
-        assert len(kept) == 1
-        assert stale == []
-
-    def test_absolute_and_relative_paths_match(self):
-        from repro.lint.baseline import BaselineEntry
-        entry = BaselineEntry(rule="QL009", path="src/a.py",
-                              symbol="A.tick", count=1)
-        finding = mk(path=os.path.abspath("src/a.py"))
-        kept, stale = apply_baseline([finding], [entry])
-        assert kept == [] and stale == []
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": "other/1", "findings": []}')
-        with pytest.raises(BaselineError):
-            load_baseline(str(bad))
-
-    @pytest.mark.parametrize("findings, problem", [
-        (5, "findings is not a list"),
-        ([1], "findings[0] is not an object"),
-        ([{"rule": "QL009", "path": "a.py"}], "findings[0] missing "
-                                              "'symbol'"),
-        ([{"rule": "QL009", "path": "a.py", "symbol": "A",
-           "count": "x"}], "findings[0].count is not an integer"),
-    ])
-    def test_malformed_entries_name_the_path(self, tmp_path, findings,
-                                             problem):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": "repro.simlint-baseline/1",
-                                   "findings": findings}))
-        with pytest.raises(BaselineError, match=re.escape(problem)):
-            load_baseline(str(bad))
-
-
-# ----------------------------------------------------------------------
 # per-directory policies
 # ----------------------------------------------------------------------
 #: a nested policy under the default ``tests`` one
@@ -238,8 +176,7 @@ class TestCliContract:
         from repro.cli import main
         good = tmp_path / "ok.py"
         good.write_text("x = 1\n")
-        assert main(["lint", "--strict", "--no-baseline",
-                     str(tmp_path)]) == 0
+        assert main(["lint", "--strict", str(tmp_path)]) == 0
         capsys.readouterr()
 
     def test_exit_1_findings(self, tmp_path, capsys):
@@ -252,41 +189,27 @@ class TestCliContract:
                 def tick(self, sim) -> bool:
                     return True
         """))
-        assert main(["lint", "--no-baseline", str(tmp_path)]) == 1
+        assert main(["lint", str(tmp_path)]) == 1
         capsys.readouterr()
 
-    def test_exit_2_internal_error(self, tmp_path, capsys):
+    def test_exit_2_internal_error(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
-        missing = str(tmp_path / "nope-baseline.json")
+
+        def crash(findings):
+            raise RuntimeError("suppression stage crashed")
+
+        monkeypatch.setattr("repro.lint.run.apply_suppressions", crash)
         ok = tmp_path / "ok.py"
         ok.write_text("x = 1\n")
-        assert main(["lint", "--baseline", missing, str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "internal analyzer error" in err
+        assert main(["lint", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "internal analyzer error" in captured.err
+        assert captured.out == ""
 
     def test_sarif_format(self, tmp_path, capsys):
         from repro.cli import main
         ok = tmp_path / "ok.py"
         ok.write_text("x = 1\n")
-        assert main(["lint", "-f", "sarif", "--no-baseline",
-                     str(tmp_path)]) == 0
+        assert main(["lint", "-f", "sarif", str(tmp_path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert validate_sarif(doc) == []
-
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        from repro.cli import main
-        bad = tmp_path / "bad.py"
-        bad.write_text(textwrap.dedent("""
-            from repro.sim import Component
-
-            class Bad(Component):
-                def tick(self, sim) -> bool:
-                    return True
-        """))
-        base = str(tmp_path / "baseline.json")
-        assert main(["lint", "--write-baseline", base,
-                     str(tmp_path)]) == 0
-        capsys.readouterr()
-        assert main(["lint", "--strict", "--baseline", base,
-                     str(tmp_path)]) == 0
-        capsys.readouterr()

@@ -1,4 +1,5 @@
-"""CLI observability subcommands: repro trace / repro profile."""
+"""CLI observability subcommands: repro trace / repro profile, and the
+error contract of every command that runs a named experiment."""
 
 import json
 
@@ -51,3 +52,31 @@ class TestProfileCommand:
 
     def test_unknown_experiment_fails(self, capsys):
         assert main(["profile", "zz"]) == 2
+
+
+#: every command that runs a named experiment, with the options its
+#: CI smoke run uses
+NAMED_COMMANDS = [["trace"], ["profile"], ["watch", "--once"], ["explain"],
+                  ["chaos", "--once"], ["adapt"]]
+
+
+class TestNamedExperimentErrors:
+    """An unknown name (``zz``) or a run that builds no simulator
+    (``e5``) is one stderr line and exit 2, with nothing on stdout."""
+
+    @pytest.mark.parametrize("name, shown", [
+        ("zz", "unknown experiment 'zz'; known: a1, a2"),
+        ("e5", "experiment 'e5' built no simulators"),
+    ], ids=["unknown", "no-simulator"])
+    @pytest.mark.parametrize("command", NAMED_COMMANDS,
+                             ids=lambda argv: argv[0])
+    def test_exits_two_with_one_line(self, command, name, shown, tmp_path,
+                                     monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([command[0], name, *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert shown in captured.err
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []

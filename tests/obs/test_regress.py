@@ -14,7 +14,7 @@ import pytest
 from repro.analysis.batch import run_seed_fleet
 from repro.cli import main
 from repro.obs.diff import REGRESS_BUDGETS, Budget, regress
-from repro.obs.ledger import RunLedger, run_id_of
+from repro.obs.ledger import LedgerError, RunLedger, run_id_of
 from tests.tampering import DROP, tampered
 
 #: tiny fleet configuration; regress re-simulates it per check, so
@@ -191,6 +191,26 @@ class TestCli:
         assert main(["runs", "show", rid[:8], "--ledger",
                      ledger.root]) == 2
         assert f"invalid run record: {shown}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value", [
+        ("kind", [1]),
+        ("wall.recorded_at", 5),
+    ], ids=["kind-list", "recorded-at-int"])
+    def test_cli_runs_list_of_a_tampered_record_exits_two(
+            self, tmp_path, capsys, path, value):
+        doc = tampered(_record("checked-in", capsys), path, value)
+        ledger = RunLedger(str(tmp_path / "ledger"))
+        rid = run_id_of(doc)
+        os.makedirs(os.path.dirname(ledger.path_for(rid)))
+        with open(ledger.path_for(rid), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(LedgerError, match=f"run {rid}: .*{path}"):
+            ledger.entries()
+        assert main(["runs", "list", "--ledger", ledger.root]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert rid in captured.err and path in captured.err
+        assert "Traceback" not in captured.err
 
     def test_cli_runs_list_show_gc(self, capsys):
         fleet = run_seed_fleet("dynoc", [0], **WORKLOAD)
