@@ -13,11 +13,8 @@ and telemetry that is absent or runs alert rules on a 16- or 48-cycle
 grid.  Both kernels must deliver the same messages at the same cycles
 and end with the same statistics, telemetry and evaluation count.
 
-The stepped run also checks the lane law after every tick: each
-(segment, bus) lane is owned by at most one circuit, every owner is a
-live channel whose ``lanes`` map that segment to that bus, and every
-lane a live channel maps is owned by it (circuits hold lanes hop by
-hop, Ahmadinia et al., arXiv cs/0503066).
+The stepped run also checks the lane law after every tick
+(:mod:`tests.arch.rmboc.lanes`).
 """
 
 from hypothesis import example, given, settings
@@ -27,6 +24,7 @@ from repro.arch.rmboc import build_rmboc
 from repro.obs.alerts import AlertEngine, AlertRule, default_rules
 from repro.obs.flows import FlowTelemetry
 from repro.sim import SLEEP, Component, Simulator, Tracer
+from tests.arch.rmboc.lanes import LaneLaw
 
 PAYLOADS = (16, 256, 1024, 4096)
 
@@ -47,37 +45,6 @@ class _Hooks(Component):
         if self._next < len(steps):
             return max(steps[self._next][0], sim.cycle + 1)
         return SLEEP
-
-
-class _LaneLaw(Component):
-    """Checks the lane law after the fabric's tick."""
-
-    def __init__(self, arch):
-        super().__init__("lane-law")
-        self.arch = arch
-        self.checks = 0
-
-    def tick(self, sim):
-        check_lanes(self.arch)
-        self.checks += 1
-
-
-def check_lanes(arch) -> None:
-    channels = arch._channels
-    for seg, row in enumerate(arch._lanes):
-        for bus, cid in enumerate(row):
-            if cid is None:
-                continue
-            ch = channels.get(cid)
-            assert ch is not None, f"lane s{seg}b{bus} owned by dead cid {cid}"
-            assert ch.lanes.get(seg) == bus, (
-                f"lane s{seg}b{bus} owned by cid {cid}, whose lanes are "
-                f"{ch.lanes}")
-    for ch in channels.values():
-        for seg, bus in ch.lanes.items():
-            assert arch._lanes[seg][bus] == ch.cid, (
-                f"cid {ch.cid} maps s{seg}b{bus}, owned by "
-                f"{arch._lanes[seg][bus]}")
 
 
 @st.composite
@@ -150,7 +117,7 @@ def _run(case, fast_path: bool):
             sim.at(at, lambda _s, act=act: act())
     law = None
     if not fast_path:
-        law = _LaneLaw(arch)
+        law = LaneLaw(arch)
         sim.add(law)
     sim.run(cycles)
     tel = sim.telemetry
