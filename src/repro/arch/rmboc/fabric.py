@@ -53,6 +53,8 @@ from repro.sim.backoff import bounded_backoff
 #: the longest sleep over doomed retries alone: a storm on lanes that
 #: nothing releases is looked at again after this many cycles
 _STORM_SPAN = 4096
+#: a horizon nothing bounds
+_NEVER = float("inf")
 
 _REQUEST, _CANCEL, _DESTROY = CtrlKind.REQUEST, CtrlKind.CANCEL, CtrlKind.DESTROY
 
@@ -405,69 +407,19 @@ class RMBoC(CommArchitecture, Component):
         streaming transfer one word and samples parallelism.  Beyond
         that, a tick matters only at a transfer's last word, a queued
         pair's retry time, an idle circuit's linger deadline, or a
-        control-message hop that :meth:`_walk_wakes` cannot replay.
-        The NI acts again only after one of those or after an external
-        hook (submit, establish, freeze, unfreeze, fail, repair,
-        channel cap, attach, detach), which replays what the fabric
-        skipped and wakes it.  The fabric stays hot one more cycle only
-        when the next tick's NI can act: a circuit retired this tick
-        freed budget for a pair that is due (:meth:`_start_destroy`),
-        or a hook kicked the fabric from its own tick.
+        control-message hop that cannot be replayed.  The NI acts again
+        only after one of those or after an external hook (submit,
+        establish, freeze, unfreeze, fail, repair, channel cap, attach,
+        detach), which replays what the fabric skipped and wakes it.
+        The fabric stays hot one more cycle only when the next tick's
+        NI can act: a circuit retired this tick freed budget for a pair
+        that is due (:meth:`_start_destroy`), or a hook kicked the
+        fabric from its own tick.
 
-        Doomed retries wake nothing: when every control message and
-        retry due at the next such cycle is doomed, an untraced
-        fast-kernel run works out its horizon with
-        :meth:`_storm_horizon`.  The stepped kernel ticks every cycle,
-        and the tracer keeps every component's events in the order
-        they were recorded, so neither replays storms.
-        """
-        transfers = self._transfers
-        queued = any(self._queues.values())
-        if not (self._ctrl or transfers or queued):
-            self._stash_active = 0
-            return self._quiescence(now)
-        if self._hot:
-            return None
-        nxt = None
-        for tr in transfers:
-            last_word = now + tr.words_left
-            if nxt is None or last_word < nxt:
-                nxt = last_word
-        linger = self.cfg.channel_linger
-        for since in self._idle_since.values():
-            deadline = since + linger
-            if deadline > now and (nxt is None or deadline < nxt):
-                nxt = deadline
-        self._stash_active = len(transfers)
-        base = nxt
-        wakes = self._walk_wakes(queued) if self._ctrl else []
-        for at in wakes:
-            if at is not None and (nxt is None or at < nxt):
-                nxt = at
-        if queued:
-            retry_at = self._retry_at
-            for module, queues in self._queues.items():
-                for dst in queues:
-                    at = retry_at.get((module, dst))
-                    if at is not None and at > now and (nxt is None
-                                                        or at < nxt):
-                        nxt = at
-        if nxt is not None and nxt != base and 0 in self._free:
-            sim = self._sim
-            if (sim.fast_path and not sim.tracing
-                    and self._doomed_at(nxt, wakes)):
-                nxt = self._storm_horizon(now, base, wakes)
-        if nxt is None:
-            return SLEEP
-        return nxt if nxt > now else now + 1
-
-    def _walk_wakes(self, queued: bool) -> List[Optional[int]]:
-        """Per control message, in ``_ctrl`` order, the cycle of its
-        first hop that must wake the fabric (None: none does).
-
-        :meth:`settle` replays the hops before it, as
-        :meth:`_tick_control` would, so a hop is replayed only when
-        nothing outside the fabric can tell:
+        One pass over ``_ctrl`` walks each control message to its first
+        hop that must wake the fabric; :meth:`settle` replays the hops
+        before it, as :meth:`_tick_control` would, so a hop is replayed
+        only when nothing outside the fabric can tell:
 
         * a REQUEST hop short of the destination, at a live unfrozen
           cross-point, whose segment ahead has more free lanes than
@@ -477,18 +429,52 @@ class RMBoC(CommArchitecture, Component):
         * a CANCEL hop before the last one, which finishes the cancel;
         * a DESTROY hop before the destination, and the one at the
           destination unless it emits a trace event or may leave the
-          fabric idle (drain predicates read ``idle()`` every cycle).
+          fabric idle (drain predicates read ``idle()`` every cycle):
+          of those, only the last ones wake.
 
         While some segment has every lane held, a CANCEL or DESTROY
-        hop that frees a lane there wakes: doomed REQUESTs there may
-        then get through.
+        hop that frees a lane there wakes, and on an untraced
+        fast-kernel run doomed retries wake nothing.  A REQUEST at its
+        live, unfrozen source cross-point with every lane of its first
+        segment held is *doomed*: it is cancelled there, and so is
+        every REQUEST the NI opens toward such a segment, because only
+        the control plane and ``fail_crosspoint`` release lanes, and
+        both wake the fabric first.  The passes set doomed REQUESTs and
+        pairs apart; when one of them comes first, their modules become
+        *storm* modules, whose retries :meth:`settle` replays.  Their
+        other pairs still wake the fabric at their retry time, or, when
+        one is due but the budget holds it back, when the module's
+        first doomed REQUEST is cancelled.  With alert rules attached
+        the fabric also wakes before the grid cycle after the first
+        cancel: a grid evaluation reads what was recorded before it,
+        and a replayed cancel arms the grid as of the cycle it is
+        replayed in.  The stepped kernel ticks every cycle, and the
+        tracer keeps every component's events in the order they were
+        recorded, so neither replays storms.
         """
+        transfers, ctrl = self._transfers, self._ctrl
+        queued = any(self._queues.values())
+        if not (ctrl or transfers or queued):
+            self._stash_active = 0
+            return self._quiescence(now)
+        if self._hot:
+            return None
+        self._stash_active = len(transfers)
+        # the first cycle anything but a doomed REQUEST or retry wakes
+        nxt = _NEVER
+        for tr in transfers:
+            if now + tr.words_left < nxt:
+                nxt = now + tr.words_left
         cfg = self.cfg
+        for since in self._idle_since.values():
+            if now < since + cfg.channel_linger < nxt:
+                nxt = since + cfg.channel_linger
         proc, cproc = cfg.xp_proc_cycles, cfg.cancel_proc_cycles
-        free = self._free
+        free, frozen, dead = self._free, self._frozen, self._dead_xps
         full = 0 in free
-        frozen, dead = self._frozen, self._dead_xps
-        ctrl = self._ctrl
+        sim = self._sim
+        tracing = sim.tracing
+        storms = full and sim.fast_path and not tracing
         requests = destroys = 0
         for cm in ctrl:
             if cm.kind is _REQUEST:
@@ -496,25 +482,30 @@ class RMBoC(CommArchitecture, Component):
             elif cm.kind is _DESTROY:
                 destroys += 1
         # something that outlives every DESTROY keeps the fabric busy
-        busy = queued or self._transfers or len(self._channels) > destroys
-        tracing = self._sim.tracing
-        wakes: List[Optional[int]] = []
-        finals = []  # indices of the final DESTROY hops that wake
+        busy = queued or transfers or len(self._channels) > destroys
+        # per storm module its first doomed cancel (-1: none), the first
+        # doomed cancel and retry, the first cancel a due pair waits
+        # for, and the last final DESTROY hop that may leave it idle
+        cancels: Dict[str, int] = {}
+        first = retry = held = _NEVER
+        final = -1
         for cm in ctrl:
             ch, xp, at = cm.channel, cm.at_xp, cm.ready_at
             kind = cm.kind
             if kind is _REQUEST:
                 dst = ch.dst_xp
-                if dst > xp:
-                    while (xp != dst and free[xp] >= requests
-                           and not frozen[xp] and xp not in dead):
-                        at += proc
-                        xp += 1
-                else:
-                    while (xp != dst and free[xp - 1] >= requests
-                           and not frozen[xp] and xp not in dead):
-                        at += proc
-                        xp -= 1
+                ahead, step = (0, 1) if dst > xp else (1, -1)
+                if (storms and xp == ch.src_xp and not free[xp - ahead]
+                        and not frozen[xp] and xp not in dead):
+                    if cancels.get(ch.src_module, at) >= at:
+                        cancels[ch.src_module] = at
+                    if at < first:
+                        first = at
+                    continue
+                while (xp != dst and free[xp - ahead] >= requests
+                       and not frozen[xp] and xp not in dead):
+                    at += proc
+                    xp += step
             elif kind is _CANCEL:
                 # every hop but the last, which finishes the cancel
                 src = ch.src_xp
@@ -532,112 +523,52 @@ class RMBoC(CommArchitecture, Component):
                         break
                     at += cproc
                     xp += 1 - 2 * ahead
-                if xp == dst:
-                    if tracing or not busy:
-                        finals.append(len(wakes))
-                    else:
-                        at = None
-            wakes.append(at)
-        if finals and not tracing:
-            # only the last final DESTROY hops may leave the fabric idle
-            last = max(wakes[i] for i in finals)
-            for i in finals:
-                if wakes[i] < last:
-                    wakes[i] = None
-        return wakes
-
-    def _doomed_at(self, at: int, wakes: List[Optional[int]]) -> bool:
-        """Whether every control message and retry due at cycle ``at``
-        is doomed: only then can the fabric sleep past it."""
-        for cm, wake in zip(self._ctrl, wakes):
-            if wake == at and not self._doomed(cm):
-                return False
-        module_xp = self._module_xp
-        for module, queues in self._queues.items():
-            xp = module_xp[module]
-            for dst in queues:
-                if self._retry_at.get((module, dst)) == at:
-                    dst_xp = module_xp.get(dst)
-                    if (dst_xp is None or self._frozen[xp]
-                            or xp in self._dead_xps
-                            or self._free[xp if dst_xp > xp else xp - 1]):
-                        return False
-        return True
-
-    def _storm_horizon(self, now: int, nxt: Optional[int],
-                       wakes: List[Optional[int]]) -> Optional[int]:
-        """:meth:`_horizon`'s control messages and retries when some
-        segment has every lane held: the first cycle something other
-        than a doomed retry happens.
-
-        A REQUEST at its source's cross-point with every lane of its
-        first segment held is cancelled there, and so is every REQUEST
-        the NI opens toward such a segment: only the control plane and
-        ``fail_crosspoint`` release lanes, and both wake the fabric
-        first.  Such a pair makes its module a *storm* module, whose
-        retries :meth:`settle` replays.  Its other pairs still wake the
-        fabric at their retry time, or, when one is due but the budget
-        holds it back, when the module's first doomed REQUEST is
-        cancelled.  With alert rules attached the fabric also wakes
-        before the grid cycle after the first cancel: a grid
-        evaluation reads what was recorded before it, and a replayed
-        cancel arms the grid as of the cycle it is replayed in.
-        """
-        free = self._free
-        # per storm module, its first doomed cancel; and the first
-        # cycle a storm opens or cancels anything
-        cancels: Dict[str, int] = {}
-        storm = None
-        for cm, wake in zip(self._ctrl, wakes):
-            if self._doomed(cm):
-                module, at = cm.channel.src_module, cm.ready_at
-                if cancels.get(module, at) >= at:
-                    cancels[module] = at
-                if storm is None or at < storm:
-                    storm = at
-            elif wake is not None and (nxt is None or wake < nxt):
-                nxt = wake
-        first_cancel = storm
-        proc = self.cfg.xp_proc_cycles
-        retry_at = self._retry_at
-        module_xp = self._module_xp
+                if xp == dst and not tracing:
+                    if not busy and at > final:
+                        final = at
+                    continue
+            if at < nxt:
+                nxt = at
+        if 0 <= final < nxt:
+            nxt = final
+        module_xp, retry_at = self._module_xp, self._retry_at
         for module, queues in self._queues.items():
             if not queues:
                 continue
             xp = module_xp[module]
-            live = not self._frozen[xp] and xp not in self._dead_xps
+            live = storms and not frozen[xp] and xp not in dead
             due = False
             for dst in queues:
                 at = retry_at.get((module, dst), -1)
                 dst_xp = module_xp.get(dst) if live else None
                 if dst_xp is not None and not free[
                         xp if dst_xp > xp else xp - 1]:
-                    # a due pair opens only when a cancel frees budget
                     cancels.setdefault(module, -1)
-                    if at > now:
-                        if storm is None or at < storm:
-                            storm = at
-                        if first_cancel is None or at + proc < first_cancel:
-                            first_cancel = at + proc
+                    if now < at < retry:
+                        retry = at
                 elif at > now:
-                    if nxt is None or at < nxt:
+                    if at < nxt:
                         nxt = at
                 else:
                     due = True
-            if due and live:
-                # the budget holds a due pair back until a cancel
-                at = cancels.get(module, -1)
-                if at > now and (nxt is None or at < nxt):
-                    nxt = at
-        if storm is None or (nxt is not None and storm >= nxt):
-            return nxt
-        self._storms = set(cancels)
-        end = now + _STORM_SPAN
-        tel = self.sim.telemetry
-        if self.sim.telemetering and tel.engine is not None:
-            grid = tel.eval_interval
-            end = min(end, (first_cancel // grid + 1) * grid - 1)
-        return end if nxt is None or end < nxt else nxt
+            if due and live and now < cancels.get(module, -1) < held:
+                held = cancels[module]
+        storm = first if first < retry else retry
+        if storm < nxt and storm < held:
+            self._storms = set(cancels)
+            quiet = nxt if nxt < held else held
+            end = now + _STORM_SPAN
+            tel = sim.telemetry
+            if sim.telemetering and tel.engine is not None:
+                grid = tel.eval_interval
+                cancel = first if first < retry + proc else retry + proc
+                end = min(end, (cancel // grid + 1) * grid - 1)
+            nxt = end if end < quiet else quiet
+        elif storm < nxt:
+            nxt = storm
+        if nxt == _NEVER:
+            return SLEEP
+        return nxt if nxt > now else now + 1
 
     def settle(self, through: int) -> None:
         """Replay the ticks skipped through ``through``: each moved every
@@ -703,12 +634,12 @@ class RMBoC(CommArchitecture, Component):
 
         Control messages take their hops through
         :meth:`_tick_control`, cycle by cycle; every hop due in the
-        stretch is one :meth:`_walk_wakes` let the fabric sleep
+        stretch is one :meth:`_horizon` let the fabric sleep
         through, or a doomed REQUEST.  Each storm module's NI runs as
         :meth:`_ni_for` would, on what a sleep changes: each pair's
         pending REQUESTs and retry time, and the module's channel
         budget.  Every REQUEST it opens is doomed (see
-        :meth:`_storm_horizon`): it holds budget until the source's
+        :meth:`_horizon`): it holds budget until the source's
         cross-point cancels it ``xp_proc_cycles`` later, and the cancel
         sets the pair's next retry.  A REQUEST still in flight at
         ``through`` becomes a real channel and control message when it
