@@ -173,12 +173,15 @@ def run_seed_fleet(
     persists a fleet-level summary record aggregating the per-seed
     stats with their across-seed spread (``seed_stats``) and the
     per-seed run ids (``seed_run_ids``) — see
-    :attr:`FleetResult.run_id`.
+    :attr:`FleetResult.run_id`.  An empty ``seeds`` raises
+    ``ValueError`` before anything is ledgered.
     """
     from repro.obs.ledger import (RunLedger, build_run_record,
                                   ledger_enabled, ledgered_call)
 
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError(f"{arch_key}: a seed fleet needs at least one seed")
     ledgered = ledger and ledger_enabled()
     per_seed = ledgered and len(seeds) <= PER_SEED_LEDGER_MAX
     fleet = FleetResult(arch=arch_key)

@@ -15,6 +15,16 @@ ARCHITECTURES = ("rmboc", "buscom", "dynoc", "conochi")
 BASELINES = ("sharedbus", "staticmesh")
 
 
+def arch_key(name: str) -> str:
+    """The key of the architecture ``name`` spells, ignoring case,
+    ``-`` and ``_`` (``BUS-COM`` is ``buscom``); KeyError if unknown."""
+    key = name.lower().replace("-", "").replace("_", "")
+    if key not in ARCHITECTURES + BASELINES:
+        raise KeyError(f"unknown architecture {name!r}; known: "
+                       f"{ARCHITECTURES + BASELINES}")
+    return key
+
+
 class VecSimulator(Simulator):
     """A :class:`Simulator` flagged ``vectorized``: the same kernel
     under the ``vec`` name that ``build_architecture(engine="vec")``
@@ -42,7 +52,7 @@ def build_architecture(
     ``num_buses`` for the bus systems, ``mesh`` for DyNoC, ``grid``
     for CoNoChi).
     """
-    key = name.lower().replace("-", "").replace("_", "")
+    key = arch_key(name)
     # ``engine`` ("object" or "vec": the same kernel either way) is kept
     # only for the benchmark: perfbench/workloads.py and
     # perfbench/test_perfbench.py are its only callers.
@@ -76,15 +86,10 @@ def build_architecture(
 
         return build_sharedbus(num_modules=num_modules, width=width,
                                seed=seed, **kwargs)
-    if key == "staticmesh":
-        from repro.arch.baselines import build_staticmesh
+    from repro.arch.baselines import build_staticmesh
 
-        return build_staticmesh(num_modules=num_modules, width=width,
-                                seed=seed, **kwargs)
-    raise KeyError(
-        f"unknown architecture {name!r}; known: "
-        f"{ARCHITECTURES + BASELINES}"
-    )
+    return build_staticmesh(num_modules=num_modules, width=width,
+                            seed=seed, **kwargs)
 
 
 def build_all(num_modules: int = 4, width: int = 32, seed: int = 1) -> Dict[str, CommArchitecture]:
@@ -102,6 +107,7 @@ __all__ = [
     "CommArchitecture",
     "Message",
     "MessageLog",
+    "arch_key",
     "build_all",
     "build_architecture",
 ]

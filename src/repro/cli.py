@@ -11,9 +11,37 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
+
+
+def _bounded(kind: type, low: float, high: Optional[float] = None):
+    """An argparse ``type``: a ``kind`` number from ``low`` to ``high``
+    (no upper bound when None)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (low <= value and (high is None or value <= high)):
+            span = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # "invalid int value: 'x'"
+    return parse
+
+
+def _arch(text: str) -> str:
+    """An argparse ``type``: an architecture name as
+    :func:`repro.arch.build_architecture` spells it."""
+    from repro.arch import arch_key
+
+    try:
+        arch_key(text)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return text
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
@@ -407,39 +435,44 @@ def _cmd_runs(args: argparse.Namespace) -> int:
         else:
             print(render_run(doc))
         return 0
-    # gc
-    max_bytes = (int(args.max_size * 1024 * 1024)
-                 if args.max_size is not None else None)
-    if args.max_age_days is None and max_bytes is None:
-        print("runs gc: give --max-age-days and/or --max-size",
-              file=sys.stderr)
-        return 2
-    report = ledger.gc(max_age_days=args.max_age_days,
-                       max_bytes=max_bytes, dry_run=args.dry_run)
-    print(f"ledger gc ({ledger.runs_dir}): {report.render()}")
-    return 0
+    return _prune("runs gc", args, f"ledger gc ({ledger.runs_dir})",
+                  ledger.gc)
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.analysis.parallel import default_cache_dir
     from repro.obs.ledger import default_ledger_dir, prune_tree
 
-    max_bytes = (int(args.max_size * 1024 * 1024)
-                 if args.max_size is not None else None)
-    if args.max_age_days is None and max_bytes is None:
-        print("cache prune: give --max-age-days and/or --max-size",
-              file=sys.stderr)
-        return 2
     # one LRU pass over result-cache pickles AND ledger records —
     # they share the .repro-cache root unless REPRO_LEDGER_DIR says
     # otherwise, in which case both roots join the same size budget
     roots = [default_cache_dir()]
     if default_ledger_dir() not in roots:
         roots.append(default_ledger_dir())
-    report = prune_tree(roots, suffixes=(".pkl", ".json"),
-                        max_age_days=args.max_age_days,
-                        max_bytes=max_bytes, dry_run=args.dry_run)
-    print(f"cache prune ({', '.join(roots)}): {report.render()}")
+    return _prune("cache prune", args, f"cache prune ({', '.join(roots)})",
+                  lambda **bounds: prune_tree(
+                      roots, suffixes=(".pkl", ".json"), **bounds))
+
+
+def _prune(command: str, args: argparse.Namespace, where: str,
+           prune: Callable[..., object]) -> int:
+    """``runs gc`` and ``cache prune``: one ``prune`` pass under the age
+    and size bounds given; exit 2 on one stderr line without a bound or
+    on a negative one, deleting nothing."""
+    if args.max_age_days is None and args.max_size is None:
+        print(f"{command}: give --max-age-days and/or --max-size",
+              file=sys.stderr)
+        return 2
+    try:
+        # floor: no negative size rounds up to a valid 0
+        report = prune(max_age_days=args.max_age_days,
+                       max_bytes=(None if args.max_size is None else
+                                  math.floor(args.max_size * 1024 * 1024)),
+                       dry_run=args.dry_run)
+    except ValueError as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return 2
+    print(f"{where}: {report.render()}")
     return 0
 
 
@@ -518,7 +551,8 @@ def make_parser() -> argparse.ArgumentParser:
                    help="emit the result as JSON")
     p.add_argument("--parallel", action="store_true",
                    help="fan experiments across worker processes")
-    p.add_argument("-j", "--jobs", type=int, default=None, metavar="N",
+    p.add_argument("-j", "--jobs", type=_bounded(int, 0), default=None,
+                   metavar="N",
                    help="worker processes for --parallel (default: CPUs)")
     p.add_argument("--no-cache", action="store_true",
                    help="ignore and don't write the result cache")
@@ -534,7 +568,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="also write a Prometheus-text metrics snapshot")
     p.add_argument("--profile", action="store_true",
                    help="enable the wall-clock profiler too")
-    p.add_argument("--max-events", type=int, default=500_000,
+    p.add_argument("--max-events", type=_bounded(int, 1), default=500_000,
                    help="tracer capacity per simulator")
     p.add_argument("--keep", choices=["head", "tail"], default="tail",
                    help="which side to keep at capacity")
@@ -589,12 +623,12 @@ def make_parser() -> argparse.ArgumentParser:
                    help="write the report/document to FILE")
     p.add_argument("--top", type=int, default=10,
                    help="flows per simulator in the terminal report")
-    p.add_argument("--rate", type=float, default=1.0,
+    p.add_argument("--rate", type=_bounded(float, 0, 1), default=1.0,
                    help="deterministic journey sampling rate in [0, 1]")
     p.add_argument("--seed", type=int, default=0,
                    help="sampling seed (the same seed samples the "
                         "same messages)")
-    p.add_argument("--max-records", type=int, default=100_000,
+    p.add_argument("--max-records", type=_bounded(int, 1), default=100_000,
                    help="journey record cap per simulator (keep-first)")
     p.set_defaults(func=_cmd_explain)
 
@@ -610,11 +644,13 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scenario)
 
     p = sub.add_parser("sweep", help="sweep widths/payloads across archs")
-    p.add_argument("--archs", nargs="+",
+    p.add_argument("--archs", nargs="+", type=_arch,
                    default=["rmboc", "buscom", "dynoc", "conochi"])
-    p.add_argument("--widths", nargs="+", type=int, default=[8, 16, 32])
-    p.add_argument("--payloads", nargs="+", type=int, default=[64])
-    p.add_argument("--seeds", type=int, default=0, metavar="N",
+    p.add_argument("--widths", nargs="+", type=_bounded(int, 1),
+                   default=[8, 16, 32])
+    p.add_argument("--payloads", nargs="+", type=_bounded(int, 1),
+                   default=[64])
+    p.add_argument("--seeds", type=_bounded(int, 0), default=0, metavar="N",
                    help="fleet mode: run N seeded Monte-Carlo runs per "
                         "architecture in one batched process instead of "
                         "the width/payload grid")
@@ -625,12 +661,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("advise",
                        help="recommend an architecture for requirements")
-    p.add_argument("-m", "--modules", type=int, default=4)
-    p.add_argument("-w", "--width", type=int, default=32)
+    p.add_argument("-m", "--modules", type=_bounded(int, 2), default=4)
+    p.add_argument("-w", "--width", type=_bounded(int, 1), default=32)
     p.add_argument("--variable-shape", action="store_true",
                    dest="variable_shape")
-    p.add_argument("--parallel", type=int, default=1)
-    p.add_argument("--transfer", type=int, default=256)
+    p.add_argument("--parallel", type=_bounded(int, 1), default=1)
+    p.add_argument("--transfer", type=_bounded(int, 1), default=256)
     p.add_argument("--area-budget", type=int, default=None,
                    dest="area_budget")
     p.add_argument("--latency-budget", type=int, default=None,
@@ -681,7 +717,7 @@ def make_parser() -> argparse.ArgumentParser:
                                  "chaos-test (e1..e12, a1..a7)")
     p.add_argument("--seed", type=int, default=7,
                    help="fault-schedule seed (default: 7)")
-    p.add_argument("--rounds", type=int, default=3,
+    p.add_argument("--rounds", type=_bounded(int, 1), default=3,
                    help="seeded rounds per architecture (default: 3)")
     p.add_argument("--once", action="store_true",
                    help="single round (CI smoke)")

@@ -608,10 +608,6 @@ class PruneReport:
     def kept(self) -> int:
         return self.scanned - len(self.evicted)
 
-    @property
-    def kept_bytes(self) -> int:
-        return self.scanned_bytes - self.evicted_bytes
-
     def render(self) -> str:
         verb = "would evict" if self.dry_run else "evicted"
         return (f"scanned {self.scanned} entr"
@@ -631,8 +627,13 @@ def prune_tree(roots: Iterable[str], suffixes: Tuple[str, ...],
     first; then, oldest-first, entries are dropped until the total is
     at most ``max_bytes``.  "Used" is the file mtime — the result
     cache refreshes it on every hit, so hot entries survive.  Empty
-    shard directories left behind are removed.
+    shard directories left behind are removed.  A negative bound
+    raises ``ValueError``: it would evict everything.
     """
+    for name, bound in (("max_age_days", max_age_days),
+                        ("max_bytes", max_bytes)):
+        if bound is not None and bound < 0:
+            raise ValueError(f"{name} must be >= 0, got {bound}")
     report = PruneReport(dry_run=dry_run)
     files: List[Tuple[float, int, str]] = []  # (mtime, size, path)
     for root in roots:

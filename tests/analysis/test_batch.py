@@ -39,6 +39,14 @@ def test_seed_results_engine_independent(key):
         assert fast.key() == stepped.key()
 
 
+def test_empty_fleet_is_refused_before_the_ledger():
+    from repro.obs.ledger import RunLedger
+
+    with pytest.raises(ValueError, match="at least one seed"):
+        run_seed_fleet("rmboc", range(0), **WORKLOAD)
+    assert len(RunLedger()) == 0
+
+
 def test_fleet_grouping_irrelevant():
     whole = run_seed_fleet("sharedbus", range(4), **WORKLOAD)
     first = run_seed_fleet("sharedbus", range(2), **WORKLOAD)

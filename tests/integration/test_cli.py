@@ -15,6 +15,47 @@ class TestParser:
         assert args.arch == "conochi"
         assert args.pattern == "ring"
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--archs", "nope"],
+        ["sweep", "--widths", "0"],
+        ["sweep", "--payloads", "0"],
+        ["sweep", "--archs", "rmboc", "--seeds", "-1"],
+        ["advise", "-m", "0"],
+        ["advise", "-w", "0"],
+        ["advise", "--parallel", "0"],
+        ["advise", "--transfer", "0"],
+        ["explain", "e1", "--rate", "2"],
+        ["explain", "e1", "--rate", "nan"],
+        ["explain", "e1", "--max-records", "0"],
+        ["trace", "e1", "--max-events", "0"],
+        ["chaos", "e1", "--rounds", "0"],
+        ["experiment", "all", "-j", "-2"],
+    ], ids=" ".join)
+    def test_bad_option_value_exits_two(self, argv, capsys):
+        """The parser rejects the value: argparse's usage and error
+        line, exit 2, no traceback and nothing ledgered."""
+        from repro.obs.ledger import RunLedger
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = captured.err.splitlines()[-1]
+        assert error.startswith(f"repro {argv[0]}: error: argument ")
+        assert argv[-2] in error
+        assert "Traceback" not in captured.err
+        assert len(RunLedger()) == 0
+
+    def test_option_values_at_their_bounds_parse(self):
+        parse = make_parser().parse_args
+        assert parse(["sweep", "--archs", "BUS-COM", "static_mesh"]
+                     ).archs == ["BUS-COM", "static_mesh"]
+        assert parse(["sweep", "--seeds", "0"]).seeds == 0
+        assert parse(["advise", "-m", "2", "-w", "1"]).modules == 2
+        assert parse(["explain", "e1", "--rate", "0"]).rate == 0.0
+        assert parse(["experiment", "all", "-j", "0"]).jobs == 0
+
 
 class TestCommands:
     def test_scenario(self, capsys):

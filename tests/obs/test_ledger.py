@@ -204,6 +204,44 @@ class TestStore:
         assert not victim.exists()
         assert survivor.exists() and ignored.exists()
 
+    @pytest.mark.parametrize("bound", ("max_age_days", "max_bytes"))
+    def test_prune_tree_rejects_a_negative_bound(self, tmp_path, bound):
+        """A negative bound would evict everything; 0 stays valid."""
+        entry = tmp_path / "objects" / "ab" / "x.pkl"
+        entry.parent.mkdir(parents=True)
+        entry.write_bytes(b"x" * 10)
+        root = [str(tmp_path / "objects")]
+        for value in (-1, -0.5):
+            with pytest.raises(ValueError, match=f"{bound} must be >= 0"):
+                prune_tree(root, suffixes=(".pkl",), **{bound: value})
+        assert entry.exists()
+        report = prune_tree(root, suffixes=(".pkl",), **{bound: 0},
+                            dry_run=True)
+        assert report.scanned == 1
+
+    @pytest.mark.parametrize("argv", (
+        ["runs", "gc", "--max-age-days", "-1"],
+        ["runs", "gc", "--max-size", "-0.5"],
+        ["cache", "prune", "--max-age-days", "-1"],
+        ["cache", "prune", "--max-size", "-0.5"],
+        ["cache", "prune", "--max-size", "-0.0000001"],
+    ), ids=" ".join)
+    def test_cli_refuses_a_negative_bound(self, argv, capsys):
+        from repro.cli import main
+
+        rids = {_ledgered_seed(seed=0), _ledgered_seed(seed=1)}
+        cached = os.path.join(os.environ["REPRO_CACHE_DIR"], "ab", "x.pkl")
+        os.makedirs(os.path.dirname(cached))
+        with open(cached, "wb") as fh:
+            fh.write(b"x" * 10)
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(" ".join(argv[:2]) + ": max_")
+        assert set(RunLedger().ids()) == rids and os.path.exists(cached)
+
 
 class TestValidateRun:
     def test_full_record_validates(self):
