@@ -394,16 +394,6 @@ class E7Result:
 
     rows: Dict[str, List[Tuple[float, float]]]  # arch -> [(rate, mean lat)]
 
-    def saturation_rate(self, arch: str, knee_factor: float = 3.0) -> float:
-        """First rate whose latency exceeds ``knee_factor`` x the
-        lowest-rate latency (inf if never)."""
-        series = self.rows[arch]
-        base = series[0][1]
-        for rate, lat in series:
-            if lat > knee_factor * base:
-                return rate
-        return math.inf
-
 
 def e7_bus_vs_noc(width: int = 32, num_modules: int = 4,
                   rates: Tuple[float, ...] = (0.002, 0.005, 0.01, 0.02, 0.04),

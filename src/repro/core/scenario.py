@@ -64,15 +64,6 @@ class MinimalScenarioResult:
     def max_latency(self) -> int:
         return max(self.latencies)
 
-    @property
-    def aggregate_words_per_cycle(self) -> float:
-        """Delivered payload words per cycle — a throughput proxy."""
-        if self.total_cycles == 0:
-            return 0.0
-        return (self.delivered_payload_bytes * 8) / (
-            self.total_cycles * 32
-        )
-
 
 def minimal_scenario(
     arch: CommArchitecture,

@@ -52,13 +52,6 @@ class EnergyModel:
             + self.wire_pj(bits, bus_length_clbs)
         )
 
-    def segmented_hop_pj(self, bits: float, segment_clbs: float) -> float:
-        """One RMBoC segment: local line + cross-point pass-through."""
-        return (
-            self.wire_pj(bits, segment_clbs)
-            + bits * self.crosspoint_pj_per_bit
-        )
-
     def noc_hop_pj(self, bits: float, link_clbs: float) -> float:
         """One NoC hop: short link + full switch traversal."""
         return self.wire_pj(bits, link_clbs) + bits * self.switch_pj_per_bit

@@ -9,7 +9,7 @@ capture harness:
 * :mod:`repro.obs.perfetto` — Chrome trace-event / Perfetto JSON;
 * :mod:`repro.obs.prom` — Prometheus exposition text + JSON snapshots;
 * :mod:`repro.obs.profile` — the opt-in wall-clock profiler
-  (``Simulator(profile=True)`` / ``REPRO_SIM_PROFILE=1``);
+  (a :class:`Profiler` attached as ``sim.profiler``);
 * :mod:`repro.obs.session` — :class:`ObservationSession`, which hooks
   simulator construction so whole experiment harnesses can be traced
   or profiled without plumbing (the ``repro trace`` / ``repro

@@ -309,10 +309,6 @@ class AlertEngine:
             return tel.gauges.get(key), key
         raise ValueError(f"rule {rule.name!r}: unknown metric {metric!r}")
 
-    def _metric_value(self, rule: AlertRule, tel,
-                      now: int) -> Optional[float]:
-        return self._metric(rule, tel, now)[0]
-
     # ------------------------------------------------------------------
     def evaluate(self, tel, now: int) -> List[Alert]:
         """Evaluate every rule; returns alerts fired by this call.

@@ -1,11 +1,13 @@
 """Opt-in wall-clock profiler for the simulation kernel.
 
-Enabled with ``Simulator(profile=True)`` or ``REPRO_SIM_PROFILE=1``,
-the kernel times every component tick and every scheduled-event
-callback (bucket ``kernel.events``) with ``perf_counter`` and
-attributes the host time by name.  When
-disabled — the default — the kernel pays a single ``is None`` test per
-step, so simulation results and benchmarks are unaffected.
+With a :class:`Profiler` attached as ``sim.profiler`` (``repro
+profile`` and ``repro trace --profile`` attach one through
+:class:`~repro.obs.session.ObservationSession`), the kernel times every
+component tick and every scheduled-event callback (bucket
+``kernel.events``) with ``perf_counter`` and attributes the host time
+by name.  With none — the default — the kernel pays a single ``is
+None`` test per step, so simulation results and benchmarks are
+unaffected.
 
 Wall-time numbers are host- and load-dependent: they are export-only
 (see :mod:`repro.obs.prom` / :mod:`repro.obs.perfetto`) and are never

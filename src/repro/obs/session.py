@@ -79,7 +79,6 @@ class ObservationSession:
         if self.profile and sim.profiler is None:
             from repro.obs.profile import Profiler
 
-            sim.profile = True
             sim.profiler = Profiler()
         if self.telemetry and sim.telemetry is None:
             from repro.obs.alerts import AlertEngine
@@ -128,11 +127,6 @@ class ObservationSession:
     def telemetry_sims(self) -> List[Simulator]:
         """Observed simulators that carry a telemetry collector."""
         return [s for s in self.sims if s.telemetry is not None]
-
-    @property
-    def journey_sims(self) -> List[Simulator]:
-        """Observed simulators that carry a journey recorder."""
-        return [s for s in self.sims if s.journey is not None]
 
     def flush_alerts(self) -> None:
         """Force a final rule evaluation on every observed simulator

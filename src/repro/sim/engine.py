@@ -69,21 +69,10 @@ from repro.sim.stats import StatsRegistry
 #: environment switch for the activity-driven fast path ("0" disables)
 FASTPATH_ENV = "REPRO_SIM_FASTPATH"
 
-#: environment switch for the wall-clock profiler ("1" enables)
-PROFILE_ENV = "REPRO_SIM_PROFILE"
-
-
 def fastpath_default() -> bool:
     """The fast-path setting used when ``Simulator(fast_path=None)``."""
     return os.environ.get(FASTPATH_ENV, "1").lower() not in (
         "0", "false", "off", "no",
-    )
-
-
-def profile_default() -> bool:
-    """The profiler setting used when ``Simulator(profile=None)``."""
-    return os.environ.get(PROFILE_ENV, "0").lower() in (
-        "1", "true", "on", "yes",
     )
 
 
@@ -202,19 +191,13 @@ class Simulator:
         Enable the activity-driven scheduler (sleep/wake, clock
         fast-forward).  ``None`` (the default) reads
         :data:`FASTPATH_ENV` and falls back to enabled.
-    profile:
-        Enable the opt-in wall-clock profiler
-        (:class:`repro.obs.profile.Profiler`): each component tick and
-        the event callbacks are timed with ``perf_counter`` and
-        attributed by name.  Wall-time results are host-dependent and
-        are never part of :meth:`StatsRegistry.snapshot`.  ``None``
-        (the default) reads :data:`PROFILE_ENV` and falls back to
-        disabled, where the cost is a single ``is None`` test per step.
+
+    The opt-in wall-clock profiler is attached through
+    :attr:`profiler`.
     """
 
     def __init__(self, name: str = "sim", max_cycles: int = 10_000_000,
-                 fast_path: Optional[bool] = None,
-                 profile: Optional[bool] = None):
+                 fast_path: Optional[bool] = None):
         self.name = name
         self.cycle = 0
         self.max_cycles = max_cycles
@@ -243,16 +226,11 @@ class Simulator:
         #: on attach; exporters discover the action log through it)
         self.control = None
         self.fast_path = fastpath_default() if fast_path is None else fast_path
-        self.profile = profile_default() if profile is None else profile
-        if self.profile:
-            from repro.obs.profile import Profiler
-
-            self._profiler: Optional["Profiler"] = Profiler()
-        else:
-            self._profiler = None
+        #: optional repro.obs.profile.Profiler (see :attr:`profiler`)
+        self._profiler = None
         # True while no profiler is attached: step() then takes a tick
         # loop with no per-tick instrumentation checks
-        self._plain = self._profiler is None
+        self._plain = True
         self._components: List["Component"] = []
         #: objects whose ``settle(through)`` replays skipped ticks
         self._settlers: List[object] = []
@@ -336,7 +314,11 @@ class Simulator:
 
     @property
     def profiler(self):
-        """The attached :class:`repro.obs.profile.Profiler` (or None)."""
+        """The attached :class:`repro.obs.profile.Profiler` (or None),
+        the profiler's one switch: while one is attached, each
+        component tick and the event callbacks are timed and
+        attributed by name; while None, the cost is a single ``is
+        None`` test per step."""
         return self._profiler
 
     @profiler.setter

@@ -257,10 +257,6 @@ class BurstyGenerator(TrafficGenerator):
         """Long-run ON fraction: p_on / (p_on + p_off)."""
         return self.p_on / (self.p_on + self.p_off)
 
-    @property
-    def offered_packets_per_cycle(self) -> float:
-        return self.duty_cycle / self.slot_cycles
-
 
 class TraceReplay(TrafficGenerator):
     """Replay an explicit (cycle, dst, payload_bytes) trace."""

@@ -4,7 +4,6 @@ import pytest
 
 from repro.obs import Profiler
 from repro.sim import Component, Simulator
-from repro.sim.engine import PROFILE_ENV
 
 
 class Ticker(Component):
@@ -50,22 +49,12 @@ class TestProfiler:
 
 
 class TestKernelIntegration:
-    def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv(PROFILE_ENV, raising=False)
+    def test_off_by_default(self):
         assert Simulator().profiler is None
-
-    def test_env_enables(self, monkeypatch):
-        monkeypatch.setenv(PROFILE_ENV, "1")
-        assert Simulator().profiler is not None
-        monkeypatch.setenv(PROFILE_ENV, "0")
-        assert Simulator().profiler is None
-
-    def test_explicit_flag_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(PROFILE_ENV, "1")
-        assert Simulator(profile=False).profiler is None
 
     def test_component_buckets_collected(self):
-        sim = Simulator(profile=True)
+        sim = Simulator()
+        sim.profiler = Profiler()
         sim.add(Ticker("worker"))
         sim.after(2, lambda s: None)
         sim.run(5)
@@ -78,7 +67,9 @@ class TestKernelIntegration:
     @pytest.mark.parametrize("fast", (True, False))
     def test_profiling_does_not_change_results(self, fast):
         def fingerprint(profile):
-            sim = Simulator(fast_path=fast, profile=profile)
+            sim = Simulator(fast_path=fast)
+            if profile:
+                sim.profiler = Profiler()
             sim.add(Ticker("t"))
             sim.stats.counter("c").inc()
             sim.run(20)

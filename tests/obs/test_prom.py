@@ -4,6 +4,7 @@ import pytest
 
 from repro.arch import build_architecture
 from repro.obs import (
+    Profiler,
     sanitize_metric_name,
     to_json_snapshot,
     to_prometheus_text,
@@ -13,7 +14,9 @@ from repro.sim import Simulator
 
 
 def _measured_sim(profile=False):
-    sim = Simulator(name="unit", profile=profile)
+    sim = Simulator(name="unit")
+    if profile:
+        sim.profiler = Profiler()
     sim.stats.counter("model.msgs").inc(3)
     sim.stats.histogram("model.latency").extend([1, 2, 3, 4])
     sim.stats.series("model.load").record(0, 0.5)
