@@ -69,6 +69,7 @@ from repro.sim.stats import StatsRegistry
 #: environment switch for the activity-driven fast path ("0" disables)
 FASTPATH_ENV = "REPRO_SIM_FASTPATH"
 
+
 def fastpath_default() -> bool:
     """The fast-path setting used when ``Simulator(fast_path=None)``."""
     return os.environ.get(FASTPATH_ENV, "1").lower() not in (

@@ -1,6 +1,7 @@
 """Documentation-rot guards: README snippets execute, doc links exist."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,48 @@ class TestReadmeSnippets:
         text = (ROOT / "README.md").read_text()
         for number in ("5084", "1294", "1480", "1640"):
             assert number in text
+
+
+#: a documented command: a console prompt line, or a command line in
+#: a shell block, run as ``repro`` or as a module from a checkout
+_COMMAND = re.compile(r"^(?:\$ )?(?:PYTHONPATH=src python -m )?repro (.*)$")
+
+
+def _documented_commands():
+    """(file, line) of every ``repro ...`` command in the console and
+    shell blocks of the README and docs/; in a ``console`` block only
+    the ``$`` lines are commands, the rest is output."""
+    for doc in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+        blocks = re.findall(r"```(\w*)\n(.*?)```", doc.read_text(), re.S)
+        for lang, body in blocks:
+            if lang == "python":
+                continue
+            for line in body.splitlines():
+                if lang == "console" and not line.startswith("$ "):
+                    continue
+                if _COMMAND.match(line):
+                    yield doc.name, line
+
+
+class TestDocumentedCommands:
+    def test_every_documented_command_parses(self):
+        """Each documented ``repro`` command line is one the CLI's
+        parser accepts (its comment and output redirect stripped)."""
+        from repro.cli import make_parser
+
+        commands = list(_documented_commands())
+        assert len(commands) > 30
+        parser = make_parser()
+        rejected = []
+        for doc, line in commands:
+            argv = shlex.split(_COMMAND.match(line).group(1), comments=True)
+            if ">" in argv:
+                argv = argv[:argv.index(">")]
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                rejected.append(f"{doc}: {line}")
+        assert not rejected
 
 
 class TestDocTree:
