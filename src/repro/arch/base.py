@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.parameters import DesignParameters
-from repro.sim import Simulator
+from repro.fabric.area import AreaModel
+from repro.fabric.timing import ClockModel
+from repro.sim import Component, Simulator
 
 _msg_ids = itertools.count()
 
@@ -168,24 +170,27 @@ class ArchPort:
         return f"ArchPort({self.arch.name}:{self.module})"
 
 
-class CommArchitecture:
-    """Base class: lifecycle, ports, logging, parallelism probes.
+class CommArchitecture(Component):
+    """Base class: lifecycle, ports, logging, parallelism probes and the
+    replay cursor of a fabric that sleeps to its event horizon.
 
-    Subclasses implement ``_submit`` (accept a message for transport),
-    ``idle`` (no in-flight traffic), ``descriptor`` (Table 1 row),
+    Subclasses implement ``tick``, ``_submit`` (accept a message for
+    transport), ``idle`` (no in-flight traffic), ``_skipped`` (the
+    per-cycle effects of skipped ticks), ``descriptor`` (Table 1 row),
     ``area_slices``/``fmax_hz`` (Tables 2-3), and the reconfiguration
     hooks meaningful for their style.
     """
 
     #: canonical lower-case architecture key ("rmboc", ...)
     KEY: str = "base"
+    #: the slice-cost and clock models behind Tables 2-3
+    area_model = AreaModel()
+    clock_model = ClockModel()
 
-    def __init__(self, sim: Simulator, width: int):
+    def __init__(self, sim: Simulator, width: int, name: str):
         if width <= 0:
             raise ValueError(f"width must be positive, got {width}")
-        # `_sim` is shared with Component for subclasses inheriting both;
-        # Component.bind() verifies the simulators agree.
-        self._sim = sim
+        Component.__init__(self, name)
         self.width = width
         self.log = MessageLog()
         self.ports: Dict[str, ArchPort] = {}
@@ -215,10 +220,6 @@ class CommArchitecture:
         #: the ReconfigurationManager exchanging this architecture's
         #: modules, once one is built (repro.reconfig)
         self.reconfig: Optional[Any] = None
-
-    @property
-    def sim(self) -> Simulator:
-        return self._sim
 
     # -- module lifecycle ------------------------------------------------
     @property
@@ -318,11 +319,30 @@ class CommArchitecture:
         sim.register_settler(self)
 
     def settle(self, through: int) -> None:
-        """Replay the per-cycle effects of the ticks skipped through cycle
-        ``through``: a fabric that sleeps while traffic is in flight
-        owes the samples and counters those ticks would have written.
-        Called by :meth:`Simulator.settle` and by the fabric's next
-        tick; a fabric that skips only no-op ticks has nothing to do."""
+        """Account for every cycle through ``through``: replay the ticks
+        skipped since the last one accounted for (:meth:`_skipped`).
+        Called by :meth:`Simulator.settle`, by :meth:`_catch_up` and by
+        the fabric's next tick."""
+        first = self._settled + 1
+        if through < first:
+            return
+        self._settled = through
+        self._skipped(first, through)
+
+    def _skipped(self, first: int, through: int) -> None:
+        """Replay the per-cycle effects of the ticks skipped on cycles
+        ``first`` .. ``through``: a fabric that sleeps while traffic is
+        in flight owes the samples and counters those ticks would have
+        written.  A fabric that skips only no-op ticks has nothing to
+        do."""
+
+    def _catch_up(self) -> None:
+        """Before a hook changes what skipped ticks would have done, or a
+        reader reads what they wrote: replay them through the last cycle
+        the stepped kernel would have ticked the fabric
+        (:meth:`Simulator.owed`)."""
+        if self._sim is not None:
+            self.settle(self._sim.owed(self))
 
     @property
     def observed_dmax(self) -> int:

@@ -19,9 +19,7 @@ from repro.core.parameters import (
     Switching,
     Topology,
 )
-from repro.fabric.area import AreaModel
-from repro.fabric.timing import ClockModel
-from repro.sim import SLEEP, Component, Simulator
+from repro.sim import SLEEP, Simulator
 
 SHAREDBUS_DESCRIPTOR = DesignParameters(
     name="SharedBus",
@@ -37,27 +35,22 @@ SHAREDBUS_DESCRIPTOR = DesignParameters(
 )
 
 
-class SharedBus(CommArchitecture, Component):
+class SharedBus(CommArchitecture):
     """Single-bus baseline: static design, central round-robin arbiter."""
 
     KEY = "sharedbus"
 
     def __init__(self, sim: Simulator, num_modules: int = 4,
                  width: int = 32, grant_cycles: int = 2,
-                 addr_cycles: int = 1,
-                 area_model: Optional[AreaModel] = None,
-                 clock_model: Optional[ClockModel] = None):
+                 addr_cycles: int = 1):
         if num_modules < 2:
             raise ValueError("need at least 2 modules")
         if grant_cycles < 1 or addr_cycles < 0:
             raise ValueError("invalid bus timing")
-        CommArchitecture.__init__(self, sim, width)
-        Component.__init__(self, "sharedbus")
+        super().__init__(sim, width, "sharedbus")
         self.num_modules = num_modules
         self.grant_cycles = grant_cycles
         self.addr_cycles = addr_cycles
-        self.area_model = area_model or AreaModel()
-        self.clock_model = clock_model or ClockModel()
         self._queues: Dict[str, Deque[Message]] = {}
         self._rr_order: list = []
         self._rr_next = 0
@@ -195,15 +188,11 @@ class SharedBus(CommArchitecture, Component):
             self.sim.cycle, "sharedbus.arbiter",
             sum(len(q) for q in self._queues.values()))
 
-    def settle(self, through: int) -> None:
-        """Replay the in-burst cycles skipped through ``through``: one
-        parallelism sample each.  The burst flag comes from the last
-        tick: ``halt_bus`` may clear the live burst at event phase, but
-        every cycle before that still carried it."""
-        first = self._settled + 1
-        if through < first:
-            return
-        self._settled = through
+    def _skipped(self, first: int, through: int) -> None:
+        """Replay the in-burst cycles skipped from ``first`` through
+        ``through``: one parallelism sample each.  The burst flag comes
+        from the last tick: ``halt_bus`` may clear the live burst at
+        event phase, but every cycle before that still carried it."""
         if self._in_burst:
             self._note_parallelism_run(1, through - first + 1)
 

@@ -31,9 +31,7 @@ from repro.arch.base import CommArchitecture, Message
 from repro.arch.buscom.config import BusComConfig
 from repro.arch.buscom.schedule import SlotKind, SlotTable
 from repro.core.parameters import PAPER_TABLE_1, DesignParameters
-from repro.fabric.area import AreaModel
-from repro.fabric.timing import ClockModel
-from repro.sim import SLEEP, Component, Simulator
+from repro.sim import SLEEP, Simulator
 
 
 @dataclass
@@ -60,21 +58,16 @@ class _BusState:
     total_cycles: int = 0
 
 
-class BusCom(CommArchitecture, Component):
+class BusCom(CommArchitecture):
     """The BUS-COM interconnect."""
 
     KEY = "buscom"
 
     def __init__(self, sim: Simulator, cfg: BusComConfig,
-                 table: Optional[SlotTable] = None,
-                 area_model: Optional[AreaModel] = None,
-                 clock_model: Optional[ClockModel] = None):
-        CommArchitecture.__init__(self, sim, cfg.width)
-        Component.__init__(self, "buscom")
+                 table: Optional[SlotTable] = None):
+        super().__init__(sim, cfg.width, "buscom")
         self.cfg = cfg
         self.table = table or SlotTable(cfg.num_buses, cfg.slots_per_bus)
-        self.area_model = area_model or AreaModel()
-        self.clock_model = clock_model or ClockModel()
         self._buses = [_BusState(i) for i in range(cfg.num_buses)]
         # FlexRay-style split interface buffers: rt served before bulk
         self._queues: Dict[str, Deque[_SendItem]] = {}       # real-time
@@ -401,14 +394,10 @@ class BusCom(CommArchitecture, Component):
             idx = (idx + 1) % slots
         return None
 
-    def settle(self, through: int) -> None:
-        """Replay the ticks skipped through ``through``: every slot that
-        started in them was empty (see :meth:`_horizon`), and frames
-        stashed by the last tick kept their buses busy."""
-        first = self._settled + 1
-        if through < first:
-            return
-        self._settled = through
+    def _skipped(self, first: int, through: int) -> None:
+        """Replay the ticks skipped from ``first`` through ``through``:
+        every slot that started in them was empty (see :meth:`_horizon`),
+        and frames stashed by the last tick kept their buses busy."""
         self._replay_slots(first - 1, through)
         if self._stash_active:
             gap = through - first + 1
@@ -480,13 +469,6 @@ class BusCom(CommArchitecture, Component):
             left = starts[k + 1] - pos - 1
             bus.slot_idx = (k + 1) % slots if not left else k
             bus.slot_remaining = left
-
-    def _catch_up(self) -> None:
-        """Before a hook changes who may send: replay the ticks skipped
-        through the last cycle the stepped kernel would have ticked the
-        fabric (:meth:`Simulator.owed`)."""
-        if self._sim is not None:
-            self.settle(self._sim.owed(self))
 
     def _rewake(self) -> None:
         """After a hook changed who may send: a sleeping fabric catches

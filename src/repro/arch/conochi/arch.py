@@ -23,16 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.arch.base import CommArchitecture, Message
+from repro.arch.base import Message
 from repro.arch.conochi.config import CoNoChiConfig
 from repro.arch.conochi.control import GlobalControl
-from repro.arch.transport import DueQueue, LinkOccupancy, TransportHorizon
+from repro.arch.transport import TransportHorizon
 from repro.core.parameters import PAPER_TABLE_1, DesignParameters
-from repro.fabric.area import AreaModel
 from repro.fabric.geometry import Rect
 from repro.fabric.tiles import TileGrid, TileType
-from repro.fabric.timing import ClockModel
-from repro.sim import Component, SimError, Simulator
+from repro.sim import SimError, Simulator
 
 Coord = Tuple[int, int]
 
@@ -47,37 +45,23 @@ class _Packet:
     hops: int = 0
 
 
-class CoNoChi(TransportHorizon, CommArchitecture, Component):
+class CoNoChi(TransportHorizon):
     """The CoNoChi interconnect over a tile grid."""
 
     KEY = "conochi"
     FABRIC_QUEUE = "conochi.fabric"
 
     def __init__(self, sim: Simulator, cfg: CoNoChiConfig,
-                 grid: Optional[TileGrid] = None,
-                 area_model: Optional[AreaModel] = None,
-                 clock_model: Optional[ClockModel] = None):
-        CommArchitecture.__init__(self, sim, cfg.width)
-        Component.__init__(self, "conochi")
+                 grid: Optional[TileGrid] = None):
+        super().__init__(sim, cfg.width, "conochi", cfg.switch_latency)
         self.cfg = cfg
         self.grid = grid or TileGrid(cfg.grid_cols, cfg.grid_rows)
         self.control = GlobalControl(self.grid)
-        self.area_model = area_model or AreaModel()
-        self.clock_model = clock_model or ClockModel()
         self._module_switch: Dict[str, Coord] = {}
-        # (packet, switch) header arrivals awaiting routing
-        self._arrivals = DueQueue()
-        self._port_free: Dict[Tuple[object, object], int] = {}
-        # messages whose last fragment's tail leaves the ejection port
-        self._deliveries = DueQueue()
         self._landed_fragments: Dict[int, int] = {}  # msg.mid -> fragments in
         # migrations whose table update has not applied yet:
         # module -> target switch (remove_switch must respect these)
         self._pending_migrations: Dict[str, Coord] = {}
-        # inter-switch link occupancy by message id: the parallelism
-        # probe counts distinct messages on wires per cycle
-        # (independent data transfers)
-        self._links = LinkOccupancy()
         self._link_wires: Dict[frozenset, int] = {}
         self._refresh_link_cache()
 
@@ -189,9 +173,6 @@ class CoNoChi(TransportHorizon, CommArchitecture, Component):
             nfrag * self.cfg.header_words
         )
         self.wake()  # new traffic ends any quiescent stretch
-
-    def idle(self) -> bool:
-        return not self._arrivals and not self._deliveries
 
     def descriptor(self) -> DesignParameters:
         return PAPER_TABLE_1["CoNoChi"]
@@ -345,38 +326,8 @@ class CoNoChi(TransportHorizon, CommArchitecture, Component):
     # ==================================================================
     # per-cycle behaviour
     # ==================================================================
-    def tick(self, sim: Simulator):
-        now = sim.cycle
-        if self._settled < now - 1:
-            self.settle(now - 1)
-        self._settled = now
-        self._note_parallelism(self._links.active(now))
-        for msg in self._deliveries.pop_due(now):
-            self._deliver(msg)
-        arrived = self._arrivals.pop_due(now)
-        for pkt, at in arrived:
-            self._route(pkt, at, now)
-        if arrived and sim.telemetering:
-            # packets awaiting switch routing = the fabric's input queue
-            self._note_depth()
-        return self._horizon()
-
-    def _reserve(self, key: Tuple[object, object], now: int, words: int,
-                 mid: int) -> int:
-        earliest = now + self.cfg.switch_latency
-        start = max(earliest, self._port_free.get(key, 0))
-        # contention observability: cycles spent waiting for the port
-        self.sim.stats.histogram("conochi.port_wait").add(start - earliest)
-        if self.sim.telemetering:
-            tel = self.sim.telemetry
-            name = f"conochi.port.{key[0]}->{key[1]}"
-            tel.link_busy(now, name, words)
-            tel.backpressure(now, name, start - earliest)
-        self._port_free[key] = start + words
-        if key[1] != "local":
-            # inter-switch links only (see DyNoC._reserve_port)
-            self._links.add(start, start + words, mid)
-        return start
+    def _port_name(self, key: Tuple[object, object]) -> str:
+        return f"conochi.port.{key[0]}->{key[1]}"
 
     # ------------------------------------------------------------------
     # fault hooks (repro.faults)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.arch.base import CommArchitecture, Message
+from repro.arch.base import Message
 from repro.arch.dynoc.config import DyNoCConfig
 from repro.arch.dynoc.routing import (
     Coord,
@@ -30,12 +30,10 @@ from repro.arch.dynoc.routing import (
     trace_route,
     sxy_next,
 )
-from repro.arch.transport import DueQueue, LinkOccupancy, TransportHorizon
+from repro.arch.transport import TransportHorizon
 from repro.core.parameters import PAPER_TABLE_1, DesignParameters
-from repro.fabric.area import AreaModel
 from repro.fabric.geometry import Rect
-from repro.fabric.timing import ClockModel
-from repro.sim import Component, SimError, Simulator
+from repro.sim import SimError, Simulator
 
 
 @dataclass
@@ -57,20 +55,15 @@ class _Placement:
         return self.rect.w == 1 and self.rect.h == 1
 
 
-class DyNoC(TransportHorizon, CommArchitecture, Component):
+class DyNoC(TransportHorizon):
     """The DyNoC interconnect on a ``cols x rows`` PE/router mesh."""
 
     KEY = "dynoc"
     FABRIC_QUEUE = "dynoc.fabric"
 
-    def __init__(self, sim: Simulator, cfg: DyNoCConfig,
-                 area_model: Optional[AreaModel] = None,
-                 clock_model: Optional[ClockModel] = None):
-        CommArchitecture.__init__(self, sim, cfg.width)
-        Component.__init__(self, "dynoc")
+    def __init__(self, sim: Simulator, cfg: DyNoCConfig):
+        super().__init__(sim, cfg.width, "dynoc", cfg.router_latency)
         self.cfg = cfg
-        self.area_model = area_model or AreaModel()
-        self.clock_model = clock_model or ClockModel()
         self._router_active: Dict[Coord, bool] = {
             (x, y): True
             for x in range(cfg.mesh_cols)
@@ -80,16 +73,6 @@ class DyNoC(TransportHorizon, CommArchitecture, Component):
         self._pe_used: Dict[Coord, str] = {}
         # fault state: routers deactivated by failure (vs. by placement)
         self._failed_routers: set = set()
-        # (packet, router) header arrivals awaiting routing
-        self._arrivals = DueQueue()
-        # output-port reservations: (router, next_router|"local") -> free_at
-        self._port_free: Dict[Tuple[Coord, object], int] = {}
-        # messages whose tail leaves the ejection port
-        self._deliveries = DueQueue()
-        # inter-router link occupancy by packet id — the parallelism
-        # probe counts distinct packets on wires per cycle, the paper's
-        # "independent data transfers"
-        self._links = LinkOccupancy()
 
     # ==================================================================
     # activity / topology queries
@@ -319,9 +302,6 @@ class DyNoC(TransportHorizon, CommArchitecture, Component):
         self.sim.stats.counter("dynoc.header_words").inc(self.cfg.header_words)
         self.wake()  # new traffic ends any quiescent stretch
 
-    def idle(self) -> bool:
-        return not self._arrivals and not self._deliveries
-
     def descriptor(self) -> DesignParameters:
         return PAPER_TABLE_1["DyNoC"]
 
@@ -337,45 +317,12 @@ class DyNoC(TransportHorizon, CommArchitecture, Component):
     # ==================================================================
     # per-cycle behaviour
     # ==================================================================
-    def tick(self, sim: Simulator):
-        now = sim.cycle
-        if self._settled < now - 1:
-            self.settle(now - 1)
-        self._settled = now
-        self._note_parallelism(self._links.active(now))
-        for msg in self._deliveries.pop_due(now):
-            self._deliver(msg)
-        arrived = self._arrivals.pop_due(now)
-        for pkt, at in arrived:
-            self._route(pkt, at, now)
-        if arrived and sim.telemetering:
-            # headers awaiting routing = the fabric's input queue
-            self._note_depth()
-        return self._horizon()
-
-    def _reserve_port(self, router: Coord, target: object,
-                      now: int, words: int, mid: int) -> int:
-        """FIFO-reserve an output port; returns transmission start cycle."""
-        key = (router, target)
-        earliest = now + self.cfg.router_latency
-        start = max(earliest, self._port_free.get(key, 0))
-        # contention observability: cycles spent waiting for the port
-        self.sim.stats.histogram("dynoc.port_wait").add(start - earliest)
-        if self.sim.telemetering:
-            tel = self.sim.telemetry
-            if target == "local":
-                name = f"dynoc.ej.{router[0]},{router[1]}"
-            else:
-                name = (f"dynoc.link.{router[0]},{router[1]}->"
-                        f"{target[0]},{target[1]}")
-            tel.link_busy(now, name, words)
-            tel.backpressure(now, name, start - earliest)
-        self._port_free[key] = start + words
-        if target != "local":
-            # the parallelism probe counts inter-router links only — the
-            # paper's d_max is "limited by the number of links"
-            self._links.add(start, start + words, mid)
-        return start
+    def _port_name(self, key: Tuple[Coord, object]) -> str:
+        router, target = key
+        if target == "local":
+            return f"dynoc.ej.{router[0]},{router[1]}"
+        return (f"dynoc.link.{router[0]},{router[1]}->"
+                f"{target[0]},{target[1]}")
 
     def _route(self, pkt: _Packet, at: Coord, now: int) -> None:
         if self.faulting and self.fault_injector.node_dead(at):
@@ -392,7 +339,8 @@ class DyNoC(TransportHorizon, CommArchitecture, Component):
                 # packet arrived while still skirting an obstacle
                 self.sim.span_end("dynoc", "detour", key=pkt.msg.mid,
                                   left_at=at, delivered=True)
-            start = self._reserve_port(at, "local", now, pkt.words, pkt.msg.mid)
+            start = self._reserve((at, "local"), now, pkt.words,
+                                  pkt.msg.mid)
             if self.sim.journeying:
                 jr = self.sim.journey
                 jr.stamp_to(pkt.msg.mid, "arbitration_wait", start)
@@ -423,7 +371,7 @@ class DyNoC(TransportHorizon, CommArchitecture, Component):
                 f"DyNoC packet exceeded TTL ({self.cfg.ttl_hops} hops): "
                 f"{pkt.msg.src}->{pkt.msg.dst} at {at}"
             )
-        start = self._reserve_port(at, nxt, now, pkt.words, pkt.msg.mid)
+        start = self._reserve((at, nxt), now, pkt.words, pkt.msg.mid)
         self.sim.stats.counter("dynoc.word_hops").inc(pkt.words)
         if self.sim.tracing:
             self.sim.emit("dynoc", "route", mid=pkt.msg.mid, at=at, nxt=nxt,

@@ -45,9 +45,7 @@ from repro.arch.base import CommArchitecture, Message
 from repro.arch.rmboc.config import RMBoCConfig
 from repro.arch.rmboc.protocol import Channel, ChannelState, CtrlKind, CtrlMsg, Transfer
 from repro.core.parameters import PAPER_TABLE_1, DesignParameters
-from repro.fabric.area import AreaModel
-from repro.fabric.timing import ClockModel
-from repro.sim import SLEEP, Component, Simulator
+from repro.sim import SLEEP, Simulator
 from repro.sim.backoff import bounded_backoff
 
 #: the longest sleep over doomed retries alone: a storm on lanes that
@@ -95,19 +93,14 @@ class _Pair:
         self.seg = seg
 
 
-class RMBoC(CommArchitecture, Component):
+class RMBoC(CommArchitecture):
     """The RMBoC interconnect for ``cfg.num_modules`` slots."""
 
     KEY = "rmboc"
 
-    def __init__(self, sim: Simulator, cfg: RMBoCConfig,
-                 area_model: Optional[AreaModel] = None,
-                 clock_model: Optional[ClockModel] = None):
-        CommArchitecture.__init__(self, sim, cfg.width)
-        Component.__init__(self, "rmboc")
+    def __init__(self, sim: Simulator, cfg: RMBoCConfig):
+        super().__init__(sim, cfg.width, "rmboc")
         self.cfg = cfg
-        self.area_model = area_model or AreaModel()
-        self.clock_model = clock_model or ClockModel()
 
         # lane occupancy: lanes[segment][bus] -> channel cid or None
         self._lanes: List[List[Optional[int]]] = [
@@ -392,13 +385,6 @@ class RMBoC(CommArchitecture, Component):
         self._hot = True
         self.wake()
 
-    def _catch_up(self) -> None:
-        """Before a hook changes state or a reader reads it: replay what
-        the fabric skipped through the last cycle the stepped kernel
-        would have ticked it (:meth:`Simulator.owed`)."""
-        if self._sim is not None:
-            self.settle(self._sim.owed(self))
-
     def _horizon(self, now: int):
         """The next cycle a tick changes what anything outside the
         fabric can see, stashing what the ticks before it would record.
@@ -570,15 +556,11 @@ class RMBoC(CommArchitecture, Component):
             return SLEEP
         return nxt if nxt > now else now + 1
 
-    def settle(self, through: int) -> None:
-        """Replay the ticks skipped through ``through``: each moved every
-        transfer one word and sampled parallelism as the last tick
-        left them, its control messages took their hops, and the storm
-        modules retried (see :meth:`_horizon`)."""
-        first = self._settled + 1
-        if through < first:
-            return
-        self._settled = through
+    def _skipped(self, first: int, through: int) -> None:
+        """Replay the ticks skipped from ``first`` through ``through``:
+        each moved every transfer one word and sampled parallelism as
+        the last tick left them, its control messages took their hops,
+        and the storm modules retried (see :meth:`_horizon`)."""
         gap = through - first + 1
         if self._stash_active:
             for tr in self._transfers:

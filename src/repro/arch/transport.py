@@ -1,11 +1,16 @@
-"""Time-ordered packet transport state shared by the NoC models.
+"""The packet transport the NoC models share.
 
-DyNoC (and staticmesh, which inherits it) and CoNoChi keep two kinds of
-in-flight state: timed items — header arrivals awaiting routing and
-packets awaiting delivery — and link-occupancy intervals, which the
-parallelism probe counts every busy cycle (the paper's d_max,
-"independent data transfers").  Both structures here make a tick cost
-what falls due in it, not what is in flight:
+DyNoC (and staticmesh, which inherits it) and CoNoChi route and
+fragment differently but move packets alike: a header claims each
+output port in FIFO order after a fixed per-hop latency, and the body
+streams behind it.  :class:`TransportHorizon` holds that transport:
+the tick, the idle test and the port reservation.
+
+The in-flight state is of two kinds: timed items — header arrivals
+awaiting routing and packets awaiting delivery — and link-occupancy
+intervals, which the parallelism probe counts every busy cycle (the
+paper's d_max, "independent data transfers").  Both structures here
+make a tick cost what falls due in it, not what is in flight:
 
 * :class:`DueQueue` pops the items whose ready cycle has come, in
   insertion order, from a heap.
@@ -16,8 +21,9 @@ what falls due in it, not what is in flight:
 
 A busy link changes no protocol state, so the fabrics sleep to their
 event horizon, the next due item (:meth:`TransportHorizon._horizon`),
-and :meth:`TransportHorizon.settle` replays the busy cycles they skipped:
-one parallelism sample per busy cycle (:meth:`LinkOccupancy.replay`).
+and :meth:`TransportHorizon._skipped` replays the busy cycles they
+skipped: one parallelism sample per busy cycle
+(:meth:`LinkOccupancy.replay`).
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.sim import SLEEP
+from repro.arch.base import CommArchitecture
+from repro.sim import SLEEP, Simulator
 
 _SEQ = itemgetter(1)
 
@@ -145,14 +152,17 @@ class LinkOccupancy:
         return runs
 
 
-class TransportHorizon:
-    """Event horizon and replay shared by the NoC models.
+class TransportHorizon(CommArchitecture):
+    """Event horizon, replay and port reservation shared by the NoC
+    models.  A fabric supplies ``_route(pkt, at, now)``, which routes a
+    header that arrived at node ``at``, ``_submit`` and
+    ``_port_name(key)``, the telemetry name of an output port.
 
     A tick routes the headers that arrived, lands the packets whose
     tails cleared their ejection port and records one parallelism
     sample.  Only the pops change protocol state, so the fabric sleeps
     to the next due item; the busy-link cycles in between, on which the
-    same fabric would otherwise tick, are replayed by :meth:`settle`.
+    same fabric would otherwise tick, are replayed by :meth:`_skipped`.
     With telemetry on, the depth of the header queue
     (:attr:`FABRIC_QUEUE`) is recorded where it changes: after an
     injection and after a tick that routed arrivals
@@ -162,17 +172,68 @@ class TransportHorizon:
     #: telemetry name of the header-arrival queue
     FABRIC_QUEUE = ""
 
-    _links: LinkOccupancy
-    _arrivals: DueQueue
-    _deliveries: DueQueue
-    _settled: int
+    def __init__(self, sim: Simulator, width: int, name: str,
+                 hop_latency: int):
+        super().__init__(sim, width, name)
+        #: cycles a header spends in a router or switch before it may
+        #: claim an output port
+        self._hop_latency = hop_latency
+        # (packet, node) header arrivals awaiting routing
+        self._arrivals = DueQueue()
+        # output-port reservations: (node, next node|"local") -> free_at
+        self._port_free: Dict[Tuple[object, object], int] = {}
+        # messages whose tail leaves the ejection port
+        self._deliveries = DueQueue()
+        # inter-node link occupancy by message id: the parallelism probe
+        # counts distinct packets on wires per cycle, the paper's
+        # "independent data transfers"
+        self._links = LinkOccupancy()
+        self._wait_name = f"{name}.port_wait"
 
-    def settle(self, through: int) -> None:
-        """Replay the busy-link cycles skipped through ``through``."""
-        first = self._settled + 1
-        if through < first:
-            return
-        self._settled = through
+    def idle(self) -> bool:
+        return not self._arrivals and not self._deliveries
+
+    def tick(self, sim: Simulator):
+        now = sim.cycle
+        if self._settled < now - 1:
+            self.settle(now - 1)
+        self._settled = now
+        self._note_parallelism(self._links.active(now))
+        for msg in self._deliveries.pop_due(now):
+            self._deliver(msg)
+        arrived = self._arrivals.pop_due(now)
+        for pkt, at in arrived:
+            self._route(pkt, at, now)
+        if arrived and sim.telemetering:
+            # headers awaiting routing = the fabric's input queue
+            self._note_depth()
+        return self._horizon()
+
+    def _reserve(self, key: Tuple[object, object], now: int, words: int,
+                 mid: int) -> int:
+        """FIFO-reserve the output port ``key``, (node, next node or
+        ``"local"``), for a packet of ``words`` words whose header
+        arrived at ``now``; returns the cycle its transmission starts."""
+        earliest = now + self._hop_latency
+        start = max(earliest, self._port_free.get(key, 0))
+        sim = self.sim
+        # contention observability: cycles spent waiting for the port
+        sim.stats.histogram(self._wait_name).add(start - earliest)
+        if sim.telemetering:
+            tel = sim.telemetry
+            name = self._port_name(key)
+            tel.link_busy(now, name, words)
+            tel.backpressure(now, name, start - earliest)
+        self._port_free[key] = start + words
+        if key[1] != "local":
+            # the parallelism probe counts inter-node links only — the
+            # paper's d_max is "limited by the number of links"
+            self._links.add(start, start + words, mid)
+        return start
+
+    def _skipped(self, first: int, through: int) -> None:
+        """Replay the busy-link cycles skipped from ``first`` through
+        ``through``."""
         runs = self._links.replay(first, through)
         if not runs:
             return

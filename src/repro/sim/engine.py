@@ -239,10 +239,9 @@ class Simulator:
         self._event_seq = itertools.count()
         self._order_seq = itertools.count()
         self._running = False
-        #: True while the tick phase of the current cycle runs (a hook
-        #: called then comes from a component's tick, not an event)
-        self.ticking = False
-        #: the registration order of the component ticking now
+        #: the registration order of the component ticking now; -1
+        #: outside the tick phase (a hook called then comes from an
+        #: event or from between cycles, not from a component's tick)
         self._tick_order = -1
         self._stopped = False
         # activity-driven scheduling state: awake components in
@@ -407,7 +406,7 @@ class Simulator:
         order has already passed (one registered before the component
         ticking now), and ``cycle - 1`` otherwise.
         """
-        if self.ticking and settler._order < self._tick_order:
+        if settler._order < self._tick_order:
             return self.cycle
         return self.cycle - 1
 
@@ -601,7 +600,6 @@ class Simulator:
                 while events and events[0][0] <= cycle:
                     _, _, fn = heappop(events)
                     fn(self)
-                self.ticking = True
                 if self.fast_path:
                     # Snapshot: ticks may add/remove/wake components;
                     # changes take effect next cycle, matching
@@ -629,7 +627,7 @@ class Simulator:
             self.cycle += 1
         finally:
             self._running = False
-            self.ticking = False
+            self._tick_order = -1
 
     def _step_profiled(self, cycle: int) -> None:
         """The events and tick phases with the profiler attached — split
@@ -641,7 +639,6 @@ class Simulator:
             t0 = perf_counter()
             fn(self)
             profiler.add("kernel.events", perf_counter() - t0)
-        self.ticking = True
         if self.fast_path:
             for order, component in list(self._runnable):
                 self._tick_order = order

@@ -128,6 +128,23 @@ class TestForeignMutation:
         """
         assert findings_for(src, "QL004") == []
 
+    def test_a_fabric_is_a_component_through_its_base(self, tmp_path):
+        """Components are found by base-class name across the files
+        linted together: a class that derives from CommArchitecture
+        alone is checked when the package is linted with it."""
+        fabric = tmp_path / "fabric.py"
+        fabric.write_text(textwrap.dedent("""
+            from repro.arch.base import CommArchitecture
+
+            class Sleeper(CommArchitecture):
+                def doze(self, other):
+                    other._asleep = True
+        """))
+        hits = [f for f in lint_paths([PKG_DIR, str(fabric)])
+                if f.rule == "QL004"]
+        assert [(f.path, f.symbol) for f in hits] == [
+            (str(fabric), "Sleeper.doze")]
+
     def test_public_attributes_of_others_are_not_flagged(self):
         # messages/ports expose deliberately public mutable state
         src = """

@@ -81,3 +81,8 @@ def test_owed_follows_the_tick_order():
     assert first.seen == [-1, 0, 1]   # the fabric ticks after it
     assert last.seen == [0, 1, 2]     # the fabric has ticked or slept
     assert sim.owed(fabric) == 2      # between cycles: the last one run
+    # from the event phase, after a tick phase that passed the fabric
+    events = []
+    sim.at(3, lambda s: events.append(s.owed(fabric)))
+    sim.run(1)
+    assert events == [2]
