@@ -329,7 +329,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     # exit code contract: 0 clean, 1 findings, 2 internal analyzer
     # error — a crashed analyzer must never look clean to CI.
     try:
-        result = run_lint(paths, with_graph=not args.no_graph)
+        result = run_lint(paths)
         threshold = Severity.parse(args.min_severity)
         findings = [f for f in result.findings
                     if f.severity.rank >= threshold.rank]
@@ -572,7 +572,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="tracer capacity per simulator")
     p.add_argument("--keep", choices=["head", "tail"], default="tail",
                    help="which side to keep at capacity")
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--top", type=_bounded(int, 0), default=10,
                    help="rows in the terminal summary")
     p.add_argument("--journeys", action="store_true",
                    help="also record message journeys (adds journey "
@@ -587,7 +587,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="write a Prometheus-text metrics snapshot")
     p.add_argument("--json", default=None, metavar="FILE",
                    help="write a JSON stats/kernel/profile snapshot")
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--top", type=_bounded(int, 0), default=10,
                    help="rows in the terminal summary")
     p.set_defaults(func=_cmd_profile)
 
@@ -603,7 +603,7 @@ def make_parser() -> argparse.ArgumentParser:
                         "dashboard")
     p.add_argument("--interval", type=float, default=1.0, metavar="SEC",
                    help="refresh period for the live dashboard")
-    p.add_argument("--rows", type=int, default=8,
+    p.add_argument("--rows", type=_bounded(int, 0), default=8,
                    help="rows per dashboard table")
     p.add_argument("--no-clear", action="store_true",
                    help="append refreshes instead of clearing the screen")
@@ -621,7 +621,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="emit the repro.journey/1 document as JSON")
     p.add_argument("-o", "--out", default=None, metavar="FILE",
                    help="write the report/document to FILE")
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--top", type=_bounded(int, 0), default=10,
                    help="flows per simulator in the terminal report")
     p.add_argument("--rate", type=_bounded(float, 0, 1), default=1.0,
                    help="deterministic journey sampling rate in [0, 1]")
@@ -693,9 +693,6 @@ def make_parser() -> argparse.ArgumentParser:
                    default="info", help="hide findings below this level")
     p.add_argument("--strict", action="store_true",
                    help="exit non-zero on any finding, not just errors")
-    p.add_argument("--no-graph", action="store_true",
-                   help="skip the whole-program graph rules "
-                        "(QL009, QL011); static per-class rules only")
     p.set_defaults(func=_cmd_lint)
 
     p = sub.add_parser("report",
@@ -789,7 +786,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="ledger root to resolve run ids in")
     p.add_argument("--json", action="store_true",
                    help="emit the repro.diff/1 document as JSON")
-    p.add_argument("--top", type=int, default=20,
+    p.add_argument("--top", type=_bounded(int, 0), default=20,
                    help="delta rows in the terminal rendering")
     p.add_argument("--check", action="store_true",
                    help="exit 1 when the diff finds significant "

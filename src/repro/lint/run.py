@@ -44,7 +44,7 @@ class LintResult:
         return not self.findings
 
 
-def run_lint(paths: Sequence[str], *, with_graph: bool = True) -> LintResult:
+def run_lint(paths: Sequence[str]) -> LintResult:
     """Run the full pipeline over ``paths`` (see module docstring).
 
     Raises on *internal* analyzer failure (a crash in a rule) — the CLI
@@ -53,10 +53,9 @@ def run_lint(paths: Sequence[str], *, with_graph: bool = True) -> LintResult:
     inputs, never raise.
     """
     findings: List[Finding] = list(lint_paths(paths))
-    if with_graph:
-        graph, parse_errors = build_graph(paths)
-        findings.extend(parse_errors)
-        findings.extend(run_graph_rules(graph))
+    graph, parse_errors = build_graph(paths)
+    findings.extend(parse_errors)
+    findings.extend(run_graph_rules(graph))
 
     findings = apply_dir_policies(dedupe_findings(sort_findings(findings)))
     kept = apply_suppressions(findings)

@@ -375,7 +375,6 @@ def build_run_record(kind: str, name: str, *,
                      resilience: Optional[Dict[str, Any]] = None,
                      seed_stats: Optional[Dict[str, Any]] = None,
                      seed_run_ids: Optional[List[str]] = None,
-                     noise: Optional[Dict[str, float]] = None,
                      wall_seconds: Optional[float] = None
                      ) -> Dict[str, Any]:
     """Assemble a ``repro.run/1`` record.
@@ -384,8 +383,7 @@ def build_run_record(kind: str, name: str, *,
     dataclass, sweep rows, chaos document...) — converted to plain
     JSON data.  ``sims`` supplies the observability sections (kernel
     metrics, telemetry, journeys); each section appears only when the
-    run produced it.  ``noise`` carries per-metric dispersion hints
-    consumed by :mod:`repro.obs.diff` for significance floors.
+    run produced it.
     """
     if kind not in RUN_KINDS:
         raise ValueError(f"unknown run kind {kind!r}; known: {RUN_KINDS}")
@@ -418,8 +416,6 @@ def build_run_record(kind: str, name: str, *,
         record["seed_stats"] = jsonable(seed_stats)
     if seed_run_ids is not None:
         record["seed_run_ids"] = list(seed_run_ids)
-    if noise:
-        record["noise"] = {k: float(v) for k, v in sorted(noise.items())}
     record["wall"] = {
         "seconds": wall_seconds,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S",
@@ -699,13 +695,11 @@ def ledgered_call(fn: Callable[[], Any], *, kind: str, name: str,
                   config: Optional[Dict[str, Any]] = None,
                   seed: Optional[int] = None,
                   ledger: Optional[str] = None,
-                  journeys: bool = True,
-                  journey_rate: float = 1.0,
                   ) -> Tuple[Any, Optional[str]]:
     """Run ``fn`` under pure-observer instrumentation and persist its
     record; returns ``(result, run_id)``.
 
-    The observation is telemetry + (optionally) journeys via
+    The observation is telemetry + journeys via
     :class:`~repro.obs.session.ObservationSession` — both proven
     bit-identical to unobserved runs — so the result is exactly what
     ``fn()`` returns without the ledger.  When the ledger is disabled
@@ -717,9 +711,7 @@ def ledgered_call(fn: Callable[[], Any], *, kind: str, name: str,
     from repro.obs.session import ObservationSession
 
     session = ObservationSession(trace=False, telemetry=True,
-                                 journeys=journeys,
-                                 journey_rate=journey_rate,
-                                 journey_seed=seed or 0)
+                                 journeys=True, journey_seed=seed or 0)
     t0 = time.perf_counter()
     with session:
         result = fn()

@@ -30,6 +30,11 @@ class TestParser:
         ["trace", "e1", "--max-events", "0"],
         ["chaos", "e1", "--rounds", "0"],
         ["experiment", "all", "-j", "-2"],
+        ["trace", "e1", "--top", "-1"],
+        ["profile", "e1", "--top", "-1"],
+        ["explain", "e1", "--top", "-1"],
+        ["diff", "a", "b", "--top", "-1"],
+        ["watch", "e1", "--once", "--rows", "-1"],
     ], ids=" ".join)
     def test_bad_option_value_exits_two(self, argv, capsys):
         """The parser rejects the value: argparse's usage and error
@@ -55,6 +60,8 @@ class TestParser:
         assert parse(["advise", "-m", "2", "-w", "1"]).modules == 2
         assert parse(["explain", "e1", "--rate", "0"]).rate == 0.0
         assert parse(["experiment", "all", "-j", "0"]).jobs == 0
+        assert parse(["trace", "e1", "--top", "0"]).top == 0
+        assert parse(["watch", "e1", "--rows", "0"]).rows == 0
 
 
 class TestCommands:
