@@ -117,12 +117,6 @@ class JourneyRecord:
             return None
         return max(0, self.delivered - self.cursor)
 
-    def by_kind(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for kind, start, end in self.segments:
-            out[kind] = out.get(kind, 0) + (end - start)
-        return out
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "mid": self.mid,
@@ -282,7 +276,9 @@ def aggregate_flows(recorder: JourneyRecorder) -> List[Dict[str, Any]]:
     """Decompose each flow's sampled latency into per-segment
     attributions, with the unattributed residual reported explicitly.
 
-    Returns one row per (src, dst) flow, sorted for determinism.
+    Returns one row per (src, dst) flow, sorted for determinism.  Each
+    flow's segment cycles and residuals are summed in one pass over its
+    records' segments.
     """
     flows: Dict[Tuple[str, str], List[JourneyRecord]] = {}
     for rec in recorder.delivered_records():
@@ -290,14 +286,15 @@ def aggregate_flows(recorder: JourneyRecorder) -> List[Dict[str, Any]]:
     rows: List[Dict[str, Any]] = []
     for (src, dst) in sorted(flows):
         recs = flows[(src, dst)]
-        lats = sorted(r.latency for r in recs)
+        lats = sorted(r.delivered - r.created for r in recs)
         total = sum(lats)
         by_kind: Dict[str, int] = {}
         residual = 0
         for r in recs:
-            for kind, cycles in r.by_kind().items():
-                by_kind[kind] = by_kind.get(kind, 0) + cycles
-            residual += r.residual or 0
+            for kind, start, end in r.segments:
+                by_kind[kind] = by_kind.get(kind, 0) + (end - start)
+            if r.delivered > r.cursor:
+                residual += r.delivered - r.cursor
         attributed = sum(by_kind.values())
         coverage = attributed / total if total else 1.0
         segments = {

@@ -175,16 +175,37 @@ def canonical_bytes(record: Dict[str, Any],
     return _canonical(jsonable(record), strip_volatile)
 
 
-def _content_id(doc: Dict[str, Any]) -> str:
-    """:func:`run_id_of` a record already converted by :func:`jsonable`."""
-    return hashlib.sha256(_canonical(doc)).hexdigest()[:16]
+def _content_id(body: bytes) -> str:
+    """:func:`run_id_of` a record whose canonical bytes are ``body``."""
+    return hashlib.sha256(body).hexdigest()[:16]
+
+
+def _stored_parts(doc: Dict[str, Any], body: bytes) -> List[Any]:
+    """The stored file of ``doc``, whose canonical bytes are ``body``,
+    as pieces to write in order: ``_dumps(doc)`` and a newline.
+
+    The volatile sections sort after every other key of a record, so
+    the file is ``body`` with them spliced in before its closing brace,
+    and ``body`` is written through a view instead of being copied.  A
+    record with a key that sorts after a volatile one is encoded
+    whole."""
+    volatile = {k: doc[k] for k in VOLATILE_KEYS if k in doc}
+    if not volatile:
+        return [body, b"\n"]
+    first = min(volatile)
+    if any(k > first for k in doc if k not in volatile):
+        return [_dumps(doc).encode("utf-8"), b"\n"]
+    # '{"wall":{...}}' without its opening brace closes the record
+    tail = _dumps(volatile).encode("utf-8")[1:]
+    head = memoryview(body)[:-1]
+    return [head, b"," + tail if len(head) > 1 else tail, b"\n"]
 
 
 def run_id_of(record: Dict[str, Any]) -> str:
     """Content address of a record: SHA-256 of its canonical bytes,
     truncated to 16 hex digits (64 bits — collision-safe for any
     realistic ledger size)."""
-    return _content_id(jsonable(record))
+    return _content_id(_canonical(jsonable(record)))
 
 
 def config_hash(kind: str, name: str,
@@ -471,25 +492,27 @@ class RunLedger:
     def store(self, record: Dict[str, Any]) -> str:
         """Persist ``record``; returns its run id.
 
-        The record is converted to plain data once.  Its id hashes the
-        compact sorted-key encoding without the wall-clock section (as
-        :func:`run_id_of`), and the file holds the same encoding with
-        it, so ``json.load`` of the file gives the converted record
-        back.  A root that cannot be written (read-only, or a path
-        through a regular file) leaves the run unrecorded: the id is
-        still returned.
+        The record is converted to plain data once and encoded once.
+        Its id hashes the compact sorted-key encoding without the
+        wall-clock section (as :func:`run_id_of`), and the file holds
+        the same encoding with it (:func:`_stored_parts`), so
+        ``json.load`` of the file gives the converted record back.  A
+        root that cannot be written (read-only, or a path through a
+        regular file) leaves the run unrecorded: the id is still
+        returned.
         """
         doc = jsonable(record)
-        run_id = _content_id(doc)
+        body = _canonical(doc)
+        run_id = _content_id(body)
         path = self.path_for(run_id)
         if os.path.exists(path):
             return run_id
         tmp = f"{path}.tmp.{os.getpid()}"
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(_dumps(doc))
-                fh.write("\n")
+            with open(tmp, "wb") as fh:
+                for part in _stored_parts(doc, body):
+                    fh.write(part)
             os.replace(tmp, path)
         except OSError:
             # unwritable store: the run still happened, just unrecorded

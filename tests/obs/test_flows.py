@@ -89,6 +89,13 @@ class TestLinkStats:
         assert cut.series == whole.series
         assert cut.busy_cycles == whole.busy_cycles == 8
 
+    def test_an_empty_busy_run_changes_nothing(self):
+        """A zero-cycle run recorded with its first cycle inside a later
+        window adds nothing and carries nothing (it raised KeyError)."""
+        ls = LinkStats("l", window=32)
+        ls.note_busy(0, 0, first=33)
+        assert (ls.busy_cycles, ls._win_busy, ls._carry) == (0, 0, {})
+
     def test_invalid_window_raises(self):
         with pytest.raises(ValueError):
             LinkStats("l", window=0)

@@ -119,18 +119,27 @@ class TestStore:
         assert ledger.store(rec) == rid
         assert len(ledger) == 1
 
-    def test_stored_file_is_the_compact_sorted_record(self):
+    def test_stored_file_is_the_compact_sorted_record(self, tmp_path):
+        """The file is the record's compact sorted encoding, whether the
+        wall-clock section sorts last (spliced into the hashed bytes),
+        is absent, or has a key sorting after it."""
         rec = build_run_record("experiment", "x", config={"b": 2, "a": 1},
                                stats={"v": math.nan, "w": (1, 2)})
-        ledger = RunLedger()
-        rid = ledger.store(rec)
-        with open(ledger.path_for(rid), encoding="utf-8") as fh:
-            text = fh.read()
-        doc = json.loads(text)
-        assert doc == jsonable(rec)
-        assert text == json.dumps(doc, sort_keys=True,
-                                  separators=(",", ":")) + "\n"
-        assert run_id_of(doc) == rid
+        no_wall = {k: v for k, v in rec.items() if k != "wall"}
+        after_wall = {**rec, "wallet": [1], "zone": {"b": 1, "a": None}}
+        for i, record in enumerate((rec, no_wall, after_wall,
+                                    {"wall": {}})):
+            # one root each: a record and its copy without the wall
+            # section share a run id
+            ledger = RunLedger(str(tmp_path / str(i)))
+            rid = ledger.store(record)
+            with open(ledger.path_for(rid), encoding="utf-8") as fh:
+                text = fh.read()
+            doc = json.loads(text)
+            assert doc == jsonable(record)
+            assert text == json.dumps(doc, sort_keys=True,
+                                      separators=(",", ":")) + "\n"
+            assert run_id_of(doc) == rid
 
     def test_unwritable_root_leaves_the_run_unrecorded(self, tmp_path):
         blocker = tmp_path / "file"
