@@ -146,6 +146,7 @@ class CoNoChi(TransportHorizon):
         src_switch = self._module_switch[msg.src]
         nfrag = self.cfg.fragments(msg.payload_bytes)
         remaining = msg.payload_bytes
+        first_arrival = None
         for i in range(nfrag):
             frag_bytes = min(remaining, self.cfg.max_payload_bytes)
             remaining -= frag_bytes
@@ -159,20 +160,23 @@ class CoNoChi(TransportHorizon):
             # NI serializes fragments onto the module->switch link.
             start = max(now + 1, self._port_free.get(("ni", msg.src), 0))
             self._port_free[("ni", msg.src)] = start + pkt.words
+            arrival = start + self.cfg.link_latency
             if self.sim.journeying:
                 jr = self.sim.journey
                 jr.stamp_to(msg.mid, "ni_queue", start)
-                jr.stamp_to(msg.mid, "link_transit",
-                            start + self.cfg.link_latency)
-            self._arrivals.push(start + self.cfg.link_latency,
-                                (pkt, src_switch))
+                jr.stamp_to(msg.mid, "link_transit", arrival)
+            self._arrivals.push(arrival, (pkt, src_switch))
+            if first_arrival is None:
+                first_arrival = arrival
         if self.sim.telemetering:
             self._note_depth()
         self.sim.stats.counter("conochi.packets").inc(nfrag)
         self.sim.stats.counter("conochi.header_words").inc(
             nfrag * self.cfg.header_words
         )
-        self.wake()  # new traffic ends any quiescent stretch
+        # new traffic ends any quiescent stretch, from the cycle its
+        # first header reaches the source switch
+        self._wake_by(first_arrival)
 
     def descriptor(self) -> DesignParameters:
         return PAPER_TABLE_1["CoNoChi"]
