@@ -66,10 +66,19 @@ def walks(draw):
     traffic = (draw(st.integers(0, 2 ** 16)), draw(st.integers(6, 60)))
     xps = st.integers(0, modules - 1)
     hooks = []
+    failed = set()
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(1, 1_500))
-        hooks.append((draw(st.sampled_from(("freeze", "fail"))), at,
-                      draw(xps), at + draw(st.integers(1, 300))))
+        kind = draw(st.sampled_from(("freeze", "fail")))
+        if kind == "fail":
+            # fail_crosspoint refuses a cross-point that is already
+            # down, and the windows may overlap: fail distinct ones
+            xp = draw(st.sampled_from(
+                [x for x in range(modules) if x not in failed]))
+            failed.add(xp)
+        else:
+            xp = draw(xps)
+        hooks.append((kind, at, xp, at + draw(st.integers(1, 300))))
     for _ in range(draw(st.integers(0, 2))):
         hooks.append(("cap", draw(st.integers(1, 1_500)),
                       draw(st.integers(1, buses)), None))
@@ -172,6 +181,13 @@ def test_walk_replay_matches_ticking_every_cycle(case):
     assert stepped["ticks"] == case[-1]  # the law was checked every cycle
     for part in ("messages", "stats", "telemetry", "evaluations", "reads"):
         assert fast[part] == stepped[part], part
+
+
+@given(case=walks())
+@settings(max_examples=200, deadline=None)
+def test_walks_fail_each_crosspoint_once(case):
+    failed = [xp for kind, _, xp, _ in case[2] if kind == "fail"]
+    assert len(failed) == len(set(failed))
 
 
 def _alone(distance: int, fast_path: bool):
