@@ -19,15 +19,26 @@ residual, which is reported, never silently dropped.
 Sampling is deterministic: the keep/skip decision for message ``mid``
 is a pure function of ``(seed, mid)`` (a CRC32 threshold test), so the
 same seed samples the same messages on every rerun, with the kernel's
-fast path on or off.  ``max_records``
-additionally caps memory (keep-first; the overflow count is reported).
+fast path on or off.  ``max_records`` additionally caps how many
+messages are recorded (keep-first; the overflow count is reported).
 
-On top of the raw records:
+At delivery (:meth:`JourneyRecorder.finalize`) each record is folded
+into its flow's aggregate: the count of each distinct latency, the
+segment-cycle and residual sums, and the lowest-mid record at each
+distinct latency (the candidates for the p50/p99 critical paths).  A
+recorder built with ``retain=False`` then releases the record, so its
+memory grows with flows and distinct latencies, not with messages; the
+run ledger, ``repro explain`` and ``repro watch`` record that way.  A
+retaining recorder (the default) keeps every record for the consumers
+that read them one by one: the Perfetto journey arcs and
+:meth:`JourneyRecorder.snapshot`.
+
+On top of the per-flow aggregates:
 
 * :func:`aggregate_flows` decomposes per-flow latency into per-segment
   attributions;
-* :func:`critical_path` reports the dominant segment chain behind the
-  p50/p99 of a flow;
+* :func:`critical_path` reports the segment chain of one record, the
+  p50/p99 chains of a flow among them;
 * :func:`build_journey_document` / :func:`explain_experiment` produce
   the stable ``repro.journey/1`` document behind ``repro explain``;
 * :func:`validate_journey` structurally checks such a document (CI);
@@ -140,15 +151,59 @@ class JourneyRecord:
                 f"{state}, segments={len(self.segments)})")
 
 
+class FlowJourneys:
+    """The delivered records of one (src, dst) flow, folded.
+
+    Holds what :func:`aggregate_flows` reports and nothing per message:
+    the number of records at each distinct latency, the cycles each
+    segment kind covered, the residual cycles, and the lowest-mid
+    record at each distinct latency, whose chain is the flow's p50 or
+    p99 critical path when that latency is."""
+
+    __slots__ = ("counts", "segments", "residual", "paths")
+
+    def __init__(self) -> None:
+        #: latency -> number of delivered records
+        self.counts: Dict[int, int] = {}
+        #: segment kind -> cycles, summed over the delivered records
+        self.segments: Dict[str, int] = {}
+        self.residual = 0
+        #: latency -> the lowest-mid delivered record at that latency
+        self.paths: Dict[int, JourneyRecord] = {}
+
+    def fold(self, rec: JourneyRecord) -> None:
+        lat = rec.delivered - rec.created
+        n = self.counts.get(lat)
+        if n is None:
+            self.counts[lat] = 1
+            self.paths[lat] = rec
+        else:
+            self.counts[lat] = n + 1
+            if rec.mid < self.paths[lat].mid:
+                self.paths[lat] = rec
+        segments = self.segments
+        for kind, start, end in rec.segments:
+            segments[kind] = segments.get(kind, 0) + (end - start)
+        if rec.delivered > rec.cursor:
+            self.residual += rec.delivered - rec.cursor
+
+
 class JourneyRecorder:
     """Per-simulator journey store (attach via ``sim.journey = ...``).
 
     All hot-path methods tolerate unsampled mids (dict miss, return) so
     stamp sites never need their own sampling test.
+
+    ``records`` holds the records of the messages in flight and of the
+    dropped ones; with ``retain`` (the default) it keeps the delivered
+    ones too.  Every delivered record is folded into ``flows`` at
+    :meth:`finalize`, whatever ``retain`` says, and the aggregates read
+    only ``flows``.  The fold relies on no stamp, drop or
+    retransmission link reaching a message after its delivery.
     """
 
     def __init__(self, seed: int = 0, rate: float = 1.0,
-                 max_records: int = 100_000) -> None:
+                 max_records: int = 100_000, retain: bool = True) -> None:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"rate must be in [0, 1], got {rate}")
         if max_records < 1:
@@ -156,7 +211,15 @@ class JourneyRecorder:
         self.seed = int(seed)
         self.rate = float(rate)
         self.max_records = int(max_records)
+        #: keep delivered records in ``records`` after folding them
+        self.retain = bool(retain)
         self.records: Dict[int, JourneyRecord] = {}
+        #: (src, dst) -> the flow's folded delivered records
+        self.flows: Dict[Tuple[str, str], FlowJourneys] = {}
+        #: records opened (the keep-first cap counts these)
+        self.opened = 0
+        #: records a fault flagged dropped (delivered later or not)
+        self.dropped = 0
         #: messages skipped by the sampling decision
         self.sampled_out = 0
         #: messages skipped by the max_records cap (keep-first)
@@ -171,9 +234,10 @@ class JourneyRecorder:
         if not sampled(self.seed, msg.mid, self.rate):
             self.sampled_out += 1
             return
-        if len(self.records) >= self.max_records:
+        if self.opened >= self.max_records:
             self.capped += 1
             return
+        self.opened += 1
         self.records[msg.mid] = JourneyRecord(
             msg.mid, msg.src, msg.dst, msg.payload_bytes, cycle)
 
@@ -194,16 +258,28 @@ class JourneyRecorder:
         rec.cursor = end
 
     def finalize(self, msg, cycle: int) -> None:
-        """The message was delivered at ``cycle``."""
-        rec = self.records.get(msg.mid)
-        if rec is not None:
-            rec.delivered = cycle
+        """The message was delivered at ``cycle``: fold its record into
+        its flow, and release it unless the recorder retains."""
+        mid = msg.mid
+        rec = self.records.get(mid)
+        if rec is None:
+            return
+        rec.delivered = cycle
+        if not self.retain:
+            del self.records[mid]
+        key = (rec.src, rec.dst)
+        flow = self.flows.get(key)
+        if flow is None:
+            flow = self.flows[key] = FlowJourneys()
+        flow.fold(rec)
 
     def drop(self, msg, cycle: int, why: str = "fault",
              fault: Optional[Dict[str, Any]] = None) -> None:
         """The message was consumed by a fault at ``cycle``."""
         rec = self.records.get(msg.mid)
         if rec is not None:
+            if not rec.dropped:
+                self.dropped += 1
             rec.dropped = True
             rec.drop_why = why
             if fault is not None:
@@ -222,11 +298,12 @@ class JourneyRecorder:
 
     # ------------------------------------------------------------------
     def delivered_records(self) -> List[JourneyRecord]:
+        """The delivered records still held (none unless ``retain``)."""
         return [r for r in self.records.values() if r.delivered >= 0]
 
     def snapshot(self) -> Dict[str, Any]:
-        """Deterministic dump of every record, keyed by mid — the
-        object-vs-vec equivalence tests compare these directly."""
+        """Deterministic dump of every record held, keyed by mid — the
+        golden tests compare these directly, on retaining recorders."""
         return {
             "sampling": {"seed": self.seed, "rate": self.rate,
                          "max_records": self.max_records},
@@ -237,22 +314,29 @@ class JourneyRecorder:
         }
 
     def __len__(self) -> int:
-        return len(self.records)
+        """Records opened, held or released."""
+        return self.opened
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"JourneyRecorder(records={len(self.records)}, "
-                f"rate={self.rate}, seed={self.seed})")
+        return (f"JourneyRecorder(records={self.opened}, "
+                f"flows={len(self.flows)}, rate={self.rate}, "
+                f"seed={self.seed})")
 
 
 # ----------------------------------------------------------------------
 # aggregation / critical-path analysis
 # ----------------------------------------------------------------------
-def _pct(sorted_vals: List[int], q: float) -> int:
-    """Nearest-rank percentile on a pre-sorted non-empty list."""
-    n = len(sorted_vals)
+def _pct(counted: List[Tuple[int, int]], n: int, q: float) -> int:
+    """Nearest-rank percentile of ``n`` values given as ``(value,
+    count)`` pairs sorted by value."""
     rank = max(1, -(-int(q * n * 1000) // 1000))  # ceil without floats drift
     idx = min(n - 1, max(0, rank - 1))
-    return sorted_vals[idx]
+    seen = 0
+    for value, count in counted:
+        seen += count
+        if seen > idx:
+            break
+    return value
 
 
 def critical_path(rec: JourneyRecord) -> Dict[str, Any]:
@@ -276,25 +360,19 @@ def aggregate_flows(recorder: JourneyRecorder) -> List[Dict[str, Any]]:
     """Decompose each flow's sampled latency into per-segment
     attributions, with the unattributed residual reported explicitly.
 
-    Returns one row per (src, dst) flow, sorted for determinism.  Each
-    flow's segment cycles and residuals are summed in one pass over its
-    records' segments.
+    Returns one row per (src, dst) flow, sorted for determinism, from
+    the recorder's folded flows (:class:`FlowJourneys`).  Percentiles
+    are nearest-rank; each critical path is the chain of the lowest-mid
+    record at that latency.
     """
-    flows: Dict[Tuple[str, str], List[JourneyRecord]] = {}
-    for rec in recorder.delivered_records():
-        flows.setdefault((rec.src, rec.dst), []).append(rec)
     rows: List[Dict[str, Any]] = []
+    flows = recorder.flows
     for (src, dst) in sorted(flows):
-        recs = flows[(src, dst)]
-        lats = sorted(r.delivered - r.created for r in recs)
-        total = sum(lats)
-        by_kind: Dict[str, int] = {}
-        residual = 0
-        for r in recs:
-            for kind, start, end in r.segments:
-                by_kind[kind] = by_kind.get(kind, 0) + (end - start)
-            if r.delivered > r.cursor:
-                residual += r.delivered - r.cursor
+        flow = flows[(src, dst)]
+        counted = sorted(flow.counts.items())
+        n = sum(count for _, count in counted)
+        total = sum(lat * count for lat, count in counted)
+        by_kind = flow.segments
         attributed = sum(by_kind.values())
         coverage = attributed / total if total else 1.0
         segments = {
@@ -304,27 +382,21 @@ def aggregate_flows(recorder: JourneyRecorder) -> List[Dict[str, Any]]:
         }
         slowest = (sorted(by_kind.items(), key=lambda kv: (-kv[1], kv[0]))
                    [0][0] if by_kind else None)
-        p50, p99 = _pct(lats, 0.50), _pct(lats, 0.99)
-
-        def _at(lat_target: int) -> Dict[str, Any]:
-            # deterministic pick: the lowest-mid record at that latency
-            pick = min((r for r in recs if r.latency == lat_target),
-                       key=lambda r: r.mid)
-            return critical_path(pick)
-
+        p50, p99 = _pct(counted, n, 0.50), _pct(counted, n, 0.99)
         rows.append({
             "src": src,
             "dst": dst,
-            "sampled": len(recs),
-            "latency": {"total": total, "mean": total / len(recs),
+            "sampled": n,
+            "latency": {"total": total, "mean": total / n,
                         "p50": p50, "p99": p99,
-                        "max": lats[-1], "min": lats[0]},
+                        "max": counted[-1][0], "min": counted[0][0]},
             "segments": segments,
             "attributed": attributed,
-            "residual": residual,
+            "residual": flow.residual,
             "coverage": coverage,
             "slowest_segment": slowest,
-            "critical_paths": {"p50": _at(p50), "p99": _at(p99)},
+            "critical_paths": {"p50": critical_path(flow.paths[p50]),
+                               "p99": critical_path(flow.paths[p99])},
         })
     return rows
 
@@ -354,10 +426,9 @@ def build_journey_document(session, experiment: str) -> Dict[str, Any]:
         if jr is None:
             continue
         flows = aggregate_flows(jr)
-        delivered = jr.delivered_records()
         attributed = sum(row["attributed"] for row in flows)
         latency = sum(row["latency"]["total"] for row in flows)
-        total_records += len(jr.records)
+        total_records += len(jr)
         total_attributed += attributed
         total_latency += latency
         sims.append({
@@ -365,9 +436,9 @@ def build_journey_document(session, experiment: str) -> Dict[str, Any]:
             "cycle": sim.cycle,
             "sampling": {"seed": jr.seed, "rate": jr.rate,
                          "max_records": jr.max_records},
-            "records": len(jr.records),
-            "delivered": len(delivered),
-            "dropped": sum(1 for r in jr.records.values() if r.dropped),
+            "records": len(jr),
+            "delivered": sum(row["sampled"] for row in flows),
+            "dropped": jr.dropped,
             "pending": sum(1 for r in jr.records.values()
                            if r.delivered < 0 and not r.dropped),
             "sampled_out": jr.sampled_out,

@@ -359,7 +359,7 @@ def journey_section(sims: Iterable[Any]) -> Optional[Dict[str, Any]]:
         total_latency += latency
         entries.append({
             "index": index,
-            "records": len(jr.records),
+            "records": len(jr),
             "sampled_out": jr.sampled_out,
             "capped": jr.capped,
             "flows": flows,

@@ -43,7 +43,9 @@ class ObservationSession:
         Attach a :class:`~repro.obs.journey.JourneyRecorder` to each
         new simulator (the ``repro explain`` data source), sampling
         deterministically with ``journey_seed`` / ``journey_rate`` and
-        bounded by ``journey_max_records``.
+        capped by ``journey_max_records``.  Records fold into per-flow
+        aggregates at delivery; only a traced session keeps each
+        message's record, for the Perfetto journey arcs.
     rules:
         Alert rules for the telemetry engine (default: the canonical
         :func:`~repro.obs.alerts.default_rules` set).
@@ -94,7 +96,7 @@ class ObservationSession:
 
             sim.journey = JourneyRecorder(
                 seed=self.journey_seed, rate=self.journey_rate,
-                max_records=self.journey_max_records)
+                max_records=self.journey_max_records, retain=self.trace)
         self.sims.append(sim)
         if self._prev is not None:
             self._prev(sim)

@@ -6,12 +6,16 @@ cheap forms.  This file keeps a reference copy of the straightforward
 code each replaced and checks, on inputs Hypothesis draws, that the
 two give the same results:
 
-* :func:`~repro.obs.journey.aggregate_flows` sums each flow's segment
-  cycles and residuals in one pass; the reference builds a per-record
-  ``by_kind`` dict.  Drawn recorders hold merged and zero-length
-  segments, residuals, stamps past the delivery cycle, undelivered and
-  dropped records, and many equal latencies, so the lowest-mid pick of
-  the p50 and p99 critical paths matters.
+* :func:`~repro.obs.journey.aggregate_flows` reads the per-flow folds
+  that :meth:`~repro.obs.journey.JourneyRecorder.finalize` builds; the
+  reference groups a retaining recorder's delivered records by flow and
+  sums their segments record by record.  Drawn messages go through
+  ``start``, ``stamp_to``, ``drop`` and ``finalize`` as the fabrics
+  call them, into a retaining and a streaming recorder: zero-length
+  stamps, merged segments, residuals, stamps past the delivery cycle,
+  undelivered and dropped messages, deliveries in any order and many
+  equal latencies, so the lowest-mid pick of the p50 and p99 critical
+  paths matters.
 * :class:`~repro.obs.flows.FlowTelemetry`'s ``link_busy``,
   ``queue_depth`` and ``backpressure`` look their link up once, skip
   the no-op wait of a zero backpressure and arm the alert grid inline;
@@ -22,6 +26,7 @@ two give the same results:
   and fire the same alerts.
 """
 
+from types import SimpleNamespace
 from typing import Any, Dict, List, Tuple
 
 from hypothesis import example, given, settings
@@ -33,7 +38,6 @@ from repro.obs.journey import (
     SEGMENT_KINDS,
     JourneyRecord,
     JourneyRecorder,
-    _pct,
     aggregate_flows,
     critical_path,
 )
@@ -50,9 +54,18 @@ def _by_kind(rec: JourneyRecord) -> Dict[str, int]:
     return out
 
 
+def _pct(sorted_vals: List[int], q: float) -> int:
+    """Nearest-rank percentile on a pre-sorted non-empty list."""
+    n = len(sorted_vals)
+    rank = max(1, -(-int(q * n * 1000) // 1000))
+    idx = min(n - 1, max(0, rank - 1))
+    return sorted_vals[idx]
+
+
 def reference_aggregate_flows(recorder: JourneyRecorder
                               ) -> List[Dict[str, Any]]:
-    """``aggregate_flows`` as it was before the one-pass sums."""
+    """``aggregate_flows`` as it was before the one-pass sums and the
+    per-flow folds, over a retaining recorder's delivered records."""
     flows: Dict[Tuple[str, str], List[JourneyRecord]] = {}
     for rec in recorder.delivered_records():
         flows.setdefault((rec.src, rec.dst), []).append(rec)
@@ -100,64 +113,87 @@ def reference_aggregate_flows(recorder: JourneyRecorder
     return rows
 
 
-#: one segment: its kind, its length (0 appends a zero-length segment
-#: directly, as no stamp site does), and whether it goes through
-#: stamp_to, which merges it into an adjacent segment of the same kind
-_SEGMENT = st.tuples(st.sampled_from(SEGMENT_KINDS[:4]), st.integers(0, 6),
-                     st.booleans())
+def _message(mid: int, src: str = "a", dst: str = "b") -> SimpleNamespace:
+    return SimpleNamespace(mid=mid, src=src, dst=dst, payload_bytes=64)
 
-#: one message: flow, creation cycle, segments, cycles between the
-#: cursor and delivery (negative: stamped past it; None: undelivered),
-#: and whether a fault dropped it
+
+#: one stamp: its kind and how far past the previous stamp it ends (0
+#: is a zero-length stamp, which ``stamp_to`` ignores; adjacent stamps
+#: of one kind merge)
+_STAMP = st.tuples(st.sampled_from(SEGMENT_KINDS[:4]), st.integers(0, 6))
+
+#: one message: flow, creation cycle, stamps, cycles between the last
+#: stamp and delivery (negative: stamped past it; None: undelivered),
+#: and whether a fault drops it first
 _MESSAGE = st.tuples(st.sampled_from((("a", "b"), ("a", "c"), ("b", "a"))),
-                     st.integers(0, 5), st.lists(_SEGMENT, max_size=5),
+                     st.integers(0, 5), st.lists(_STAMP, max_size=5),
                      st.one_of(st.none(), st.integers(-3, 4)),
                      st.booleans())
 
 
 @st.composite
-def recorders(draw) -> JourneyRecorder:
+def journeys(draw) -> Tuple[List[Tuple[int, Any]], List[int]]:
     messages = draw(st.lists(_MESSAGE, max_size=24))
-    # mids in drawn order, not creation order: the lowest-mid pick
-    # among equal latencies must not follow insertion order
+    # mids in drawn order, not creation order, and deliveries in a
+    # third order: the lowest-mid pick among equal latencies must
+    # follow neither
     mids = draw(st.permutations(range(len(messages))))
-    recorder = JourneyRecorder()
-    for mid, ((src, dst), created, segments, gap, dropped) in zip(
-            mids, messages):
-        rec = recorder.records[mid] = JourneyRecord(mid, src, dst, 64,
-                                                    created)
-        for kind, cycles, stamped in segments:
-            if stamped and cycles:
-                recorder.stamp_to(mid, kind, rec.cursor + cycles)
-            else:
-                rec.segments.append([kind, rec.cursor, rec.cursor + cycles])
-                rec.cursor += cycles
+    order = draw(st.permutations(range(len(messages))))
+    return list(zip(mids, messages)), order
+
+
+def record(recorder: JourneyRecorder,
+           case: Tuple[List[Tuple[int, Any]], List[int]]
+           ) -> JourneyRecorder:
+    """Send the drawn messages through ``recorder``'s record paths."""
+    messages, order = case
+    ends = []
+    for mid, ((src, dst), created, stamps, _gap, dropped) in messages:
+        msg = _message(mid, src, dst)
+        recorder.start(msg, created)
+        end = created
+        for kind, cycles in stamps:
+            end += cycles
+            recorder.stamp_to(mid, kind, end)
+        if dropped:
+            recorder.drop(msg, end)
+        ends.append(end)
+    for i in order:
+        mid, ((src, dst), created, _stamps, gap, _dropped) = messages[i]
         if gap is not None:
-            rec.delivered = max(created, rec.cursor + gap)
-        rec.dropped = dropped
+            recorder.finalize(_message(mid, src, dst),
+                              max(created, ends[i] + gap))
     return recorder
 
 
-@example(recorder=JourneyRecorder())
-@given(recorder=recorders())
+@example(case=([], []))
+@given(case=journeys())
 @settings(max_examples=200, deadline=None)
-def test_aggregate_flows_matches_the_reference(recorder):
-    assert aggregate_flows(recorder) == reference_aggregate_flows(recorder)
+def test_aggregate_flows_matches_the_reference(case):
+    retaining = record(JourneyRecorder(), case)
+    streaming = record(JourneyRecorder(retain=False), case)
+    expected = reference_aggregate_flows(retaining)
+    assert aggregate_flows(retaining) == expected
+    assert aggregate_flows(streaming) == expected
+    assert not streaming.delivered_records()
 
 
 def test_ties_pick_the_lowest_mid():
-    """Two records share the p50 and p99 latency: both forms pick the
-    lower mid, whichever was recorded first."""
-    recorder = JourneyRecorder()
-    for mid in (5, 2):
-        rec = recorder.records[mid] = JourneyRecord(mid, "a", "b", 8, 0)
-        recorder.stamp_to(mid, "link_transit", 3 if mid == 5 else 2)
-        rec.delivered = 4
-    (row,) = aggregate_flows(recorder)
+    """Two records share the p50 and p99 latency: the folds and the
+    reference pick the lower mid, whichever was delivered first."""
+    retaining, streaming = JourneyRecorder(), JourneyRecorder(retain=False)
+    for recorder in (retaining, streaming):
+        for mid in (5, 2):
+            msg = _message(mid)
+            recorder.start(msg, 0)
+            recorder.stamp_to(mid, "link_transit", 3 if mid == 5 else 2)
+            recorder.finalize(msg, 4)
+    (row,) = aggregate_flows(streaming)
     assert row["critical_paths"]["p50"]["mid"] == 2
     assert row["critical_paths"]["p99"]["mid"] == 2
     assert row["residual"] == 3
-    assert [row] == reference_aggregate_flows(recorder)
+    assert [row] == aggregate_flows(retaining)
+    assert [row] == reference_aggregate_flows(retaining)
 
 
 # ----------------------------------------------------------------------
