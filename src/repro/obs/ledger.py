@@ -103,6 +103,29 @@ def default_ledger_dir() -> str:
 # ----------------------------------------------------------------------
 # canonical JSON + hashing
 # ----------------------------------------------------------------------
+class _ReadyDict(dict):
+    """A dict already in :func:`jsonable` form, all the way down:
+    :func:`jsonable` returns it as it is instead of rebuilding it."""
+
+    __slots__ = ()
+
+
+class _ReadyList(list):
+    """The list counterpart of :class:`_ReadyDict`."""
+
+    __slots__ = ()
+
+
+def _ready(value: Any) -> Any:
+    """Mark ``value``, which :func:`jsonable` would return unchanged,
+    so that it passes through without a walk (scalars need no mark)."""
+    if type(value) is dict:
+        return _ReadyDict(value)
+    if type(value) is list:
+        return _ReadyList(value)
+    return value
+
+
 def jsonable(obj: Any) -> Any:
     """Recursively convert to JSON-serializable plain data.
 
@@ -111,7 +134,9 @@ def jsonable(obj: Any) -> Any:
     back to ``str``).  Run ids hash this encoding, so it must not
     change.  Plain data (exact str, int, bool, None, finite float,
     dict, list and tuple) takes a fast path ahead of the general
-    checks; it converts exactly as they would.
+    checks; it converts exactly as they would.  A section
+    :func:`build_run_record` built in this form already is marked
+    (:func:`_ready`) and returned as it is.
     """
     cls = type(obj)
     if cls is str or cls is int or cls is bool or obj is None:
@@ -123,6 +148,8 @@ def jsonable(obj: Any) -> Any:
                 for k, v in obj.items()}
     if cls is list or cls is tuple:
         return [jsonable(v) for v in obj]
+    if cls is _ReadyDict or cls is _ReadyList:
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
@@ -301,7 +328,9 @@ def telemetry_section(sims: Iterable[Any]) -> List[Dict[str, Any]]:
     (deterministic).  Flows and links keep the top
     ``MAX_FLOWS_PER_SIM``/``MAX_LINKS_PER_SIM`` by volume with an
     explicit ``omitted`` count; the bounded utilization ring series is
-    dropped (the summaries carry the comparison-relevant signal)."""
+    dropped (the summaries carry the comparison-relevant signal).  The
+    section is built in :func:`jsonable` form: the kept summaries,
+    counters, gauges and alerts are converted as they go in."""
     out: List[Dict[str, Any]] = []
     for index, sim in enumerate(sims):
         tel = getattr(sim, "telemetry", None)
@@ -322,19 +351,19 @@ def telemetry_section(sims: Iterable[Any]) -> List[Dict[str, Any]]:
             key=lambda l: (-l["busy_cycles"], l["name"]))
         entry: Dict[str, Any] = {
             "index": index,
-            "cycle": now,
-            "flows": flows,
+            "cycle": jsonable(now),
+            "flows": jsonable(flows),
             "flows_omitted": flows_omitted,
-            "links": links,
+            "links": jsonable(links),
             "links_omitted": links_omitted,
-            "counters": dict(sorted(tel.counters.items())),
-            "gauges": dict(sorted(tel.gauges.items())),
-            "quiesce": tel.quiesce.summary(),
-            "mttr": tel.mttr.summary(),
+            "counters": jsonable(dict(sorted(tel.counters.items()))),
+            "gauges": jsonable(dict(sorted(tel.gauges.items()))),
+            "quiesce": jsonable(tel.quiesce.summary()),
+            "mttr": jsonable(tel.mttr.summary()),
         }
         if tel.engine is not None:
             snap = tel.engine.snapshot(now)
-            entry["alerts"] = snap["alerts"]
+            entry["alerts"] = jsonable(snap["alerts"])
             entry["alerts_dropped"] = snap["dropped"]
         out.append(entry)
     return out
@@ -342,7 +371,9 @@ def telemetry_section(sims: Iterable[Any]) -> List[Dict[str, Any]]:
 
 def journey_section(sims: Iterable[Any]) -> Optional[Dict[str, Any]]:
     """Per-flow latency attribution aggregates across every journey-
-    carrying simulator — the ``repro diff`` attribution substrate."""
+    carrying simulator — the ``repro diff`` attribution substrate.
+    The rows hold only strings, ints, None and finite floats, so the
+    section is in :func:`jsonable` form as built."""
     from repro.obs.journey import aggregate_flows
 
     entries: List[Dict[str, Any]] = []
@@ -375,7 +406,8 @@ def journey_section(sims: Iterable[Any]) -> Optional[Dict[str, Any]]:
 
 def alerts_section(sims: Iterable[Any]) -> List[Dict[str, Any]]:
     """Every alert fired across the run's simulators, flattened (the
-    per-simulator telemetry entries keep the engine snapshots)."""
+    per-simulator telemetry entries keep the engine snapshots), in
+    :func:`jsonable` form."""
     fired: List[Dict[str, Any]] = []
     for index, sim in enumerate(sims):
         tel = getattr(sim, "telemetry", None)
@@ -384,7 +416,7 @@ def alerts_section(sims: Iterable[Any]) -> List[Dict[str, Any]]:
         for alert in tel.engine.alerts:
             d = alert.to_dict()
             d["sim"] = index
-            fired.append(d)
+            fired.append(jsonable(d))
     return fired
 
 
@@ -404,7 +436,9 @@ def build_run_record(kind: str, name: str, *,
     dataclass, sweep rows, chaos document...) — converted to plain
     JSON data.  ``sims`` supplies the observability sections (kernel
     metrics, telemetry, journeys); each section appears only when the
-    run produced it.
+    run produced it.  Every section built in :func:`jsonable` form is
+    marked so, and :meth:`RunLedger.store` writes it without another
+    walk.
     """
     if kind not in RUN_KINDS:
         raise ValueError(f"unknown run kind {kind!r}; known: {RUN_KINDS}")
@@ -416,25 +450,25 @@ def build_run_record(kind: str, name: str, *,
         "kind": kind,
         "name": name,
         "seed": seed,
-        "config": jsonable(config),
+        "config": _ready(jsonable(config)),
         "config_hash": config_hash(kind, name, config),
         "versions": versions_block(),
-        "stats": jsonable(stats),
+        "stats": _ready(jsonable(stats)),
     }
     sims = list(sims) if sims is not None else []
     if sims:
         record["kernel"] = aggregate_kernel(sims)
         telemetry = telemetry_section(sims)
         if telemetry:
-            record["telemetry"] = telemetry
-            record["alerts"] = alerts_section(sims)
+            record["telemetry"] = _ready(telemetry)
+            record["alerts"] = _ready(alerts_section(sims))
         journeys = journey_section(sims)
         if journeys is not None:
-            record["journeys"] = journeys
+            record["journeys"] = _ready(journeys)
     if resilience is not None:
-        record["resilience"] = jsonable(resilience)
+        record["resilience"] = _ready(jsonable(resilience))
     if seed_stats is not None:
-        record["seed_stats"] = jsonable(seed_stats)
+        record["seed_stats"] = _ready(jsonable(seed_stats))
     if seed_run_ids is not None:
         record["seed_run_ids"] = list(seed_run_ids)
     record["wall"] = {
@@ -492,7 +526,9 @@ class RunLedger:
     def store(self, record: Dict[str, Any]) -> str:
         """Persist ``record``; returns its run id.
 
-        The record is converted to plain data once and encoded once.
+        The record is converted to plain data once (sections that
+        :func:`build_run_record` built in that form pass through
+        unwalked) and encoded once.
         Its id hashes the compact sorted-key encoding without the
         wall-clock section (as :func:`run_id_of`), and the file holds
         the same encoding with it (:func:`_stored_parts`), so

@@ -367,6 +367,85 @@ class TestJsonable:
         assert out == {"p": {"x": 1, "y": 2}, "t": [3, 4], "s": [5]}
 
 
+def _unmarked(obj):
+    """``obj`` with every dict and list rebuilt as a plain one, so that
+    :func:`jsonable` walks all of it."""
+    if isinstance(obj, dict):
+        return {k: _unmarked(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_unmarked(v) for v in obj]
+    return obj
+
+
+class TestJsonReadySections:
+    """``build_run_record`` builds the telemetry, alerts and journeys
+    sections in :func:`jsonable` form, and the store writes them without
+    another walk.  NaN, inf and numpy scalars in them must map as
+    ``jsonable`` maps them, or run ids move."""
+
+    @staticmethod
+    def _odd_sims():
+        import numpy as np
+
+        from repro.obs.alerts import AlertEngine, AlertRule
+        from repro.obs.flows import FlowTelemetry
+        from repro.obs.journey import JourneyRecorder
+        from repro.sim import Simulator
+
+        sim = Simulator(name="odd")
+        tel = FlowTelemetry(eval_interval=4).attach(sim)
+        tel.engine = AlertEngine(rules=[AlertRule("inf", "gauge:inf", 1.0)])
+        sim.journey = JourneyRecorder(retain=False)
+
+        def record(s):
+            tel.gauge(s.cycle, "nan", math.nan)
+            tel.gauge(s.cycle, "inf", math.inf)
+            tel.gauge(s.cycle, "np", np.float64(2.5))
+            tel.gauge(s.cycle, "npi", np.int64(3))
+            tel.count(s.cycle, "np.count", np.int64(3))
+            tel.record_flow(s.cycle, "a", "b", np.float64(7.0),
+                            np.int64(64))
+            tel.link_busy(s.cycle, "l0", np.int64(3))
+
+        sim.at(2, record)
+        sim.run(20)
+        return [sim]
+
+    def test_sections_convert_as_jsonable(self, monkeypatch):
+        import repro.obs.ledger as ledger
+
+        sims = self._odd_sims()
+        built = [ledger.telemetry_section(sims),
+                 ledger.alerts_section(sims)]
+        # the same builders without their conversions: the sections as
+        # the store used to receive them
+        monkeypatch.setattr(ledger, "jsonable", lambda obj: obj)
+        raw = [ledger.telemetry_section(sims), ledger.alerts_section(sims)]
+        monkeypatch.undo()
+        assert type(raw[0][0]["counters"]["np.count"]).__name__ == "int64"
+        assert math.isnan(raw[0][0]["gauges"]["nan"])
+        assert built[0][0]["gauges"] == {"inf": "inf", "nan": "nan",
+                                         "np": 2.5, "npi": 3}
+        assert built[0][0]["flows"][0]["jitter"]["mean"] == "nan"
+        assert raw[1][0]["value"] == math.inf
+        assert built[1][0]["value"] == "inf"
+        assert (json.dumps(built, sort_keys=True)
+                == json.dumps(jsonable(raw), sort_keys=True))
+
+    def test_store_writes_what_a_whole_conversion_gives(self, tmp_path):
+        record = build_run_record("experiment", "odd", config={"r": 0.5},
+                                  stats={"x": math.nan},
+                                  sims=self._odd_sims())
+        ledger = RunLedger(str(tmp_path))
+        run_id = ledger.store(record)
+        plain = _unmarked(record)
+        assert run_id == run_id_of(plain)
+        with open(ledger.path_for(run_id), encoding="utf-8") as fh:
+            text = fh.read()
+        assert text == json.dumps(jsonable(plain), sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+
+
 class TestFleetLedgering:
     def test_fleet_record_aggregates_per_seed_records(self):
         fleet = run_seed_fleet("sharedbus", [0, 1], **WORKLOAD)
