@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.analysis.experiments import builds
 from repro.arch import build_architecture
 from repro.arch.buscom import AdaptiveArbiter, build_buscom
 from repro.sim import make_rng
@@ -44,6 +45,7 @@ class AblationSeries:
 
 
 # ----------------------------------------------------------------------
+@builds("rmboc")
 def a1_rmboc_bus_count(ks: Tuple[int, ...] = (1, 2, 3, 4),
                        payload_bytes: int = 512) -> Dict[str, AblationSeries]:
     """More buses -> fewer CANCELs and faster completion under a
@@ -67,6 +69,7 @@ def a1_rmboc_bus_count(ks: Tuple[int, ...] = (1, 2, 3, 4),
     }
 
 
+@builds("buscom")
 def a2_buscom_static_split(
     splits: Tuple[int, ...] = (0, 8, 16, 24, 32),
     horizon: int = 8000,
@@ -113,6 +116,7 @@ def a2_buscom_static_split(
     }
 
 
+@builds("conochi")
 def a3_conochi_table_update_latency(
     latencies: Tuple[int, ...] = (1, 16, 64, 256),
     horizon: int = 4000,
@@ -137,6 +141,7 @@ def a3_conochi_table_update_latency(
     return AblationSeries("a3", "mean latency after migration", points)
 
 
+@builds("dynoc")
 def a4_dynoc_router_latency(
     depths: Tuple[int, ...] = (1, 2, 3, 5, 8),
     payload_bytes: int = 16,
@@ -153,6 +158,7 @@ def a4_dynoc_router_latency(
     return AblationSeries("a4", "m0->m3 latency (3 hops)", points)
 
 
+@builds("buscom")
 def a5_buscom_adaptivity(horizon: int = 12_000) -> Dict[str, float]:
     """Hot-stream latency with and without the adaptive arbiter."""
     def run(adaptive: bool) -> float:
@@ -172,6 +178,7 @@ def a5_buscom_adaptivity(horizon: int = 12_000) -> Dict[str, float]:
     return {"static": run(False), "adaptive": run(True)}
 
 
+@builds("dynoc")
 def a6_dynoc_switching_mode(
     payload_bytes: Tuple[int, ...] = (4, 64, 256),
 ) -> Dict[str, AblationSeries]:
@@ -191,6 +198,7 @@ def a6_dynoc_switching_mode(
     return out
 
 
+@builds("rmboc")
 def a7_rmboc_fairness(
     backoffs: Tuple[int, ...] = (2, 8, 32, 128),
     horizon: int = 4_000,

@@ -163,18 +163,18 @@ def run_chaos_scenario(key: str, seed: int = 7,
 
 
 def discover_arch_keys(experiment: str) -> List[str]:
-    """Which architecture kinds an experiment harness builds, in the
-    order of its simulators and their components (deduplicated).  The
-    run is untraced; an unknown name or a run that built no simulator
-    raises :class:`~repro.analysis.parallel.ExperimentError`."""
-    from repro.arch.base import CommArchitecture
-    from repro.obs.session import observe_named
+    """Which architecture kinds an experiment harness builds, in build
+    order, as the harness declares them
+    (:func:`~repro.analysis.experiments.builds`); nothing runs.  An
+    unknown name or a harness that builds no simulator raises
+    :class:`~repro.analysis.parallel.ExperimentError`."""
+    from repro.analysis.parallel import ExperimentError, harness
 
-    _, session = observe_named(experiment, trace=False)
-    return list(dict.fromkeys(
-        component.KEY for sim in session.sims
-        for component in sim.components
-        if isinstance(component, CommArchitecture)))
+    keys = list(harness(experiment).fabrics)
+    if not keys:
+        raise ExperimentError(f"experiment {experiment!r} built no "
+                              f"simulators")
+    return keys
 
 
 def _resilience_summary(scenarios: List[Dict[str, Any]]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.arch import build_architecture
 from repro.arch.conochi.arch import CoNoChi
@@ -28,6 +28,22 @@ from repro.reconfig.module import ModuleSpec
 from repro.sim import make_rng
 from repro.traffic.generators import PeriodicStream, RandomTraffic
 from repro.traffic.patterns import uniform_chooser
+
+_Harness = TypeVar("_Harness", bound=Callable[..., Any])
+
+
+def builds(*keys: str) -> Callable[[_Harness], _Harness]:
+    """Declare the fabric keys a harness builds, in the order it builds
+    them (none for a harness that builds no simulator).  ``repro
+    chaos`` and ``repro adapt`` read the declaration as the harness's
+    ``fabrics`` attribute instead of running the harness to find them;
+    ``tests/faults/test_chaos.py`` checks each against a run."""
+
+    def declare(harness: _Harness) -> _Harness:
+        harness.fabrics = keys  # type: ignore[attr-defined]
+        return harness
+
+    return declare
 
 
 # ======================================================================
@@ -52,6 +68,7 @@ class E1Result:
         )
 
 
+@builds("rmboc")
 def e1_rmboc_setup(num_modules: int = 4, num_buses: int = 4,
                    width: int = 32) -> E1Result:
     rows: List[Tuple[int, int, int]] = []
@@ -84,6 +101,7 @@ class E2Result:
         return self.rows["rmboc"][0] > self.rows["buscom"][0]
 
 
+@builds("rmboc", "buscom", "dynoc", "conochi")
 def e2_parallelism(width: int = 32, payload_bytes: int = 512) -> E2Result:
     rows: Dict[str, Tuple[int, int]] = {}
 
@@ -136,6 +154,7 @@ class E3Result:
         return abs(self.rows[arch] - self.paper_claim) <= tol
 
 
+@builds("buscom", "conochi", "rmboc", "dynoc")
 def e3_effective_bandwidth(width: int = 32) -> E3Result:
     rows: Dict[str, float] = {}
 
@@ -205,6 +224,7 @@ class E4Result:
         return max(lat) == min(lat)
 
 
+@builds("dynoc", "conochi", "rmboc")
 def e4_latency_scaling(max_side: int = 4, width: int = 32,
                        payload_bytes: int = 16) -> E4Result:
     dynoc_rows: List[Tuple[int, int, int]] = []
@@ -256,6 +276,7 @@ class E5Result:
         return self.conochi_by_size[-1][1] < self.dynoc_by_size[-1][1]
 
 
+@builds()
 def e5_area_scaling(width: int = 32, max_modules: int = 12,
                     max_side: int = 4) -> E5Result:
     area = AreaModel()
@@ -300,6 +321,7 @@ class E6Result:
         return self.rows[arch]["bystander_delivered"] > 0
 
 
+@builds("rmboc", "buscom", "dynoc", "conochi")
 def e6_reconfiguration(width: int = 32) -> E6Result:
     result = E6Result()
     device = get_device("XC2V6000")
@@ -349,6 +371,7 @@ class E6bResult:
     mean_latency_after_add: float
 
 
+@builds("conochi")
 def e6b_conochi_topology_change(width: int = 32) -> E6bResult:
     """Insert a switch into a live CoNoChi network, then remove it,
     while a stream runs — nothing may stall or be lost."""
@@ -395,6 +418,7 @@ class E7Result:
     rows: Dict[str, List[Tuple[float, float]]]  # arch -> [(rate, mean lat)]
 
 
+@builds("rmboc", "buscom", "dynoc", "conochi")
 def e7_bus_vs_noc(width: int = 32, num_modules: int = 4,
                   rates: Tuple[float, ...] = (0.002, 0.005, 0.01, 0.02, 0.04),
                   horizon: int = 4000, payload_bytes: int = 64,
@@ -445,6 +469,7 @@ class E7bResult:
         return series[-1][1] / series[0][1]
 
 
+@builds("rmboc", "buscom", "dynoc", "conochi")
 def e7b_module_scaling(width: int = 32,
                        module_counts: Tuple[int, ...] = (4, 8, 12),
                        rate: float = 0.01, horizon: int = 3000,
@@ -505,6 +530,7 @@ class E8Result:
         return self.rows["rmboc"] < self.rows["buscom"]
 
 
+@builds("rmboc", "buscom", "dynoc", "conochi")
 def e8_energy(width: int = 32, payload_bytes: int = 64,
               rounds: int = 8) -> E8Result:
     from repro.analysis.energy import measure_energy
@@ -536,6 +562,7 @@ class E9Result:
         return q / (q + t)
 
 
+@builds("rmboc", "buscom", "dynoc", "conochi")
 def e9_latency_decomposition(width: int = 32, rate: float = 0.01,
                              horizon: int = 4000, payload_bytes: int = 64,
                              seed: int = 21) -> E9Result:
@@ -586,6 +613,8 @@ class E10Result:
         return self.rows[arch][metric]
 
 
+@builds("sharedbus", "staticmesh", "rmboc", "buscom", "dynoc",
+        "conochi")
 def e10_reconfigurability_tax(width: int = 32,
                               payload_bytes: int = 64) -> E10Result:
     from repro.core.scenario import minimal_scenario
@@ -642,6 +671,8 @@ class E11Result:
         return self.rows[arch]["met_ratio"]
 
 
+@builds("rmboc", "buscom", "dynoc", "conochi", "sharedbus",
+        "staticmesh")
 def e11_realtime_study(width: int = 32, horizon: int = 12_000,
                        deadline: Optional[int] = None,
                        seed: int = 29) -> E11Result:
@@ -699,6 +730,7 @@ class E12Result:
         return self.rows[arch][period]["availability"]
 
 
+@builds("rmboc", "buscom", "dynoc", "conochi")
 def e12_reconfiguration_frequency(
     periods: Tuple[int, ...] = (300_000, 450_000),
     horizon_swaps: int = 3,

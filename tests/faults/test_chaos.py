@@ -1,5 +1,6 @@
 """Chaos harness tests: sweep document, validation, CLI."""
 
+import functools
 import json
 import re
 
@@ -13,6 +14,9 @@ from repro.analysis.chaos import (
     run_chaos_sweep,
     validate_chaos,
 )
+from repro.analysis.parallel import ExperimentError, harness, registry
+from repro.arch.base import CommArchitecture
+from repro.obs.session import ObservationSession
 from tests.tampering import tampered
 
 
@@ -31,6 +35,27 @@ class TestDiscovery:
     def test_unknown_experiment_diagnosed(self):
         with pytest.raises(KeyError, match="known"):
             discover_arch_keys("e99")
+
+    def test_a_harness_without_fabrics_is_diagnosed(self):
+        with pytest.raises(ExperimentError,
+                           match="experiment 'e5' built no simulators"):
+            discover_arch_keys("e5")
+
+    @pytest.mark.parametrize("name", sorted(registry()))
+    def test_declared_fabrics_match_a_run(self, name):
+        """Discovery reads each harness's declaration instead of running
+        it; an all-off session over the harness sees the same fabrics in
+        the same order (e12 with one short swap period)."""
+        run = harness(name)
+        if name == "e12":
+            run = functools.partial(run, periods=(20_000,))
+        with ObservationSession(trace=False) as session:
+            run()
+        built = list(dict.fromkeys(
+            component.KEY for sim in session.sims
+            for component in sim.components
+            if isinstance(component, CommArchitecture)))
+        assert list(harness(name).fabrics) == built
 
 
 class TestSweep:
