@@ -175,8 +175,10 @@ class FlowJourneys:
         lat = rec.delivered - rec.created
         n = self.counts.get(lat)
         if n is None:
-            self.counts[lat] = 1
+            # the path first: repro watch reads the folds from another
+            # thread, and a latency it finds in counts must have a path
             self.paths[lat] = rec
+            self.counts[lat] = 1
         else:
             self.counts[lat] = n + 1
             if rec.mid < self.paths[lat].mid:
