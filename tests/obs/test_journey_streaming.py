@@ -33,6 +33,8 @@ from repro.obs.journey import (
     flow_slowest_segments,
 )
 from repro.obs.ledger import journey_section
+from repro.obs.perfetto import to_chrome_trace
+from repro.obs.session import observe_named
 from repro.sim.engine import set_new_sim_hook
 from tests.obs.test_record_paths import reference_aggregate_flows
 from tests.sim.test_horizon_properties import (
@@ -138,6 +140,24 @@ def test_the_drops_example_drops_and_resends():
     assert recorder.dropped == 2
     assert sum(1 for r in recorder.records.values()
                if r.retrans_of is not None) == 2
+
+
+def test_only_a_traced_session_retains():
+    """``repro trace --journeys`` exports each message's arc, so a
+    traced session keeps the records; the ledger, ``repro explain`` and
+    ``repro watch`` observe untraced and release them at delivery."""
+    _, traced = observe_named("e1", trace=True, journeys=True)
+    _, untraced = observe_named("e1", trace=False, journeys=True)
+    for sim in traced.sims:
+        assert len(sim.journey.records) == len(sim.journey) > 0
+    events = to_chrome_trace(traced.sims)["traceEvents"]
+    arcs = [e for e in events
+            if e.get("name") == "journey" and e["ph"] in ("s", "t", "f")]
+    opened = {e["id"] for e in arcs if e["ph"] == "s"}
+    assert opened and opened == {e["id"] for e in arcs if e["ph"] == "f"}
+    for sim in untraced.sims:
+        assert len(sim.journey) > 0 and not sim.journey.records
+    assert journey_section(traced.sims) == journey_section(untraced.sims)
 
 
 # ----------------------------------------------------------------------
