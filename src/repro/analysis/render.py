@@ -30,11 +30,11 @@ def render_rmboc_figure(arch: RMBoC) -> str:
     lines.append(" ".join(f"{'|':^{cell}}" for _ in range(cfg.num_modules)))
     xps = " ".join(f"[{'XP' + str(i):^{cell - 2}}]" for i in range(cfg.num_modules))
     lines.append(xps)
+    held = arch.held_lanes()
     for bus in range(cfg.num_buses):
         segs = []
         for seg in range(cfg.num_segments):
-            owner = arch._lanes[seg][bus]
-            segs.append("=" * cell if owner is None else "#" * cell)
+            segs.append("#" * cell if held[seg][bus] else "=" * cell)
         lines.append(
             f"bus{bus}: " + "+".join(segs) + "   (= free segment, # reserved)"
         )

@@ -8,6 +8,10 @@ from repro.analysis.render import (
     render_rmboc_figure,
 )
 from repro.fabric.geometry import Rect
+from repro.sim import Simulator
+
+#: one reserved segment of Figure 1 (the legend also shows a ``#``)
+RESERVED = "#" * 9
 
 
 class TestFigure1:
@@ -21,7 +25,25 @@ class TestFigure1:
         arch.ports["m0"].send("m3", 4096)
         arch.sim.run(20)  # circuit established, streaming
         text = render_rmboc_figure(arch)
-        assert "#" in text  # reserved lanes drawn differently
+        assert RESERVED in text  # reserved lanes drawn differently
+
+    def test_lone_plan_lanes_drawn_as_on_the_stepped_kernel(self):
+        # sent while the fabric sleeps, the fast kernel plans the
+        # message by its zero-load law instead of reserving lanes
+        frames = {}
+        for fast_path in (True, False):
+            arch = build_architecture(
+                "rmboc", sim=Simulator(fast_path=fast_path))
+            arch.sim.run(5)
+            arch.ports["m0"].send("m3", 32)
+            assert (arch._lone is not None) == fast_path
+            frames[fast_path] = []
+            for _ in range(40):
+                arch.sim.run(1)
+                frames[fast_path].append(render_rmboc_figure(arch))
+        assert frames[True] == frames[False]
+        assert any(RESERVED in text for text in frames[True])
+        assert RESERVED not in frames[True][-1]
 
     def test_free_slot_rendered(self):
         arch = build_architecture("rmboc")
