@@ -23,9 +23,9 @@ from repro.core.scenario import minimal_scenario
 from repro.fabric.area import AreaModel
 from repro.fabric.device import get_device
 from repro.fabric.geometry import Rect
-from repro.reconfig.manager import ReconfigurationManager
+from repro.reconfig.manager import ReconfigurationManager, SwapRecord
 from repro.reconfig.module import ModuleSpec
-from repro.sim import make_rng
+from repro.sim import Simulator, make_rng
 from repro.traffic.generators import PeriodicStream, RandomTraffic
 from repro.traffic.patterns import uniform_chooser
 
@@ -321,26 +321,36 @@ class E6Result:
         return self.rows[arch]["bystander_delivered"] > 0
 
 
+def e6_body(key: str, width: int = 32
+            ) -> Tuple[Simulator, PeriodicStream, SwapRecord]:
+    """e6 for one fabric: a bystander stream m2 -> m3, one 32-byte
+    message every 40 cycles, while m0 is swapped; run until the swap is
+    done and the stream drained.  ``benchmarks/bench_lone_transfers.py``
+    times it per fabric."""
+    device = get_device("XC2V6000")
+    arch = build_architecture(key, num_modules=4, width=width)
+    sim = arch.sim
+    mods = list(arch.modules)
+    # bystander traffic between m2 and m3 throughout
+    stream = PeriodicStream(
+        "bystander", arch.ports[mods[2]], mods[3],
+        period=40, payload_bytes=32,
+    )
+    sim.add(stream)
+    manager = ReconfigurationManager(arch, device)
+    region = Rect(0, 0, 4, device.clb_rows)
+    record = manager.swap(mods[0], ModuleSpec("m0b"), region)
+    sim.run_until(lambda s: record.done, max_cycles=2_000_000)
+    # let bystander traffic drain
+    sim.run_until(lambda s: stream.all_delivered(), max_cycles=5_000_000)
+    return sim, stream, record
+
+
 @builds("rmboc", "buscom", "dynoc", "conochi")
 def e6_reconfiguration(width: int = 32) -> E6Result:
     result = E6Result()
-    device = get_device("XC2V6000")
     for key in ("rmboc", "buscom", "dynoc", "conochi"):
-        arch = build_architecture(key, num_modules=4, width=width)
-        sim = arch.sim
-        mods = list(arch.modules)
-        # bystander traffic between m2 and m3 throughout
-        stream = PeriodicStream(
-            "bystander", arch.ports[mods[2]], mods[3],
-            period=40, payload_bytes=32,
-        )
-        sim.add(stream)
-        manager = ReconfigurationManager(arch, device)
-        region = Rect(0, 0, 4, device.clb_rows)
-        record = manager.swap(mods[0], ModuleSpec("m0b"), region)
-        sim.run_until(lambda s: record.done, max_cycles=2_000_000)
-        # let bystander traffic drain
-        sim.run_until(lambda s: stream.all_delivered(), max_cycles=5_000_000)
+        _, stream, record = e6_body(key, width)
         during = [
             m.latency for m in stream.sent
             if m.delivered and record.detach_cycle
@@ -730,48 +740,54 @@ class E12Result:
         return self.rows[arch][period]["availability"]
 
 
+def e12_body(key: str, period: int, horizon_swaps: int = 3,
+             width: int = 32
+             ) -> Tuple[Simulator, PeriodicStream, List[SwapRecord]]:
+    """e12 for one fabric and swap period: a bystander stream m2 -> m3,
+    one 32-byte message every 50 cycles, while the slot of m0 is
+    swapped every ``period`` cycles, ``horizon_swaps`` times; run until
+    the swaps are done and the stream drained.
+    ``benchmarks/bench_lone_transfers.py`` times it per fabric."""
+    device = get_device("XC2V6000")
+    region = Rect(0, 0, 4, device.clb_rows)
+    arch = build_architecture(key, num_modules=4, width=width)
+    sim = arch.sim
+    stream = PeriodicStream("bystander", arch.ports["m2"], "m3",
+                            period=50, payload_bytes=32)
+    sim.add(stream)
+    manager = ReconfigurationManager(arch, device)
+    records: List[SwapRecord] = []
+    churn = {"occupant": "m0", "gen": 0}
+
+    def swap_next(sim_):
+        spec = ModuleSpec(f"gen{churn['gen']}")
+        churn["gen"] += 1
+        records.append(manager.swap(churn["occupant"], spec, region))
+        churn["occupant"] = spec.name
+
+    for n in range(horizon_swaps):
+        sim.at(n * period, swap_next)
+    horizon = horizon_swaps * period
+    stream.stop = horizon
+    sim.run(max(0, horizon - sim.cycle))
+    sim.run_until(lambda s: all(r.done for r in records),
+                  max_cycles=10 * horizon)
+    sim.run_until(lambda s: stream.all_delivered(), max_cycles=horizon)
+    return sim, stream, records
+
+
 @builds("rmboc", "buscom", "dynoc", "conochi")
 def e12_reconfiguration_frequency(
     periods: Tuple[int, ...] = (300_000, 450_000),
     horizon_swaps: int = 3,
     width: int = 32,
 ) -> E12Result:
-    from repro.fabric.device import get_device
-    from repro.reconfig.manager import ReconfigurationManager
-    from repro.reconfig.module import ModuleSpec
-
-    device = get_device("XC2V6000")
-    region = Rect(0, 0, 4, device.clb_rows)
     rows: Dict[str, Dict[int, Dict[str, float]]] = {}
     for key in ("rmboc", "buscom", "dynoc", "conochi"):
         rows[key] = {}
         for period in periods:
-            arch = build_architecture(key, num_modules=4, width=width)
-            sim = arch.sim
-            stream = PeriodicStream("bystander", arch.ports["m2"], "m3",
-                                    period=50, payload_bytes=32)
-            sim.add(stream)
-            manager = ReconfigurationManager(arch, device)
-            records = []
-            churn = {"occupant": "m0", "gen": 0}
-
-            def swap_next(sim_):
-                spec = ModuleSpec(f"gen{churn['gen']}")
-                churn["gen"] += 1
-                records.append(
-                    manager.swap(churn["occupant"], spec, region)
-                )
-                churn["occupant"] = spec.name
-
-            for n in range(horizon_swaps):
-                sim.at(n * period, swap_next)
-            horizon = horizon_swaps * period
-            stream.stop = horizon
-            sim.run(max(0, horizon - sim.cycle))
-            sim.run_until(lambda s: all(r.done for r in records),
-                          max_cycles=10 * horizon)
-            sim.run_until(lambda s: stream.all_delivered(),
-                          max_cycles=horizon)
+            sim, stream, records = e12_body(key, period, horizon_swaps,
+                                            width)
             downtime = sum(r.downtime_cycles for r in records)
             lats = stream.latencies()
             rows[key][period] = {
